@@ -48,15 +48,16 @@ from .spectral import (
     SpectralResult,
     closed_form_d2,
     closed_form_full,
-    jacobi_eigh,
+    dominant_eigenpair,
     power_iteration,
     spectrum_via_characters,
 )
 from .telemat import (
+    IncidenceEdges,
     LabeledIntMatrix,
     StructureReport,
-    gram_G,
     gram_H,
+    incidence_edges,
     incidence_matrix,
     recursion_defect,
     structure_report,

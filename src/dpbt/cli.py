@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .characters import cycle_types
@@ -32,12 +33,10 @@ from .protocol import (
 from .spectral import (
     PowerIterationError,
     closed_form_d2,
-    closed_form_full,
-    power_iteration,
+    dominant_eigenpair,
     spectrum_via_characters,
 )
 from .telemat import (
-    gram_G,
     gram_H,
     incidence_matrix,
     teleportation_matrix,
@@ -118,7 +117,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.add_argument("--tol", type=float, default=1e-12)
     p_sweep.add_argument("--max-iter", type=int, default=1_000_000)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="worker pool size")
 
     return parser
 
@@ -185,10 +183,10 @@ def _cmd_matrix(args, out) -> int:
     builders = {
         "MF": teleportation_matrix,
         "R": incidence_matrix,
-        "G": gram_G,
+        "G": teleportation_matrix,  # G = R^T R is the teleportation matrix
         "H": gram_H,
     }
-    m = builders[args.kind](args.ports, args.dim)
+    m = replace(builders[args.kind](args.ports, args.dim), kind=args.kind)
     if _resolve_format(args) == "csv":
         _emit(to_csv(m), args.output, out)
     else:
@@ -200,10 +198,7 @@ def _cmd_matrix(args, out) -> int:
 def _cmd_spectrum(args, out) -> int:
     _validate_nd(args.ports, args.dim)
     n, d = args.ports, args.dim
-    if d >= n:
-        res = closed_form_full(n)
-    else:
-        res = power_iteration(teleportation_matrix(n, d), args.tol, args.max_iter)
+    res = dominant_eigenpair(n, d, args.tol, args.max_iter)
     payload = {
         "version": __version__,
         "N": n,
@@ -253,6 +248,7 @@ def _cmd_povm(args, out) -> int:
         "version": __version__,
         "N": sol.n,
         "d": sol.d,
+        "method": sol.method,
         "v": {mu.label(): sol.v[mu] for mu in sol.basis},
         "o_coeffs": {mu.label(): sol.o_coeffs[mu] for mu in sol.basis},
         "c_coeffs": {mu.label(): sol.c_coeffs[mu] for mu in sol.basis},
@@ -315,7 +311,7 @@ def _cmd_sweep(args, out) -> int:
         raise UsageError("--ports values must be >= 1")
     if min(d_values) < 2:
         raise UsageError("--dims values must be >= 2")
-    rows = sweep(n_values, d_values, tol=args.tol, max_iter=args.max_iter, jobs=args.jobs)
+    rows = sweep(n_values, d_values, tol=args.tol, max_iter=args.max_iter)
     if _resolve_format(args) == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

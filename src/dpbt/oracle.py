@@ -9,8 +9,8 @@ certificate.  Each formula is then checked by plain linear algebra.
 Operators grow as d^(N+1), so constructions are capped (default 1024, which
 covers (N,d) in {(2,2),(3,2),(4,2),(2,3),(3,3),(2,4),(4,3)}).  All operators
 are kept complex even though every one of them is real in this basis; the
-Hermiticity checks stay honest that way.  Eigensolves go through the internal
-Jacobi routine, independent of the fast spectral path.
+Hermiticity checks stay honest that way.  Eigensolves go through LAPACK
+(numpy.linalg.eigh), which shares no code with the fast spectral path.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .protocol import (
     protocol_eigenvalues,
     sqrt_measurement_fidelity,
 )
-from .spectral import jacobi_eigh
+from .spectral import dominant_eigenpair
 
 __all__ = [
     "DEFAULT_CAP",
@@ -193,7 +193,8 @@ def _embed_front(mat: np.ndarray, trailing: int, d: int) -> np.ndarray:
 
 
 def _eigh(mat: np.ndarray):
-    """Jacobi eigendecomposition after validating Hermiticity and realness."""
+    """LAPACK eigendecomposition (ascending) after validating Hermiticity and
+    realness."""
     scale = max(1.0, float(np.abs(mat).max()))
     herm = float(np.abs(mat - mat.conj().T).max())
     if herm > 1e-9 * scale:
@@ -201,7 +202,7 @@ def _eigh(mat: np.ndarray):
     imag = float(np.abs(mat.imag).max())
     if imag > 1e-9 * scale:
         raise ArithmeticError(f"operator has complex entries (max imag {imag:.2e})")
-    return jacobi_eigh(mat.real)
+    return np.linalg.eigh(mat.real)
 
 
 def eta_operator(n: int, d: int, cap: int = DEFAULT_CAP) -> DenseOperator:
@@ -325,9 +326,7 @@ def dual_witness_check(n: int, d: int, cap: int = DEFAULT_CAP) -> dict[str, floa
     dominate every port state, and d^(N-2) times the infinity norm of its
     last-factor partial trace reproduces the optimum radius / d^2.
     """
-    from .protocol import _dominant_eigenpair  # local: avoids a public wart
-
-    eigenpair = _dominant_eigenpair(n, d, 1e-12, 1_000_000)
+    eigenpair = dominant_eigenpair(n, d)
     t = {mu: eigenpair.perron_entry(mu) for mu in eigenpair.basis}
     dim = d ** (n + 1)
     _require_cap(d, n + 1, cap)

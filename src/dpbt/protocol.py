@@ -2,11 +2,12 @@
 
 The optimal fidelity with a simultaneously optimised measurement and resource
 state is the spectral radius of the height-restricted teleportation matrix
-divided by d^2.  This module dispatches between the closed forms and the
-power iteration, derives the optimal POVM and resource-state coefficients
-from the Perron eigenvector, evaluates the square-root-measurement fidelity
-of the plain maximally entangled resource, the generalised one-parameter POVM
-family, and a closed-form lower bound, and drives (N, d) sweeps.
+divided by d^2.  This module takes that radius and the Perron eigenvector
+from spectral.dominant_eigenpair, derives the optimal POVM and resource-state
+coefficients from the eigenvector, evaluates the square-root-measurement
+fidelity of the plain maximally entangled resource, the generalised
+one-parameter POVM family, and a closed-form lower bound, and drives (N, d)
+sweeps.
 
 Port-operator eigenvalues are kept as exact rationals; fidelity arithmetic is
 double precision with compensated summation.  Diagrams of height above d have
@@ -16,7 +17,6 @@ zero multiplicity and are excluded from every sum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -29,15 +29,7 @@ from .diagrams import (
     irrep_dim,
     multiplicity,
 )
-from .spectral import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    SpectralResult,
-    closed_form_d2,
-    closed_form_full,
-    power_iteration,
-)
-from .telemat import teleportation_matrix
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
 
 __all__ = [
     "ProtocolEigen",
@@ -92,7 +84,7 @@ class OptimalSolution:
     v is l2-normalised with positive entries; p maps (alpha, mu) to the POVM
     expansion coefficient, o gives the resource-operator coefficient per
     diagram, and c the coefficients of the positive operator constraining the
-    POVM sum.
+    POVM sum.  `method` names the route that produced the Perron vector.
     """
 
     n: int
@@ -102,6 +94,7 @@ class OptimalSolution:
     p_coeffs: dict[tuple[YoungDiagram, YoungDiagram], float]
     o_coeffs: dict[YoungDiagram, float]
     c_coeffs: dict[YoungDiagram, float]
+    method: str
 
 
 def protocol_eigenvalues(n: int, d: int) -> list[ProtocolEigen]:
@@ -122,16 +115,6 @@ def protocol_eigenvalues(n: int, d: int) -> list[ProtocolEigen]:
     return out
 
 
-def _dominant_eigenpair(
-    n: int, d: int, tol: float, max_iter: int
-) -> SpectralResult:
-    """Perron eigenpair of the height-restricted matrix: closed form when all
-    heights fit, power iteration otherwise."""
-    if d >= n:
-        return closed_form_full(n)
-    return power_iteration(teleportation_matrix(n, d), tol, max_iter)
-
-
 def optimal_fidelity(
     n: int,
     d: int,
@@ -140,16 +123,14 @@ def optimal_fidelity(
 ) -> FidelityReport:
     """Best achievable fidelity: spectral radius of the restricted matrix / d^2.
 
-    Dispatch: radius = n exactly when d >= n (all irreps occur), the cosine
-    closed form at d = 2, and the power iteration in between.
+    The radius is n exactly when d >= n (all irreps occur), taken without
+    enumerating the diagrams; otherwise it comes from dominant_eigenpair.
     """
     _check_nd(n, d)
     if d >= n:
         radius, method, iterations = float(n), "closed_dgeN", 0
-    elif d == 2:
-        radius, method, iterations = closed_form_d2(n)[0], "closed_d2", 0
     else:
-        res = power_iteration(teleportation_matrix(n, d), tol, max_iter)
+        res = dominant_eigenpair(n, d, tol, max_iter)
         radius, method, iterations = res.radius, res.method, res.iterations
     return FidelityReport(n, d, "optimal", radius / d**2, method, radius, iterations)
 
@@ -168,7 +149,7 @@ def optimal_solution(
     with v the l2-normalised Perron eigenvector.
     """
     _check_nd(n, d)
-    eigenpair = _dominant_eigenpair(n, d, tol, max_iter)
+    eigenpair = dominant_eigenpair(n, d, tol, max_iter)
     basis = eigenpair.basis
     norm = math.sqrt(math.fsum(x * x for x in eigenpair.perron))
     v = {mu: x / norm for mu, x in zip(basis, eigenpair.perron)}
@@ -187,29 +168,31 @@ def optimal_solution(
             if m_m == 0:
                 continue
             p_coeffs[(alpha, mu)] = factor * v[mu] / m_m
-    return OptimalSolution(n, d, basis, v, p_coeffs, o_coeffs, c_coeffs)
+    return OptimalSolution(
+        n, d, basis, v, p_coeffs, o_coeffs, c_coeffs, eigenpair.method
+    )
 
 
 def sqrt_measurement_fidelity(n: int, d: int) -> FidelityReport:
     """Fidelity of the maximally entangled resource with square-root measurement.
 
-    Sum over parents of the squared sum of sqrt(d_mu * m_mu) over children,
-    divided by d^(n+2).  The products d_mu * m_mu are exact integers; one
-    floating square root is taken per term.
+    Sum over parents of the squared sum of sqrt(d_mu * m_mu / d^(n+2)) over
+    children.  Each ratio of exact integers is divided with correct rounding
+    before the one floating square root per term, so nothing overflows at
+    large n.
     """
     _check_nd(n, d)
+    dn2 = d ** (n + 2)
     total = math.fsum(
         math.fsum(
-            math.sqrt(irrep_dim(mu) * multiplicity(mu, d))
+            math.sqrt(irrep_dim(mu) * multiplicity(mu, d) / dn2)
             for mu in add_box(alpha, d)
             if multiplicity(mu, d) > 0
         )
         ** 2
         for alpha in enumerate_diagrams(n - 1, d)
     )
-    return FidelityReport(
-        n, d, "sqrt_entangled", total / d ** (n + 2), "sqrt_measurement_sum"
-    )
+    return FidelityReport(n, d, "sqrt_entangled", total, "sqrt_measurement_sum")
 
 
 ParamMap = Mapping[YoungDiagram, float] | Callable[[YoungDiagram], float] | float | int
@@ -272,12 +255,11 @@ def sweep(
     d_values: Iterable[int],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Fidelity table over the (N, d) grid, ordered by (N, d).
 
     Cells are independent; a failing cell records an "error" field and the
-    sweep continues.  `jobs` sizes the worker pool (None: executor default).
+    sweep continues.
     """
     cells = sorted({(int(n), int(d)) for n in n_values for d in d_values})
 
@@ -301,7 +283,4 @@ def sweep(
         )
         return row
 
-    if jobs == 1 or len(cells) <= 1:
-        return [one_cell(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one_cell, cells))
+    return [one_cell(c) for c in cells]

@@ -1,10 +1,10 @@
 """Spectral radius and Perron eigenvector of the teleportation matrices.
 
-Three routes: an exact closed form when every diagram height fits (d >= N),
-the tridiagonal cosine closed form at d = 2, and a normalised power iteration
-for everything in between.  A cyclic Jacobi eigensolver is kept as the
-independent full-spectrum utility, and the character table provides an exact
-integer diagonalisation of the full matrix.
+`dominant_eigenpair` is the one dispatch between three routes: an exact
+closed form when every diagram height fits (d >= N), the tridiagonal cosine
+closed form at d = 2, and a normalised power iteration on the incidence edge
+list, M_F w = R^T (R w), for everything in between.  The character table
+provides an exact integer diagonalisation of the full matrix.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ import numpy as np
 
 from .characters import character_matrix
 from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams, irrep_dim
-from .telemat import LabeledIntMatrix, structure_report, teleportation_matrix
+from .telemat import incidence_edges, teleportation_matrix
 
 __all__ = [
     "SpectralResult",
     "PowerIterationError",
+    "dominant_eigenpair",
     "power_iteration",
     "closed_form_full",
     "closed_form_d2",
     "spectrum_via_characters",
-    "jacobi_eigh",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -61,44 +61,65 @@ class PowerIterationError(RuntimeError):
 
 
 def power_iteration(
-    m: LabeledIntMatrix,
+    n: int,
+    d: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralResult:
-    """Spectral radius and Perron vector of a primitive non-negative matrix.
+    """Spectral radius and Perron vector of the teleportation matrix at (n, d).
 
-    From the uniform positive start, iterate v <- A w, w <- v / sum(v) and
+    From the uniform positive start, iterate v <- M_F w, w <- v / sum(v) and
     stop once two successive normalisers differ by less than tol; the
-    normaliser then estimates the radius and w the Perron vector.  The sums
-    use numpy's pairwise summation, so runs are deterministic.
+    normaliser then estimates the radius and w the Perron vector.  Each
+    product is R^T (R w), two gathers over the incidence edge list.  M_F is
+    primitive (positive diagonal, connected), so the iteration converges.
+    The sums use numpy's pairwise summation, so runs are deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    report = structure_report(m)
-    if not report.primitive:
-        raise ValueError(
-            f"matrix (kind {m.kind}, shape {m.shape}) is not primitive; "
-            "power iteration requires a primitive non-negative matrix"
-        )
-    a = m.to_float()
-    n = a.shape[0]
-    w = np.full(n, 1.0 / n)
+    e = incidence_edges(n, d)
+    rows, size = len(e.row_basis), len(e.col_basis)
+    w = np.full(size, 1.0 / size)
     s_prev: float | None = None
     s = 0.0
     diff = math.inf
     for it in range(1, max_iter + 1):
-        v = a @ w
+        u = np.bincount(e.parent, weights=w[e.child], minlength=rows)
+        v = np.bincount(e.child, weights=u[e.parent], minlength=size)
         s = float(np.sum(v))
         w = v / s
         if s_prev is not None:
             diff = abs(s - s_prev)
             if diff < tol:
-                return SpectralResult(s, m.row_basis, tuple(w), it, diff, "power")
+                return SpectralResult(s, e.col_basis, tuple(w), it, diff, "power")
         s_prev = s
-    last = SpectralResult(s, m.row_basis, tuple(w), max_iter, diff, "power")
+    last = SpectralResult(s, e.col_basis, tuple(w), max_iter, diff, "power")
     raise PowerIterationError(
         f"no convergence after {max_iter} iterations (last diff {diff:.3e})", last
     )
+
+
+def dominant_eigenpair(
+    n: int,
+    d: int,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> SpectralResult:
+    """Perron eigenpair of the teleportation matrix with heights <= d.
+
+    d >= n: the exact full-matrix closed form.  d = 2: radius
+    4 cos^2(pi/(n+2)) and Perron entry sin((n+1-2k) pi/(n+2)) on the diagram
+    [n-k, k] (sum-normalised).  Otherwise: the power iteration.
+    """
+    if d >= n:
+        return closed_form_full(n)
+    if d == 2:
+        basis = enumerate_diagrams(n, 2)
+        x = [math.sin((2 * mu.rows[0] - n + 1) * math.pi / (n + 2)) for mu in basis]
+        total = math.fsum(x)
+        perron = tuple(v / total for v in x)
+        return SpectralResult(closed_form_d2(n)[0], basis, perron, 0, 0.0, "closed_d2")
+    return power_iteration(n, d, tol, max_iter)
 
 
 def closed_form_full(n: int) -> SpectralResult:
@@ -161,58 +182,3 @@ def spectrum_via_characters(n: int) -> dict[int, int]:
             f"spectrum {sorted(multiplicities)} != expected {sorted(expected)} for N={n}"
         )
     return multiplicities
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalisation of a real symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Sweeps run
-    until the off-diagonal Frobenius norm drops below tol relative to the
-    matrix scale.  Kept dependency-light so spectra computed elsewhere can be
-    cross-checked against an independent solver.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = math.sqrt(float((a * a).sum()))
-    if n > 0 and float(np.abs(a - a.T).max()) > 1e-10 * max(1.0, scale):
-        raise ValueError("matrix must be symmetric")
-    v = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), v
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        # measure the off-diagonal norm directly: subtracting the diagonal
-        # part of the Frobenius norm cancels catastrophically near convergence
-        strict = a - np.diag(np.diag(a))
-        off = math.sqrt(float((strict * strict).sum()))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise ArithmeticError(f"jacobi did not converge in {max_sweeps} sweeps")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]

@@ -3,9 +3,9 @@
 The teleportation matrix over the diagrams of N has diagonal entries counting
 single-box-removal parents and off-diagonal 1 for pairs related by moving one
 box.  Restricting to heights <= d gives the principal submatrix governing
-local dimension d.  The same data is reachable through the 0/1 parent-child
-incidence matrix R: the Gram matrix of its columns reproduces the
-teleportation matrix exactly, and the Gram matrix of its rows obeys a
+local dimension d.  Every matrix here derives from one representation, the
+parent-child edge list of the 0/1 incidence matrix R: the Gram matrix of its
+columns is the teleportation matrix, and the Gram matrix of its rows obeys a
 recursion that steps N down by one.  All entries are exact integers.
 """
 
@@ -22,15 +22,15 @@ from .diagrams import (
     YoungDiagram,
     add_box,
     enumerate_diagrams,
-    remove_box,
 )
 
 __all__ = [
     "LabeledIntMatrix",
     "StructureReport",
+    "IncidenceEdges",
+    "incidence_edges",
     "teleportation_matrix",
     "incidence_matrix",
-    "gram_G",
     "gram_H",
     "recursion_defect",
     "structure_report",
@@ -74,27 +74,64 @@ class LabeledIntMatrix:
         return np.array(self.entries, dtype=float)
 
 
+@dataclass(frozen=True)
+class IncidenceEdges:
+    """Parent-child edge list of the 0/1 incidence matrix R.
+
+    Edge k joins row parent[k] (a diagram of n-1) to column child[k] (a
+    diagram of n that grows from it by one box within the height cap).
+    Edges are sorted by (parent, child); a parent has at most d+1 children.
+    """
+
+    row_basis: DiagramBasis
+    col_basis: DiagramBasis
+    parent: np.ndarray
+    child: np.ndarray
+
+
+def incidence_edges(n: int, d: int | None = None) -> IncidenceEdges:
+    """Edge list of R for the diagrams of n with height <= d (None: no cap)."""
+    if n < 1:
+        raise ValueError("port count must be >= 1")
+    row_basis = enumerate_diagrams(n - 1, d)
+    col_basis = enumerate_diagrams(n, d)
+    pairs = [
+        (i, col_basis.index(mu))
+        for i, alpha in enumerate(row_basis)
+        for mu in add_box(alpha, d)
+    ]
+    pairs.sort()
+    parent, child = np.array(pairs, dtype=np.intp).T
+    return IncidenceEdges(row_basis, col_basis, parent, child)
+
+
+def _gram(
+    basis: DiagramBasis, key: np.ndarray, member: np.ndarray, groups: int, kind: str
+) -> LabeledIntMatrix:
+    """Exact Gram matrix over `basis`: edges sharing a key form a group, and
+    each group adds 1 to every (a, b) pair of its members."""
+    members: list[list[int]] = [[] for _ in range(groups)]
+    for k, i in zip(key.tolist(), member.tolist()):
+        members[k].append(i)
+    m = len(basis)
+    g = [[0] * m for _ in range(m)]
+    for group in members:
+        for a in group:
+            for b in group:
+                g[a][b] += 1
+    return LabeledIntMatrix(basis, basis, tuple(map(tuple, g)), kind)
+
+
 def teleportation_matrix(n: int, d: int | None = None) -> LabeledIntMatrix:
-    """Teleportation matrix over the diagrams of n with height <= d.
+    """Teleportation matrix over the diagrams of n with height <= d: R^T R.
 
     Diagonal at mu counts all parents of mu (removing a box never increases
     height, so no extra filter applies); off-diagonal entries are 1 for pairs
-    sharing a parent.  d=None (or d >= n) gives the full matrix.
+    sharing a parent, which two distinct diagrams do at most once.  d=None
+    (or d >= n) gives the full matrix.
     """
-    if n < 1:
-        raise ValueError("port count must be >= 1")
-    basis = enumerate_diagrams(n, d)
-    parents = [remove_box(mu) for mu in basis]
-    rows = []
-    for i in range(len(basis)):
-        row = []
-        for j in range(len(basis)):
-            if i == j:
-                row.append(len(parents[i]))
-            else:
-                row.append(1 if parents[i] & parents[j] else 0)
-        rows.append(tuple(row))
-    return LabeledIntMatrix(basis, basis, tuple(rows), "MF")
+    e = incidence_edges(n, d)
+    return _gram(e.col_basis, e.parent, e.child, len(e.row_basis), "MF")
 
 
 def incidence_matrix(n: int, d: int | None = None) -> LabeledIntMatrix:
@@ -103,44 +140,17 @@ def incidence_matrix(n: int, d: int | None = None) -> LabeledIntMatrix:
     Entry 1 iff the column diagram grows from the row diagram by one box and
     fits the height cap.
     """
-    if n < 1:
-        raise ValueError("port count must be >= 1")
-    row_basis = enumerate_diagrams(n - 1, d)
-    col_basis = enumerate_diagrams(n, d)
-    rows = []
-    for alpha in row_basis:
-        children = add_box(alpha, d)
-        rows.append(tuple(1 if mu in children else 0 for mu in col_basis))
-    return LabeledIntMatrix(row_basis, col_basis, tuple(rows), "R")
-
-
-def gram_G(n: int, d: int | None = None) -> LabeledIntMatrix:
-    """Gram matrix of the columns of the incidence matrix: R^T R, exact.
-
-    Coincides entrywise with teleportation_matrix(n, d).
-    """
-    r = incidence_matrix(n, d)
-    m = len(r.col_basis)
-    g = [[0] * m for _ in range(m)]
-    for row in r.entries:
-        ones = [j for j, e in enumerate(row) if e]
-        for a in ones:
-            for b in ones:
-                g[a][b] += 1
-    return LabeledIntMatrix(r.col_basis, r.col_basis, tuple(map(tuple, g)), "G")
+    e = incidence_edges(n, d)
+    rows = [[0] * len(e.col_basis) for _ in e.row_basis]
+    for p, c in zip(e.parent.tolist(), e.child.tolist()):
+        rows[p][c] = 1
+    return LabeledIntMatrix(e.row_basis, e.col_basis, tuple(map(tuple, rows)), "R")
 
 
 def gram_H(n: int, d: int | None = None) -> LabeledIntMatrix:
     """Gram matrix of the rows of the incidence matrix: R R^T, exact."""
-    r = incidence_matrix(n, d)
-    m = len(r.row_basis)
-    h = [[0] * m for _ in range(m)]
-    for j in range(len(r.col_basis)):
-        ones = [i for i in range(m) if r.entries[i][j]]
-        for a in ones:
-            for b in ones:
-                h[a][b] += 1
-    return LabeledIntMatrix(r.row_basis, r.row_basis, tuple(map(tuple, h)), "H")
+    e = incidence_edges(n, d)
+    return _gram(e.row_basis, e.child, e.parent, len(e.col_basis), "H")
 
 
 def recursion_defect(n: int, d: int | None = None) -> tuple[tuple[int, ...], ...]:

@@ -4,8 +4,10 @@ import io
 import json
 import math
 
+import numpy as np
+
 from dpbt.cli import run
-from dpbt.telemat import gram_G, parse_csv, teleportation_matrix
+from dpbt.telemat import gram_H, incidence_matrix, parse_csv, teleportation_matrix
 
 
 def invoke(argv):
@@ -21,9 +23,10 @@ class TestMatrixCommand:
         )
         assert code == 0
         rows, cols, entries = parse_csv(out)
-        g = gram_G(4, 4)
-        assert entries == g.entries
-        assert rows == g.row_basis.entries
+        r = incidence_matrix(4, 4)
+        dense = np.array(r.entries, dtype=np.int64)
+        assert entries == tuple(map(tuple, (dense.T @ dense).tolist()))
+        assert rows == r.col_basis.entries
         assert len(out.strip().splitlines()) == 6  # header + 5 rows
 
     def test_json_payload(self):
@@ -42,13 +45,15 @@ class TestMatrixCommand:
             assert code == 0
             builders = {
                 "MF": teleportation_matrix,
-                "R": __import__("dpbt.telemat", fromlist=["incidence_matrix"]).incidence_matrix,
-                "G": gram_G,
-                "H": __import__("dpbt.telemat", fromlist=["gram_H"]).gram_H,
+                "R": incidence_matrix,
+                "G": teleportation_matrix,
+                "H": gram_H,
             }
             m = builders[kind](5, 3)
             rows, cols, entries = parse_csv(out)
             assert entries == m.entries
+            code, out, _ = invoke(["matrix", "--ports", "5", "--dim", "3", "--kind", kind])
+            assert code == 0 and json.loads(out)["kind"] == kind
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "m.csv"
@@ -70,6 +75,15 @@ class TestFidelityCommand:
         assert abs(payload["f_sqrt_ent"] - 0.625) < 1e-12
         assert payload["f_lower"] == 0.5
 
+    def test_large_qubit_cell_is_finite(self):
+        # the square-root-measurement sum once overflowed a float at N = 1022
+        n = 1022
+        code, out, _ = invoke(["fidelity", "--ports", str(n), "--dim", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["f_opt"] == math.cos(math.pi / (n + 2)) ** 2
+        assert payload["f_lower"] <= payload["f_sqrt_ent"] <= payload["f_opt"]
+
     def test_deterministic_bytes(self):
         runs = {invoke(["fidelity", "--ports", "6", "--dim", "3"])[1] for _ in range(3)}
         assert len(runs) == 1
@@ -84,6 +98,14 @@ class TestSpectrumCommand:
         assert payload["method"] == "closed_dgeN"
         assert payload["spectrum_multiplicities"] == {"4": 1, "2": 1, "1": 1, "0": 2}
         assert abs(payload["perron"]["[3,1]"] - 0.3) < 1e-12
+
+    def test_qubit_regime(self):
+        code, out, _ = invoke(["spectrum", "--ports", "6", "--dim", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "closed_d2"
+        assert payload["radius"] == payload["eigenvalues"][0]
+        assert abs(sum(payload["perron"].values()) - 1) < 1e-12
 
     def test_power_regime(self):
         code, out, _ = invoke(["spectrum", "--ports", "6", "--dim", "3"])
@@ -102,6 +124,9 @@ class TestPovmCommand:
         assert abs(payload["v"]["[2]"] - 1 / math.sqrt(2)) < 1e-12
         assert abs(payload["o_coeffs"]["[1,1]"] - math.sqrt(2)) < 1e-12
         assert payload["p_coeffs"][0]["alpha"] == "[1]"
+        assert payload["method"] == "closed_dgeN"
+        code, out, _ = invoke(["povm", "--ports", "5", "--dim", "2"])
+        assert code == 0 and json.loads(out)["method"] == "closed_d2"
 
 
 class TestVerifyCommand:
@@ -140,7 +165,7 @@ class TestSweepCommand:
         assert len(lines) == 58  # header + 19 * 3 cells
 
     def test_json_rows_ordered(self):
-        code, out, _ = invoke(["sweep", "--ports", "2:4", "--dims", "3,2", "--jobs", "2"])
+        code, out, _ = invoke(["sweep", "--ports", "2:4", "--dims", "3,2"])
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [(r["N"], r["d"]) for r in rows] == [

@@ -252,12 +252,11 @@ class TestOrderingAndConsistency:
 
     def test_three_paths_agree_in_full_regime(self):
         from dpbt.spectral import power_iteration
-        from dpbt.telemat import teleportation_matrix
 
         for n, d in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
             closed = optimal_fidelity(n, d).fidelity
             assert closed == n / d**2
-            iterated = power_iteration(teleportation_matrix(n, d)).radius / d**2
+            iterated = power_iteration(n, d).radius / d**2
             assert abs(iterated - closed) < 1e-10
 
 
@@ -270,11 +269,6 @@ class TestSweep:
         )
         for r in rows:
             assert r["f_lower"] <= r["f_sqrt_ent"] + 1e-10 <= r["f_opt"] + 2e-10
-
-    def test_parallel_matches_serial(self):
-        serial = sweep(range(2, 7), [2, 3], jobs=1)
-        parallel = sweep(range(2, 7), [2, 3], jobs=4)
-        assert serial == parallel
 
     def test_cell_failure_recorded(self):
         rows = sweep([2], [1, 2])

@@ -10,58 +10,43 @@ from dpbt.spectral import (
     PowerIterationError,
     closed_form_d2,
     closed_form_full,
-    jacobi_eigh,
+    dominant_eigenpair,
     power_iteration,
     spectrum_via_characters,
 )
-from dpbt.telemat import LabeledIntMatrix, teleportation_matrix
-
-
-def make_matrix(entries, n=None):
-    size = len(entries)
-    n = n if n is not None else size
-    basis = enumerate_diagrams(n)
-    if len(basis) != size:
-        raise AssertionError("pick n so the basis size matches")
-    return LabeledIntMatrix(basis, basis, tuple(map(tuple, entries)), "MF")
+from dpbt.telemat import teleportation_matrix
 
 
 class TestPowerIteration:
     def test_full_matrix_radius(self):
-        res = power_iteration(teleportation_matrix(3), tol=1e-12)
+        res = power_iteration(3, tol=1e-12)
         assert abs(res.radius - 3.0) < 1e-10
         assert res.method == "power"
         assert res.residual < 1e-12
 
     def test_golden_ratio_case(self):
-        res = power_iteration(teleportation_matrix(3, 2))
+        res = power_iteration(3, 2)
         assert abs(res.radius - 4 * math.cos(math.pi / 5) ** 2) < 1e-9
 
     def test_one_by_one(self):
-        m = make_matrix([[7]], n=1)
-        res = power_iteration(m)
-        assert res.radius == 7.0
+        res = power_iteration(1, 3)  # M_F(1) = [[1]]
+        assert res.radius == 1.0
         assert res.perron == (1.0,)
 
     def test_perron_properties(self):
         for n in range(2, 9):
             for d in range(2, n + 1):
-                res = power_iteration(teleportation_matrix(n, d))
+                res = power_iteration(n, d)
                 assert all(x > 0 for x in res.perron)
                 assert abs(sum(res.perron) - 1.0) < 1e-12
 
-    def test_rejects_non_primitive(self):
-        m = make_matrix([[0, 1], [1, 0]], n=2)  # zero diagonal
-        with pytest.raises(ValueError, match="primitive"):
-            power_iteration(m)
-
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            power_iteration(teleportation_matrix(3), tol=0.0)
+            power_iteration(3, tol=0.0)
 
     def test_non_convergence_carries_last_iterate(self):
         with pytest.raises(PowerIterationError) as info:
-            power_iteration(teleportation_matrix(6, 3), tol=1e-15, max_iter=2)
+            power_iteration(6, 3, tol=1e-15, max_iter=2)
         last = info.value.last
         assert last.iterations == 2
         assert len(last.perron) == len(enumerate_diagrams(6, 3))
@@ -95,7 +80,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_d2_matches_jacobi_eigensolve(self, n):
         m = teleportation_matrix(n, 2)
-        w, _ = jacobi_eigh(m.to_float())
+        w = np.linalg.eigvalsh(m.to_float())
         assert np.allclose(sorted(w, reverse=True), closed_form_d2(n), atol=1e-10)
 
     def test_d2_count(self):
@@ -106,7 +91,7 @@ class TestClosedForms:
 class TestAgreementAcrossRoutes:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_power_matches_closed_full(self, n):
-        res = power_iteration(teleportation_matrix(n))
+        res = power_iteration(n)
         closed = closed_form_full(n)
         assert abs(res.radius - closed.radius) < 1e-9
         for a, b in zip(res.perron, closed.perron):
@@ -114,16 +99,39 @@ class TestAgreementAcrossRoutes:
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_power_matches_closed_d2(self, n):
-        res = power_iteration(teleportation_matrix(n, 2))
+        res = power_iteration(n, 2)
         assert abs(res.radius - closed_form_d2(n)[0]) < 1e-9
 
     def test_radius_nondecreasing_in_d(self):
         for n in range(2, 9):
             radii = []
             for d in range(2, n + 1):
-                radii.append(power_iteration(teleportation_matrix(n, d)).radius)
+                radii.append(power_iteration(n, d).radius)
             for lo, hi in zip(radii, radii[1:]):
                 assert hi >= lo - 1e-10
+
+    @pytest.mark.parametrize("n,d", [(30, 3), (20, 4), (12, 5)])
+    def test_power_matches_eigvalsh(self, n, d):
+        res = power_iteration(n, d)
+        top = np.linalg.eigvalsh(teleportation_matrix(n, d).to_float())[-1]
+        assert abs(res.radius - top) < 1e-9 * top
+
+
+class TestDominantEigenpair:
+    def test_dispatch(self):
+        assert dominant_eigenpair(4, 4).method == "closed_dgeN"
+        assert dominant_eigenpair(4, 7).method == "closed_dgeN"
+        assert dominant_eigenpair(5, 2).method == "closed_d2"
+        res = dominant_eigenpair(6, 3)
+        assert res.method == "power" and res.iterations > 0
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_d2_perron_matches_eigh(self, n):
+        res = dominant_eigenpair(n, 2)
+        w, v = np.linalg.eigh(teleportation_matrix(n, 2).to_float())
+        top = np.abs(v[:, -1])  # the Perron vector is positive up to sign
+        assert abs(res.radius - w[-1]) < 1e-12 * w[-1]
+        assert np.max(np.abs(np.array(res.perron) - top / top.sum())) < 1e-12
 
 
 class TestSpectrumViaCharacters:
@@ -153,37 +161,3 @@ class TestSpectrumViaCharacters:
     def test_total_multiplicity_is_class_count(self):
         for n in range(1, 9):
             assert sum(spectrum_via_characters(n).values()) == len(enumerate_diagrams(n))
-
-
-class TestJacobi:
-    def test_small_known(self):
-        w, v = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(w, [1.0, 3.0], atol=1e-12)
-        assert np.allclose(v @ np.diag(w) @ v.T, [[2, 1], [1, 2]], atol=1e-12)
-
-    def test_against_numpy_random(self):
-        rng = np.random.default_rng(11)
-        for size in (3, 8, 17, 40):
-            m = rng.normal(size=(size, size))
-            a = (m + m.T) / 2
-            w, v = jacobi_eigh(a)
-            assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-9)
-            assert np.allclose(a @ v, v @ np.diag(w), atol=1e-9)
-            assert np.allclose(v.T @ v, np.eye(size), atol=1e-10)
-
-    def test_near_zero_offdiagonal_converges(self):
-        # regression: off-diagonal norm must be measured without cancellation
-        a = np.diag([1.0, 2.0, 3.0])
-        a[0, 1] = a[1, 0] = 1e-14
-        w, _ = jacobi_eigh(a)
-        assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_zero_and_trivial(self):
-        w, _ = jacobi_eigh(np.zeros((4, 4)))
-        assert np.allclose(w, 0.0)
-        w1, _ = jacobi_eigh(np.array([[5.0]]))
-        assert w1[0] == 5.0

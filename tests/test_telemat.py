@@ -3,13 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dpbt.diagrams import add_box, enumerate_diagrams
-from dpbt.spectral import jacobi_eigh
+from dpbt.diagrams import add_box, box_move_related, enumerate_diagrams, remove_box
 from dpbt.telemat import (
     LabeledIntMatrix,
-    gram_G,
     gram_H,
     incidence_matrix,
     parse_csv,
@@ -23,12 +22,31 @@ from dpbt.telemat import (
 SMALL_GRID = [(n, d) for n in range(2, 9) for d in range(2, n + 1)]
 
 
+def gram_columns(n, d=None):
+    """R^T R computed by numpy from the dense incidence matrix."""
+    r = np.array(incidence_matrix(n, d).entries, dtype=np.int64)
+    return r.T @ r
+
+
 class TestTeleportationMatrix:
     def test_examples(self):
         assert teleportation_matrix(2, 2).entries == ((1, 1), (1, 1))
         assert teleportation_matrix(3, 2).entries == ((1, 1), (1, 2))
         assert teleportation_matrix(4, 2).entries == ((1, 1, 0), (1, 2, 1), (0, 1, 1))
         assert teleportation_matrix(1, 5).entries == ((1,),)
+
+    @pytest.mark.parametrize("n,d", SMALL_GRID)
+    def test_matches_remove_box_reference(self, n, d):
+        # the definition: parent counts on the diagonal, box moves off it
+        basis = enumerate_diagrams(n, d)
+        reference = tuple(
+            tuple(
+                len(remove_box(mu)) if mu == nu else int(box_move_related(mu, nu))
+                for nu in basis
+            )
+            for mu in basis
+        )
+        assert teleportation_matrix(n, d).entries == reference
 
     def test_full_matrix_row_sums(self):
         m = teleportation_matrix(4, 4)
@@ -97,11 +115,15 @@ def exact_rank(entries):
 class TestGramIdentities:
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_g_equals_teleportation_matrix(self, n, d):
-        assert gram_G(n, d).entries == teleportation_matrix(n, d).entries
+        assert gram_columns(n, d).tolist() == list(
+            map(list, teleportation_matrix(n, d).entries)
+        )
 
     def test_g_equals_unbounded(self):
         for n in range(2, 8):
-            assert gram_G(n).entries == teleportation_matrix(n).entries
+            assert gram_columns(n).tolist() == list(
+                map(list, teleportation_matrix(n).entries)
+            )
 
     def test_h_full_is_identity_plus_stepdown(self):
         for n in range(2, 8):
@@ -179,13 +201,13 @@ class TestGramIdentities:
 class TestSpectralStructure:
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_positive_semidefinite(self, n, d):
-        w, _ = jacobi_eigh(teleportation_matrix(n, d).to_float())
+        w = np.linalg.eigvalsh(teleportation_matrix(n, d).to_float())
         assert w[0] >= -1e-10
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_g_and_h_share_nonzero_spectrum(self, n, d):
-        wg, _ = jacobi_eigh(gram_G(n, d).to_float())
-        wh, _ = jacobi_eigh(gram_H(n, d).to_float())
+        wg = np.linalg.eigvalsh(gram_columns(n, d).astype(float))
+        wh = np.linalg.eigvalsh(gram_H(n, d).to_float())
         nz_g = sorted(x for x in wg if x > 1e-9)
         nz_h = sorted(x for x in wh if x > 1e-9)
         assert len(nz_g) == len(nz_h)
@@ -228,7 +250,7 @@ class TestStructureReport:
 
 class TestSerialization:
     @pytest.mark.parametrize(
-        "build", [teleportation_matrix, incidence_matrix, gram_G, gram_H]
+        "build", [teleportation_matrix, incidence_matrix, gram_H]
     )
     def test_csv_roundtrip(self, build):
         m = build(5, 3)
