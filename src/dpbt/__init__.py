@@ -35,6 +35,7 @@ from .protocol import (
     FidelityReport,
     OptimalSolution,
     ProtocolEigen,
+    fidelity_row,
     general_povm_fidelity,
     lower_bound_fidelity,
     optimal_fidelity,

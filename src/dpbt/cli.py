@@ -23,13 +23,7 @@ from .oracle import (
     CapExceededError,
     run_checks,
 )
-from .protocol import (
-    lower_bound_fidelity,
-    optimal_fidelity,
-    optimal_solution,
-    sqrt_measurement_fidelity,
-    sweep,
-)
+from .protocol import fidelity_row, optimal_solution, sweep
 from .spectral import (
     PowerIterationError,
     closed_form_d2,
@@ -71,9 +65,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p: _Parser, dim_required: bool = True) -> None:
+    def common(p: _Parser, solve: bool = True) -> None:
         p.add_argument("--ports", "-N", type=int, required=True, help="port count N >= 1")
-        p.add_argument("--dim", "-d", type=int, required=dim_required, help="local dimension d >= 2")
+        p.add_argument("--dim", "-d", type=int, required=True, help="local dimension d >= 2")
         p.add_argument(
             "--format",
             choices=("json", "csv"),
@@ -81,11 +75,12 @@ def build_parser() -> _Parser:
             help="default: json, or inferred from the output extension",
         )
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--max-iter", type=int, default=1_000_000)
+        if solve:
+            p.add_argument("--tol", type=float, default=1e-12)
+            p.add_argument("--max-iter", type=int, default=1_000_000)
 
     p_matrix = sub.add_parser("matrix", help="emit MF/R/G/H matrices")
-    common(p_matrix)
+    common(p_matrix, solve=False)
     p_matrix.add_argument("--kind", choices=("MF", "R", "G", "H"), default="MF")
 
     p_spectrum = sub.add_parser("spectrum", help="spectral radius and Perron vector")
@@ -102,7 +97,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--ports", "-N", type=int, default=None)
     p_verify.add_argument("--dim", "-d", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--format", choices=("json",), default="json")
     p_verify.add_argument("-o", "--output", default=None)
 
     p_sweep = sub.add_parser("sweep", help="fidelity table over an (N, d) grid")
@@ -224,20 +218,8 @@ def _cmd_spectrum(args, out) -> int:
 
 def _cmd_fidelity(args, out) -> int:
     _validate_nd(args.ports, args.dim)
-    n, d = args.ports, args.dim
-    opt = optimal_fidelity(n, d, tol=args.tol, max_iter=args.max_iter)
-    payload = {
-        "version": __version__,
-        "N": n,
-        "d": d,
-        "f_opt": opt.fidelity,
-        "method": opt.method,
-        "radius": opt.radius,
-        "iterations": opt.iterations,
-        "f_sqrt_ent": sqrt_measurement_fidelity(n, d).fidelity,
-        "f_lower": lower_bound_fidelity(n, d).fidelity,
-    }
-    _emit(_json(payload), args.output, out)
+    row = fidelity_row(args.ports, args.dim, args.tol, args.max_iter)
+    _emit(_json({"version": __version__, **row}), args.output, out)
     return 0
 
 

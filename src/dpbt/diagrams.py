@@ -93,7 +93,7 @@ def _partition_tuples(n: int, max_part: int, max_len: int) -> Iterator[tuple[int
     if n == 0:
         yield ()
         return
-    if max_len <= 0:
+    if n > max_part * max_len:
         return
     for first in range(min(n, max_part), 0, -1):
         for rest in _partition_tuples(n - first, first, max_len - 1):

@@ -9,9 +9,9 @@ fidelity of the plain maximally entangled resource, the generalised
 one-parameter POVM family, and a closed-form lower bound, and drives (N, d)
 sweeps.
 
-Port-operator eigenvalues are kept as exact rationals; fidelity arithmetic is
-double precision with compensated summation.  Diagrams of height above d have
-zero multiplicity and are excluded from every sum.
+Every sum over parent-child pairs (alpha, mu) takes them, under the height
+cap d, from telemat.incidence_edges.  Eigenvalues are exact rationals, and
+coefficients are roots of exact integer ratios, so d^N never becomes a float.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .diagrams import (
-    DiagramBasis,
-    YoungDiagram,
-    add_box,
-    enumerate_diagrams,
-    irrep_dim,
-    multiplicity,
-)
+import numpy as np
+
+from .diagrams import DiagramBasis, YoungDiagram, irrep_dim, multiplicity
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
+from .telemat import incidence_edges
 
 __all__ = [
     "ProtocolEigen",
@@ -41,6 +37,7 @@ __all__ = [
     "sqrt_measurement_fidelity",
     "general_povm_fidelity",
     "lower_bound_fidelity",
+    "fidelity_row",
     "sweep",
 ]
 
@@ -50,6 +47,18 @@ def _check_nd(n: int, d: int) -> None:
         raise ValueError("port count must be >= 1")
     if d < 2:
         raise ValueError("local dimension must be >= 2")
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for positive integers of any size.
+
+    The ratio is shifted near 1 by an even power of two, divided with correct
+    rounding, rooted and shifted back; OverflowError only when the result
+    itself exceeds double range.
+    """
+    half = (num.bit_length() - den.bit_length()) // 2
+    q = num / (den << 2 * half) if half > 0 else (num << -2 * half) / den
+    return math.ldexp(math.sqrt(q), half)
 
 
 @dataclass(frozen=True)
@@ -98,20 +107,17 @@ class OptimalSolution:
 
 
 def protocol_eigenvalues(n: int, d: int) -> list[ProtocolEigen]:
-    """All (alpha, mu) port-operator eigenvalues with nonzero multiplicities."""
+    """All (alpha, mu) port-operator eigenvalues, in incidence-edge order."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    out: list[ProtocolEigen] = []
+    e = incidence_edges(n, d)
     dn = d**n
-    for alpha in enumerate_diagrams(n - 1, d):
-        m_a = multiplicity(alpha, d)
-        d_a = irrep_dim(alpha)
-        for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True):
-            m_m = multiplicity(mu, d)
-            if m_m == 0:
-                continue
-            gamma = Fraction(n * m_m * d_a, m_a * irrep_dim(mu))
-            out.append(ProtocolEigen(alpha, mu, gamma, float(gamma / dn)))
+    out: list[ProtocolEigen] = []
+    for i, j in zip(e.parent.tolist(), e.child.tolist()):
+        alpha, mu = e.row_basis[i], e.col_basis[j]
+        m_m, m_a = multiplicity(mu, d), multiplicity(alpha, d)
+        gamma = Fraction(n * m_m * irrep_dim(alpha), m_a * irrep_dim(mu))
+        out.append(ProtocolEigen(alpha, mu, gamma, float(gamma / dn)))
     return out
 
 
@@ -143,10 +149,12 @@ def optimal_solution(
 ) -> OptimalSolution:
     """Optimal POVM / resource-state coefficients at (n, d).
 
-    p_mu(alpha) = (d^n/sqrt(n)) sqrt(m_alpha/d_alpha) v_mu / m_mu,
-    o_mu = sqrt(d^n) v_mu / sqrt(d_mu m_mu),
-    c_mu = d^n v_mu^2 / (d_mu m_mu),
-    with v the l2-normalised Perron eigenvector.
+    p_mu(alpha) = v_mu sqrt(d^(2n) m_alpha / (n d_alpha m_mu^2)),
+    o_mu = v_mu sqrt(d^n / (d_mu m_mu)),
+    c_mu = o_mu^2,
+    with v the l2-normalised Perron eigenvector.  Each is one correctly rounded
+    operation on exact integers (v_mu^2 is an exact ratio), so it is finite
+    whenever it fits a double; otherwise ArithmeticError names it.
     """
     _check_nd(n, d)
     eigenpair = dominant_eigenpair(n, d, tol, max_iter)
@@ -154,20 +162,26 @@ def optimal_solution(
     norm = math.sqrt(math.fsum(x * x for x in eigenpair.perron))
     v = {mu: x / norm for mu, x in zip(basis, eigenpair.perron)}
     dn = d**n
-    o_coeffs = {}
-    c_coeffs = {}
-    for mu in basis:
-        dm = irrep_dim(mu) * multiplicity(mu, d)
-        o_coeffs[mu] = math.sqrt(dn) * v[mu] / math.sqrt(dm)
-        c_coeffs[mu] = dn * v[mu] ** 2 / dm
-    p_coeffs = {}
-    for alpha in enumerate_diagrams(n - 1, d):
-        factor = dn / math.sqrt(n) * math.sqrt(multiplicity(alpha, d) / irrep_dim(alpha))
-        for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True):
-            m_m = multiplicity(mu, d)
-            if m_m == 0:
-                continue
-            p_coeffs[(alpha, mu)] = factor * v[mu] / m_m
+    name = "o_mu"
+    o_coeffs, c_coeffs, p_coeffs = {}, {}, {}
+    try:
+        for mu in basis:
+            a, b = v[mu].as_integer_ratio()
+            num, den = a * a * dn, b * b * irrep_dim(mu) * multiplicity(mu, d)
+            name = f"o_mu, c_mu at mu={mu}"
+            o_coeffs[mu] = _sqrt_ratio(num, den)
+            c_coeffs[mu] = num / den
+        e = incidence_edges(n, d)
+        for i, j in zip(e.parent.tolist(), e.child.tolist()):
+            alpha, mu = e.row_basis[i], e.col_basis[j]
+            a, b = v[mu].as_integer_ratio()
+            name = f"p_mu(alpha) at alpha={alpha}, mu={mu}"
+            p_coeffs[(alpha, mu)] = _sqrt_ratio(
+                a * a * dn * dn * multiplicity(alpha, d),
+                b * b * n * irrep_dim(alpha) * multiplicity(mu, d) ** 2,
+            )
+    except OverflowError:
+        raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}") from None
     return OptimalSolution(
         n, d, basis, v, p_coeffs, o_coeffs, c_coeffs, eigenpair.method
     )
@@ -176,22 +190,19 @@ def optimal_solution(
 def sqrt_measurement_fidelity(n: int, d: int) -> FidelityReport:
     """Fidelity of the maximally entangled resource with square-root measurement.
 
-    Sum over parents of the squared sum of sqrt(d_mu * m_mu / d^(n+2)) over
-    children.  Each ratio of exact integers is divided with correct rounding
-    before the one floating square root per term, so nothing overflows at
-    large n.
+    The Rayleigh quotient ||R w||^2 / d^2 of the teleportation matrix with
+    the unit vector w_mu = sqrt(d_mu m_mu / d^n), one gather over the
+    incidence edges; so it never exceeds the optimal fidelity.  Each w_mu is
+    the square root of an exact integer ratio, so nothing overflows at large n.
     """
     _check_nd(n, d)
-    dn2 = d ** (n + 2)
-    total = math.fsum(
-        math.fsum(
-            math.sqrt(irrep_dim(mu) * multiplicity(mu, d) / dn2)
-            for mu in add_box(alpha, d)
-            if multiplicity(mu, d) > 0
-        )
-        ** 2
-        for alpha in enumerate_diagrams(n - 1, d)
+    e = incidence_edges(n, d)
+    dn = d**n
+    w = np.array(
+        [_sqrt_ratio(irrep_dim(mu) * multiplicity(mu, d), dn) for mu in e.col_basis]
     )
+    rw = np.bincount(e.parent, weights=w[e.child], minlength=len(e.row_basis))
+    total = math.fsum(rw * rw) / d**2
     return FidelityReport(n, d, "sqrt_entangled", total, "sqrt_measurement_sum")
 
 
@@ -216,12 +227,11 @@ def general_povm_fidelity(n: int, d: int, z: ParamMap, y: ParamMap) -> float:
     divided by d^(n+1).  z = 1, y = 2 reproduces the square-root measurement.
     """
     _check_nd(n, d)
-    eigs = protocol_eigenvalues(n, d)
     by_alpha: dict[YoungDiagram, list[ProtocolEigen]] = {}
-    for e in eigs:
+    for e in protocol_eigenvalues(n, d):
         by_alpha.setdefault(e.alpha, []).append(e)
     terms = []
-    for alpha in enumerate_diagrams(n - 1, d):
+    for alpha, group in by_alpha.items():
         za = _param(z, alpha)
         ya = _param(y, alpha)
         if za < 0:
@@ -229,13 +239,9 @@ def general_povm_fidelity(n: int, d: int, z: ParamMap, y: ParamMap) -> float:
         if ya == 0:
             raise ValueError(f"exponent y({alpha}) must be nonzero")
         m_a = multiplicity(alpha, d)
-        group = by_alpha[alpha]
-        c_val = (
-            math.fsum(
-                e.lam ** (-1.0 / ya) * multiplicity(e.mu, d) / m_a for e in group
-            )
-            / d
-        )
+        c_val = math.fsum(
+            e.lam ** (-1.0 / ya) * multiplicity(e.mu, d) / m_a for e in group
+        ) / d
         tr_val = math.fsum(
             e.lam ** (1.0 - 1.0 / ya) * irrep_dim(e.mu) * m_a for e in group
         )
@@ -250,6 +256,29 @@ def lower_bound_fidelity(n: int, d: int) -> FidelityReport:
     return FidelityReport(n, d, "lower_bound", value, "closed_form")
 
 
+def fidelity_row(
+    n: int,
+    d: int,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> dict:
+    """The lower-bound, square-root-measurement and optimal fidelities at one
+    cell, with the method, radius and iterations of the optimal one."""
+    lower = lower_bound_fidelity(n, d)
+    entangled = sqrt_measurement_fidelity(n, d)
+    optimal = optimal_fidelity(n, d, tol=tol, max_iter=max_iter)
+    return {
+        "N": n,
+        "d": d,
+        "f_lower": lower.fidelity,
+        "f_sqrt_ent": entangled.fidelity,
+        "f_opt": optimal.fidelity,
+        "method": optimal.method,
+        "radius": optimal.radius,
+        "iterations": optimal.iterations,
+    }
+
+
 def sweep(
     n_values: Iterable[int],
     d_values: Iterable[int],
@@ -261,26 +290,10 @@ def sweep(
     Cells are independent; a failing cell records an "error" field and the
     sweep continues.
     """
-    cells = sorted({(int(n), int(d)) for n in n_values for d in d_values})
-
-    def one_cell(nd: tuple[int, int]) -> dict:
-        n, d = nd
-        row: dict = {"N": n, "d": d}
+    rows = []
+    for n, d in sorted({(int(n), int(d)) for n in n_values for d in d_values}):
         try:
-            lower = lower_bound_fidelity(n, d)
-            entangled = sqrt_measurement_fidelity(n, d)
-            optimal = optimal_fidelity(n, d, tol=tol, max_iter=max_iter)
+            rows.append(fidelity_row(n, d, tol, max_iter))
         except Exception as exc:  # per-cell failure: record, keep sweeping
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            return row
-        row.update(
-            f_lower=lower.fidelity,
-            f_sqrt_ent=entangled.fidelity,
-            f_opt=optimal.fidelity,
-            method=optimal.method,
-            radius=optimal.radius,
-            iterations=optimal.iterations,
-        )
-        return row
-
-    return [one_cell(c) for c in cells]
+            rows.append({"N": n, "d": d, "error": f"{type(exc).__name__}: {exc}"})
+    return rows

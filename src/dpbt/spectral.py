@@ -16,7 +16,7 @@ import numpy as np
 
 from .characters import character_matrix
 from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams, irrep_dim
-from .telemat import incidence_edges, teleportation_matrix
+from .telemat import incidence_edges
 
 __all__ = [
     "SpectralResult",
@@ -153,23 +153,26 @@ def closed_form_d2(n: int) -> list[float]:
 def spectrum_via_characters(n: int) -> dict[int, int]:
     """Exact integer diagonalisation of the full matrix by character columns.
 
-    Verifies M @ T(C) = k T(C) for every class C with k fixed points, then
-    returns {eigenvalue k: number of classes with k fixed points}.  The
-    eigenvalues are 0..n-2 and n, with n-1 absent.  Any failure of the exact
-    identity is a hard error.
+    Verifies R^T (R T(C)) = k T(C) for every class C with k fixed points,
+    in exact integers on the incidence edge list, then returns {eigenvalue k:
+    number of classes with k fixed points}.  The eigenvalues are 0..n-2 and
+    n, with n-1 absent.  Any failure of the exact identity is a hard error.
     """
-    mf = teleportation_matrix(n)
+    e = incidence_edges(n)
     table = character_matrix(n)
-    if mf.row_basis.entries != table.basis.entries:
+    if e.col_basis.entries != table.basis.entries:
         raise AssertionError("diagram bases of the matrix and the table disagree")
-    size = len(table.basis)
+    edges = list(zip(e.parent.tolist(), e.child.tolist()))
     multiplicities: dict[int, int] = {}
     for j, cls in enumerate(table.classes):
         k = cls.fixed_points
         col = table.column(j)
-        product = [
-            sum(mf.entries[i][l] * col[l] for l in range(size)) for i in range(size)
-        ]
+        r_col = [0] * len(e.row_basis)
+        for p, c in edges:
+            r_col[p] += col[c]
+        product = [0] * len(col)
+        for p, c in edges:
+            product[c] += r_col[p]
         if product != [k * x for x in col]:
             raise ArithmeticError(
                 f"character column {cls.label()} is not an eigenvector with "

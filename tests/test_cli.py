@@ -3,10 +3,13 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from dpbt.cli import run
+from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
+from dpbt.protocol import protocol_eigenvalues
 from dpbt.telemat import gram_H, incidence_matrix, parse_csv, teleportation_matrix
 
 
@@ -88,6 +91,14 @@ class TestFidelityCommand:
         runs = {invoke(["fidelity", "--ports", "6", "--dim", "3"])[1] for _ in range(3)}
         assert len(runs) == 1
 
+    def test_matches_sweep_row(self):
+        code, out, _ = invoke(["fidelity", "--ports", "6", "--dim", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("version")
+        _, rows, _ = invoke(["sweep", "--ports", "6", "--dims", "3"])
+        assert payload == json.loads(rows)["rows"][0]
+
 
 class TestSpectrumCommand:
     def test_full_regime(self):
@@ -127,6 +138,36 @@ class TestPovmCommand:
         assert payload["method"] == "closed_dgeN"
         code, out, _ = invoke(["povm", "--ports", "5", "--dim", "2"])
         assert code == 0 and json.loads(out)["method"] == "closed_d2"
+
+    def test_large_qubit_cell_is_finite(self):
+        # 2^1030 exceeds a double, yet every coefficient here fits one
+        n, d = 1030, 2
+        code, out, err = invoke(["povm", "--ports", str(n), "--dim", str(d)])
+        assert code == 0, err
+        payload = json.loads(out)
+        values = [
+            *payload["o_coeffs"].values(),
+            *payload["c_coeffs"].values(),
+            *(entry["p"] for entry in payload["p_coeffs"]),
+        ]
+        assert all(math.isfinite(x) and x > 0 for x in values)
+        dn = d**n
+        c = {YoungDiagram.from_label(k): Fraction(x) for k, x in payload["c_coeffs"].items()}
+        trace = sum(c[mu] * irrep_dim(mu) * multiplicity(mu, d) for mu in c)
+        assert abs(trace / dn - 1) < 1e-12
+        # exact lam = gamma / d^N: its float form is subnormal at this cell
+        gamma = {(e.alpha.label(), e.mu.label()): e.gamma for e in protocol_eigenvalues(n, d)}
+        assert len(gamma) == len(payload["p_coeffs"])
+        for entry in payload["p_coeffs"]:
+            lam = gamma[(entry["alpha"], entry["mu"])] / dn
+            c_mu = c[YoungDiagram.from_label(entry["mu"])]
+            assert abs(Fraction(entry["p"]) ** 2 * lam / c_mu - 1) < 1e-12
+
+    def test_coefficient_beyond_double_range_fails_cleanly(self):
+        code, out, err = invoke(["povm", "--ports", "1050", "--dim", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("computation failed: p_mu(alpha) at alpha=[1049]")
+        assert "N=1050, d=2" in err and "Traceback" not in err
 
 
 class TestVerifyCommand:
@@ -199,6 +240,15 @@ class TestValidation:
         assert code == 1
         code, _, _ = invoke(["sweep", "--ports", "2:5", "--dims", "x"])
         assert code == 1
+
+    def test_options_that_select_nothing_are_rejected(self):
+        for argv in (
+            ["matrix", "--ports", "3", "--dim", "2", "--tol", "1e-9"],
+            ["matrix", "--ports", "3", "--dim", "2", "--max-iter", "5"],
+            ["verify", "--oracle", "--format", "json"],
+        ):
+            code, _, err = invoke(argv)
+            assert code == 1 and "unrecognized arguments" in err
 
     def test_help_exits_zero(self):
         # argparse prints help straight to stdout; run() maps the exit to 0

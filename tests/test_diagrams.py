@@ -119,6 +119,20 @@ class TestEnumerate:
         seen = {m.rows for m in enumerate_diagrams(6)}
         assert len(seen) == len(enumerate_diagrams(6)) == 11
 
+    def test_counts_match_partition_recurrence(self):
+        # p(n, k), the partitions of n into at most k parts:
+        # p(n, k) = p(n, k - 1) + p(n - k, k), p(0, k) = 1, p(n > 0, 0) = 0
+        p = [[1] * 6] + [[0] * 6 for _ in range(60)]
+        for n in range(1, 61):
+            for k in range(1, 6):
+                p[n][k] = p[n][k - 1] + (p[n - k][k] if n >= k else 0)
+        for n in range(61):
+            for d in range(1, 6):
+                rows = [m.rows for m in enumerate_diagrams(n, d)]
+                assert len(rows) == p[n][d], (n, d)
+                assert rows == sorted(set(rows), reverse=True)
+                assert all(sum(r) == n and len(r) <= d for r in rows)
+
 
 class TestBoxMoves:
     def test_add_box_examples(self):

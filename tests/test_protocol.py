@@ -13,6 +13,7 @@ from dpbt.diagrams import (
     multiplicity,
 )
 from dpbt.protocol import (
+    _sqrt_ratio,
     general_povm_fidelity,
     lower_bound_fidelity,
     optimal_fidelity,
@@ -144,6 +145,20 @@ class TestOptimalSolution:
             sol = optimal_solution(n, d)
             assert all(x > 0 for x in sol.v.values())
             assert all(x > 0 for x in sol.p_coeffs.values())
+
+
+class TestSqrtRatio:
+    def test_exact_cases(self):
+        assert _sqrt_ratio(2, 1) == math.sqrt(2)
+        assert _sqrt_ratio(1, 3) == math.sqrt(1 / 3)
+        assert _sqrt_ratio(2**2001, 2) == 2.0**1000
+        assert _sqrt_ratio(9 * 3**1400, 4 * 3**1400) == 1.5
+        assert _sqrt_ratio(3, 3 * 2**2000) == 2.0**-1000
+
+    def test_raises_only_when_the_result_overflows(self):
+        assert _sqrt_ratio(2**2046, 1) == 2.0**1023
+        with pytest.raises(OverflowError):
+            _sqrt_ratio(2**2048, 1)
 
 
 class TestSqrtMeasurementFidelity:
