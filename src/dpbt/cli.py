@@ -96,7 +96,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--oracle", action="store_true", help="run the dense operator checks")
     p_verify.add_argument("--ports", "-N", type=int, default=None)
     p_verify.add_argument("--dim", "-d", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("-o", "--output", default=None)
 
     p_sweep = sub.add_parser("sweep", help="fidelity table over an (N, d) grid")
@@ -264,7 +263,7 @@ def _cmd_verify(args, out) -> int:
         cells = list(DEFAULT_CHECK_CELLS)
     records = []
     for n, d in cells:
-        for res in run_checks(n, d, cap=cap, tol=args.tol):
+        for res in run_checks(n, d, cap=cap):
             records.append(
                 {
                     "name": res.name,

@@ -2,14 +2,14 @@
 
 Everything the fast modules compute through diagram combinatorics is rebuilt
 here directly in the computational basis of (C^d)^(N+1): permutation
-operators, Young projectors, the port operator and its eigenprojectors, the
-measurement operators, the optimal resource operator and the dual
-certificate.  Each formula is then checked by plain linear algebra.
+operators (index maps of that basis), Young projectors, the port operator and
+its eigenprojectors, the measurement operators, the optimal resource operator
+and the dual certificate.  Each formula is then checked by plain linear algebra.
 
 Operators grow as d^(N+1), so constructions are capped (default 1024, which
-covers (N,d) in {(2,2),(3,2),(4,2),(2,3),(3,3),(2,4),(4,3)}).  All operators
-are kept complex even though every one of them is real in this basis; the
-Hermiticity checks stay honest that way.  Eigensolves go through LAPACK
+covers (N,d) in {(2,2),(3,2),(4,2),(5,2),(6,2),(2,3),(3,3),(4,3),(2,4),(3,4)}).
+All operators are kept complex even though every one of them is real in this
+basis; the Hermiticity checks stay honest that way.  Eigensolves go through LAPACK
 (numpy.linalg.eigh), which shares no code with the fast spectral path.
 """
 
@@ -59,8 +59,12 @@ __all__ = [
 
 DEFAULT_CAP = 1024
 
-# cells small enough for the default cap; (4,3) fits but is slower
-DEFAULT_CHECK_CELLS = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4))
+# (4,3) and (6,2) fit the cap too but are slower: run_checks builds each eigenprojector
+# four times and each Young projector, from all N! permutations, on every call
+DEFAULT_CHECK_CELLS = ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4))
+
+# bound on trace, eigenvalue and fidelity residuals; operator identities use 1e-10, 1e-12
+_TOL = 1e-8
 
 
 class CapExceededError(RuntimeError):
@@ -99,6 +103,16 @@ def transposition(i: int, j: int, k: int) -> tuple[int, ...]:
     return tuple(p)
 
 
+def _perm_index(perm: tuple[int, ...], d: int) -> np.ndarray:
+    """Column of the single 1 in each row of V(perm) on len(perm) factors.
+
+    Row digit i equals column digit perm^{-1}(i), so V @ x == x[index],
+    x @ V == x[:, argsort(index)], and products with V are gathers.
+    """
+    k = len(perm)
+    return np.arange(d**k).reshape((d,) * k).transpose(np.argsort(perm)).ravel()
+
+
 def permutation_operator(
     perm: tuple[int, ...], d: int, cap: int = DEFAULT_CAP
 ) -> DenseOperator:
@@ -111,16 +125,7 @@ def permutation_operator(
     if sorted(perm) != list(range(k)):
         raise ValueError(f"not a permutation of 0..{k - 1}: {perm}")
     _require_cap(d, k, cap)
-    dim = d**k
-    inv = [0] * k
-    for i, p in enumerate(perm):
-        inv[p] = i
-    weights = [d ** (k - 1 - i) for i in range(k)]
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col, digits in enumerate(itertools.product(range(d), repeat=k)):
-        row = sum(digits[inv[i]] * weights[i] for i in range(k))
-        mat[row, col] = 1.0
-    return DenseOperator(mat, d, k)
+    return DenseOperator(np.eye(d**k, dtype=complex)[_perm_index(perm, d)], d, k)
 
 
 def _cycle_type_of(perm: tuple[int, ...]) -> CycleType:
@@ -155,7 +160,7 @@ def young_projector(mu: YoungDiagram, d: int, cap: int = DEFAULT_CAP) -> DenseOp
     chi = {c: character(mu, c) for c in cycle_types(n)}
     acc = np.zeros((dim, dim), dtype=complex)
     for perm in itertools.permutations(range(n)):
-        acc += chi[_cycle_type_of(perm)] * permutation_operator(perm, d, cap).matrix
+        acc[np.arange(dim), _perm_index(perm, d)] += chi[_cycle_type_of(perm)]
     acc *= irrep_dim(mu) / math.factorial(n)
     return DenseOperator(acc, d, n)
 
@@ -178,18 +183,13 @@ def _trace_last(mat: np.ndarray, d: int) -> np.ndarray:
 
 def _ptilde_plus(d: int) -> np.ndarray:
     """Unnormalised maximally entangled projector sum_ij |ii><jj| on two factors."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + i, j * d + j] = 1.0
-    return m
+    flat = np.eye(d, dtype=complex).ravel()
+    return np.outer(flat, flat)
 
 
-def _embed_front(mat: np.ndarray, trailing: int, d: int) -> np.ndarray:
-    """Operator on leading factors, identity on `trailing` extra factors."""
-    if trailing == 0:
-        return mat
-    return np.kron(mat, np.eye(d**trailing))
+def _embed_front(mat: np.ndarray, d: int) -> np.ndarray:
+    """Operator on the leading factors, identity on one extra last factor."""
+    return np.kron(mat, np.eye(d))
 
 
 def _eigh(mat: np.ndarray):
@@ -205,26 +205,22 @@ def _eigh(mat: np.ndarray):
     return np.linalg.eigh(mat.real)
 
 
+def _pt_swaps(n: int, d: int, cap: int) -> list[np.ndarray]:
+    """Last-factor partial transposes of the swaps between each port a and the
+    teleported factor; port state a is the a-th one over d^N."""
+    _require_cap(d, n + 1, cap)
+    eye = np.eye(d ** (n + 1), dtype=complex)
+    return [_pt_last(eye[_perm_index(transposition(a, n, n + 1), d)], d) for a in range(n)]
+
+
 def eta_operator(n: int, d: int, cap: int = DEFAULT_CAP) -> DenseOperator:
     """Sum over ports of the last-factor partial transpose of the swap between
     port a and the teleported factor; Hermitian, d^N times the port state sum."""
-    k = n + 1
-    _require_cap(d, k, cap)
-    acc = np.zeros((d**k, d**k), dtype=complex)
-    for a in range(n):
-        v = permutation_operator(transposition(a, k - 1, k), d, cap).matrix
-        acc += _pt_last(v, d)
-    return DenseOperator(acc, d, k)
+    return DenseOperator(sum(_pt_swaps(n, d, cap)), d, n + 1)
 
 
 def _sigma_operators(n: int, d: int, cap: int) -> list[np.ndarray]:
-    k = n + 1
-    _require_cap(d, k, cap)
-    out = []
-    for a in range(n):
-        v = permutation_operator(transposition(a, k - 1, k), d, cap).matrix
-        out.append(_pt_last(v, d) / d**n)
-    return out
+    return [s / d**n for s in _pt_swaps(n, d, cap)]
 
 
 def f_projector(
@@ -251,9 +247,10 @@ def f_projector(
     core = np.kron(young_projector(alpha, d, cap).matrix, _ptilde_plus(d))
     acc = np.zeros_like(core)
     for a in range(n):
-        v = permutation_operator(transposition(a, n - 1, k), d, cap).matrix
-        acc += v @ core @ v
-    p_mu = _embed_front(young_projector(mu, d, cap).matrix, 1, d)
+        # V core V for the involution V = V(a, N-1)
+        idx = _perm_index(transposition(a, n - 1, k), d)
+        acc += core[np.ix_(idx, idx)]
+    p_mu = _embed_front(young_projector(mu, d, cap).matrix, d)
     return DenseOperator((p_mu @ acc @ p_mu) / float(gamma), d, k)
 
 
@@ -314,7 +311,7 @@ def primal_constraint_check(n: int, d: int, cap: int = DEFAULT_CAP) -> dict[str,
     povm_sum = np.zeros((d ** (n + 1), d ** (n + 1)), dtype=complex)
     for s in _sigma_operators(n, d, cap):
         povm_sum += pi @ s @ pi
-    slack = _embed_front(x_a, 1, d) - povm_sum
+    slack = _embed_front(x_a, d) - povm_sum
     w, _ = _eigh(slack)
     return {"min_eig": float(w[0]), "trace_XA": trace_xa}
 
@@ -332,11 +329,7 @@ def dual_witness_check(n: int, d: int, cap: int = DEFAULT_CAP) -> dict[str, floa
     _require_cap(d, n + 1, cap)
     omega = np.zeros((dim, dim), dtype=complex)
     for alpha in enumerate_diagrams(n - 1, d):
-        group = [
-            mu
-            for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
-            if multiplicity(mu, d) > 0
-        ]
+        group = sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
         t_sum = math.fsum(t[mu] for mu in group)
         m_a = multiplicity(alpha, d)
         for mu in group:
@@ -369,7 +362,7 @@ def _norm_inf(mat: np.ndarray) -> float:
     return float(np.abs(mat).max()) if mat.size else 0.0
 
 
-def run_checks(n: int, d: int, cap: int = DEFAULT_CAP, tol: float = 1e-8) -> list[CheckResult]:
+def run_checks(n: int, d: int, cap: int = DEFAULT_CAP) -> list[CheckResult]:
     """Full verification battery at one (N, d); every formula the fast modules
     rely on is recomputed by dense linear algebra and compared."""
     _require_cap(d, n + 1, cap)
@@ -404,12 +397,14 @@ def run_checks(n: int, d: int, cap: int = DEFAULT_CAP, tol: float = 1e-8) -> lis
         abs(float(np.trace(p).real) - irrep_dim(mu) * multiplicity(mu, d))
         for mu, p in projectors.items()
     )
-    checks.append(_check("young_trace", trace_res, tol))
+    checks.append(_check("young_trace", trace_res, _TOL))
     commute = 0.0
     for perm in itertools.permutations(range(n)):
-        v = permutation_operator(perm, d, cap).matrix
+        idx = _perm_index(perm, d)
+        inv = np.argsort(idx)
         for p in projectors.values():
-            commute = max(commute, _norm_inf(p @ v - v @ p))
+            # p V - V p for the permutation matrix V of perm
+            commute = max(commute, _norm_inf(p[:, inv] - p[idx]))
     checks.append(_check("young_commute", commute, 1e-10))
 
     # port operator: Hermitian, PSD, exact eigenvalue multiset with multiplicities
@@ -425,7 +420,7 @@ def run_checks(n: int, d: int, cap: int = DEFAULT_CAP, tol: float = 1e-8) -> lis
     expected.sort(reverse=True)
     actual = sorted((float(x) for x in eigs_eta), reverse=True)
     eig_res = max(abs(a - b) for a, b in zip(actual, expected))
-    checks.append(_check("eta_eigenvalues", eig_res, tol))
+    checks.append(_check("eta_eigenvalues", eig_res, _TOL))
 
     # eigenprojector family
     fams = {
@@ -449,7 +444,7 @@ def run_checks(n: int, d: int, cap: int = DEFAULT_CAP, tol: float = 1e-8) -> lis
         abs(float(np.trace(f).real) - irrep_dim(mu) * multiplicity(alpha, d))
         for (alpha, mu), f in fams.items()
     )
-    checks.append(_check("f_trace", f_trace_res, tol))
+    checks.append(_check("f_trace", f_trace_res, _TOL))
     f_eig_res = max(
         _norm_inf(eta @ f - gamma_of[key] * f) for key, f in fams.items()
     )
@@ -492,20 +487,20 @@ def run_checks(n: int, d: int, cap: int = DEFAULT_CAP, tol: float = 1e-8) -> lis
     # the fidelity triangle
     f_sqrt_formula = sqrt_measurement_fidelity(n, d).fidelity
     f_sqrt_direct = direct_fidelity(n, d, "sqrt_measurement", cap)
-    checks.append(_check("fidelity_sqrt_direct", abs(f_sqrt_direct - f_sqrt_formula), tol))
+    checks.append(_check("fidelity_sqrt_direct", abs(f_sqrt_direct - f_sqrt_formula), _TOL))
     f_family = general_povm_fidelity(n, d, 1, 2)
     checks.append(_check("fidelity_povm_family", abs(f_family - f_sqrt_formula), 1e-12))
     opt = optimal_fidelity(n, d)
     f_opt_direct = direct_fidelity(n, d, "optimal", cap)
-    checks.append(_check("fidelity_optimal_direct", abs(f_opt_direct - opt.fidelity), tol))
+    checks.append(_check("fidelity_optimal_direct", abs(f_opt_direct - opt.fidelity), _TOL))
 
     primal = primal_constraint_check(n, d, cap)
-    checks.append(_check("primal_min_eig", max(0.0, -primal["min_eig"]), tol))
-    checks.append(_check("primal_trace", abs(primal["trace_XA"] - d**n), tol))
+    checks.append(_check("primal_min_eig", max(0.0, -primal["min_eig"]), _TOL))
+    checks.append(_check("primal_trace", abs(primal["trace_XA"] - d**n), _TOL))
 
     dual = dual_witness_check(n, d, cap)
-    checks.append(_check("dual_min_slack", max(0.0, -dual["min_slack"]), tol))
-    checks.append(_check("dual_objective", abs(dual["objective"] - opt.fidelity), tol))
-    checks.append(_check("duality_gap", abs(f_opt_direct - dual["objective"]), tol))
+    checks.append(_check("dual_min_slack", max(0.0, -dual["min_slack"]), _TOL))
+    checks.append(_check("dual_objective", abs(dual["objective"] - opt.fidelity), _TOL))
+    checks.append(_check("duality_gap", abs(f_opt_direct - dual["objective"]), _TOL))
 
     return checks

@@ -225,11 +225,14 @@ def general_povm_fidelity(n: int, d: int, z: ParamMap, y: ParamMap) -> float:
     c(alpha, y) = (1/d) sum_mu lam^(-1/y) m_mu / m_alpha and
     tr[rho(alpha)^(1-1/y)] = sum_mu lam^(1-1/y) d_mu m_alpha; the total is
     divided by d^(n+1).  z = 1, y = 2 reproduces the square-root measurement.
+    With lam = gamma/d^n, each parent's term carries d^(n (2/y - 1)), which is
+    1 at y = 2, times the exact integer ratios m_mu/m_alpha and d_mu m_alpha/d^n.
     """
     _check_nd(n, d)
     by_alpha: dict[YoungDiagram, list[ProtocolEigen]] = {}
     for e in protocol_eigenvalues(n, d):
         by_alpha.setdefault(e.alpha, []).append(e)
+    dn = d**n
     terms = []
     for alpha, group in by_alpha.items():
         za = _param(z, alpha)
@@ -240,13 +243,13 @@ def general_povm_fidelity(n: int, d: int, z: ParamMap, y: ParamMap) -> float:
             raise ValueError(f"exponent y({alpha}) must be nonzero")
         m_a = multiplicity(alpha, d)
         c_val = math.fsum(
-            e.lam ** (-1.0 / ya) * multiplicity(e.mu, d) / m_a for e in group
+            float(e.gamma) ** (-1.0 / ya) * (multiplicity(e.mu, d) / m_a) for e in group
         ) / d
         tr_val = math.fsum(
-            e.lam ** (1.0 - 1.0 / ya) * irrep_dim(e.mu) * m_a for e in group
+            float(e.gamma) ** (1.0 - 1.0 / ya) * (irrep_dim(e.mu) * m_a / dn) for e in group
         )
-        terms.append(za * c_val * tr_val)
-    return math.fsum(terms) / d ** (n + 1)
+        terms.append(za * c_val * tr_val * float(d) ** (n * (2.0 / ya - 1.0)))
+    return math.fsum(terms) / d
 
 
 def lower_bound_fidelity(n: int, d: int) -> FidelityReport:

@@ -9,6 +9,7 @@ import numpy as np
 
 from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
+from dpbt.oracle import DEFAULT_CHECK_CELLS
 from dpbt.protocol import protocol_eigenvalues
 from dpbt.telemat import gram_H, incidence_matrix, parse_csv, teleportation_matrix
 
@@ -178,6 +179,14 @@ class TestVerifyCommand:
         assert payload["all_passed"] is True
         assert all(r["passed"] for r in payload["checks"])
 
+    def test_default_cells_pass(self):
+        code, out, _ = invoke(["verify", "--oracle"])
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(r["N"], r["d"]) for r in checks[::27]] == list(DEFAULT_CHECK_CELLS)
+        assert len(checks) == 27 * len(DEFAULT_CHECK_CELLS)
+        assert all(r["passed"] for r in checks)
+
     def test_cap_exceeded_is_computation_failure(self):
         code, _, err = invoke(["verify", "--oracle", "--ports", "9", "--dim", "3"])
         assert code == 2
@@ -246,6 +255,7 @@ class TestValidation:
             ["matrix", "--ports", "3", "--dim", "2", "--tol", "1e-9"],
             ["matrix", "--ports", "3", "--dim", "2", "--max-iter", "5"],
             ["verify", "--oracle", "--format", "json"],
+            ["verify", "--oracle", "--tol", "1e-6"],
         ):
             code, _, err = invoke(argv)
             assert code == 1 and "unrecognized arguments" in err

@@ -1,5 +1,6 @@
 """Dense-operator oracle: constructions and formula checks by direct algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,25 @@ def mx(op: DenseOperator) -> np.ndarray:
     return op.matrix
 
 
+def digit_permutation_matrix(perm, d):
+    """V(perm) entry by entry: input digit string x goes to the row whose
+    digit i is x[perm^-1(i)], most significant factor first."""
+    k = len(perm)
+    inv = [perm.index(i) for i in range(k)]
+    mat = np.zeros((d**k, d**k))
+    for col, digits in enumerate(itertools.product(range(d), repeat=k)):
+        row = sum(digits[inv[i]] * d ** (k - 1 - i) for i in range(k))
+        mat[row, col] = 1.0
+    return mat
+
+
 class TestPermutationOperator:
+    @pytest.mark.parametrize("k,d", [(4, 3), (5, 2)])
+    def test_matches_digit_reference(self, k, d):
+        for perm in itertools.permutations(range(k)):
+            want = digit_permutation_matrix(perm, d)
+            assert np.array_equal(mx(permutation_operator(perm, d)), want), perm
+
     def test_identity(self):
         v = permutation_operator((0, 1, 2), 2)
         assert np.array_equal(mx(v), np.eye(8))

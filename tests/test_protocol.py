@@ -184,6 +184,13 @@ class TestGeneralPovmFidelity:
         want = sqrt_measurement_fidelity(n, d).fidelity
         assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("n", [1023, 1030])
+    def test_finite_where_d_to_the_n_overflows(self, n):
+        # d^(n+1) exceeds double range here, and so do the terms scaled by it
+        got = general_povm_fidelity(n, 2, 1, 2)
+        want = sqrt_measurement_fidelity(n, 2).fidelity
+        assert abs(got - want) <= 1e-12 * want
+
     def test_two_ports_value(self):
         assert abs(
             general_povm_fidelity(2, 2, 1, 2) - (math.sqrt(3) + 1) ** 2 / 16
