@@ -2,9 +2,12 @@
 
 Diagrams are integer partitions; they label the irreps of S(N) and index the
 rows and columns of every matrix built downstream.  Dimension and multiplicity
-arithmetic is exact: hook products overflow 64-bit integers near N = 30, so
-everything here stays in arbitrary-width Python integers.  Floats appear only
-in the spectral and protocol layers.
+arithmetic is exact and costs O(height^2) integer operations per diagram: the
+Frobenius formula for the S(N) dimension and the Weyl dimension formula for
+the Schur-Weyl multiplicity, each written as binomials of the row lengths.
+The values overflow 64-bit integers near N = 30, so everything here stays in
+arbitrary-width Python integers.  Floats appear only in the spectral and
+protocol layers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, combinations
 from typing import Iterator
 
 __all__ = [
@@ -93,9 +97,8 @@ def _partition_tuples(n: int, max_part: int, max_len: int) -> Iterator[tuple[int
     if n == 0:
         yield ()
         return
-    if n > max_part * max_len:
-        return
-    for first in range(min(n, max_part), 0, -1):
+    # a first part below ceil(n / max_len) leaves more than the other rows hold
+    for first in range(min(n, max_part), (n - 1) // max_len, -1):
         for rest in _partition_tuples(n - first, first, max_len - 1):
             yield (first,) + rest
 
@@ -190,38 +193,53 @@ def box_move_related(mu: YoungDiagram, nu: YoungDiagram) -> bool:
     return bool(remove_box(mu) & remove_box(nu))
 
 
-def _hook_product(rows: tuple[int, ...]) -> int:
-    cols = YoungDiagram(rows).conjugate_rows()
-    prod = 1
-    for i, r in enumerate(rows):
-        for j in range(r):
-            prod *= r - j + cols[j] - i - 1
-    return prod
+def _shifted_rows(rows: tuple[int, ...]) -> tuple[list[int], int]:
+    """Strictly decreasing l_i = rows[i] + k - 1 - i (k rows) and their
+    Vandermonde product over i < j of l_i - l_j."""
+    k = len(rows)
+    shifted = [r + k - 1 - i for i, r in enumerate(rows)]
+    return shifted, math.prod(a - b for a, b in combinations(shifted, 2))
 
 
 @lru_cache(maxsize=None)
 def irrep_dim(mu: YoungDiagram) -> int:
-    """Dimension of the S(N) irrep labelled by mu: N! over the hook product."""
-    if mu.boxes == 0:
-        return 1
-    return math.factorial(mu.boxes) // _hook_product(mu.rows)
+    """Dimension of the S(N) irrep labelled by mu, by the Frobenius formula.
+
+    N! prod_{i<j} (l_i - l_j) / prod_i l_i!, written as the multinomial of the
+    rows, prod_i C(mu_0 + ... + mu_i, mu_i), times the Vandermonde product
+    over prod_i l_i! / mu_i!.
+    """
+    rows = mu.rows
+    k = len(rows)
+    shifted, vandermonde = _shifted_rows(rows)
+    num = vandermonde * math.prod(
+        math.comb(top, r) for top, r in zip(accumulate(rows), rows)
+    )
+    return num // math.prod(math.perm(l, k - 1 - i) for i, l in enumerate(shifted))
 
 
 @lru_cache(maxsize=None)
 def multiplicity(mu: YoungDiagram, d: int) -> int:
     """Schur-Weyl multiplicity of mu in (C^d)^(boxes of mu).
 
-    Counts semistandard tableaux of shape mu with entries in 1..d via the
-    hook-content product, exactly; 0 whenever the diagram is taller than d.
+    Counts semistandard tableaux of shape mu with entries in 1..d by the Weyl
+    dimension formula, prod_{i<j<d} (mu_i - mu_j + j - i) / (j - i), exactly;
+    0 whenever the diagram is taller than d.  The pairs within the k rows of
+    mu give the Vandermonde product over prod_{i<j<k} (j - i); the empty rows
+    k..d-1 give C(mu_i + d - 1 - i, mu_i) / C(mu_i + k - 1 - i, mu_i) for
+    each row i.
     """
     if d < 1:
         raise ValueError("local dimension must be >= 1")
-    if mu.height > d:
+    rows = mu.rows
+    k = len(rows)
+    if k > d:
         return 0
-    if mu.boxes == 0:
-        return 1
-    num = 1
-    for i, r in enumerate(mu.rows):
-        for j in range(r):
-            num *= d + j - i
-    return num // _hook_product(mu.rows)
+    _, vandermonde = _shifted_rows(rows)
+    num = vandermonde * math.prod(
+        math.comb(r + d - 1 - i, r) for i, r in enumerate(rows)
+    )
+    den = math.prod(math.factorial(i) for i in range(k)) * math.prod(
+        math.comb(r + k - 1 - i, r) for i, r in enumerate(rows)
+    )
+    return num // den

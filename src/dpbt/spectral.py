@@ -86,7 +86,7 @@ def power_iteration(
     for it in range(1, max_iter + 1):
         u = np.bincount(e.parent, weights=w[e.child], minlength=rows)
         v = np.bincount(e.child, weights=u[e.parent], minlength=size)
-        s = float(np.sum(v))
+        s = float(v.sum())
         w = v / s
         if s_prev is not None:
             diff = abs(s - s_prev)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import (
-    DiagramBasis,
-    YoungDiagram,
-    add_box,
-    enumerate_diagrams,
-)
+from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams
 
 __all__ = [
     "LabeledIntMatrix",
@@ -95,14 +90,27 @@ def incidence_edges(n: int, d: int | None = None) -> IncidenceEdges:
         raise ValueError("port count must be >= 1")
     row_basis = enumerate_diagrams(n - 1, d)
     col_basis = enumerate_diagrams(n, d)
-    pairs = [
-        (i, col_basis.index(mu))
-        for i, alpha in enumerate(row_basis)
-        for mu in add_box(alpha, d)
-    ]
-    pairs.sort()
-    parent, child = np.array(pairs, dtype=np.intp).T
-    return IncidenceEdges(row_basis, col_basis, parent, child)
+    index = {mu.rows: j for j, mu in enumerate(col_basis)}
+    cap = n if d is None else d
+    parent: list[int] = []
+    child: list[int] = []
+    # a box in a lower row gives a lexicographically smaller child, so each
+    # parent's children come out in basis order
+    for i, alpha in enumerate(row_basis):
+        rows = alpha.rows
+        for k, r in enumerate(rows):
+            if k == 0 or r < rows[k - 1]:
+                parent.append(i)
+                child.append(index[rows[:k] + (r + 1,) + rows[k + 1 :]])
+        if len(rows) < cap:
+            parent.append(i)
+            child.append(index[rows + (1,)])
+    return IncidenceEdges(
+        row_basis,
+        col_basis,
+        np.array(parent, dtype=np.intp),
+        np.array(child, dtype=np.intp),
+    )
 
 
 def _gram(

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
@@ -79,9 +80,9 @@ class TestFidelityCommand:
         assert abs(payload["f_sqrt_ent"] - 0.625) < 1e-12
         assert payload["f_lower"] == 0.5
 
-    def test_large_qubit_cell_is_finite(self):
+    @pytest.mark.parametrize("n", [1022, 2000])
+    def test_large_qubit_cell_is_finite(self, n):
         # the square-root-measurement sum once overflowed a float at N = 1022
-        n = 1022
         code, out, _ = invoke(["fidelity", "--ports", str(n), "--dim", "2"])
         assert code == 0
         payload = json.loads(out)

@@ -50,6 +50,35 @@ def brute_force_ssyt_count(rows, d):
     return count
 
 
+def hook_product(rows):
+    """Product of the hook lengths of every box."""
+    cols = YoungDiagram(rows).conjugate_rows()
+    prod = 1
+    for i, r in enumerate(rows):
+        for j in range(r):
+            prod *= r - j + cols[j] - i - 1
+    return prod
+
+
+def hook_length_dim(rows):
+    """Hook length formula: N! over the hook product."""
+    return math.factorial(sum(rows)) // hook_product(rows)
+
+
+def hook_content_multiplicity(rows, d):
+    """Hook content formula: prod of (d + content) over the hook product."""
+    if len(rows) > d:
+        return 0
+    num = 1
+    for i, r in enumerate(rows):
+        for j in range(r):
+            num *= d + j - i
+    return num // hook_product(rows)
+
+
+HOOK_DIMS = [*range(1, 13), 40, 1000, 10**6]
+
+
 partitions = st.integers(1, 8).flatmap(
     lambda n: st.sampled_from(enumerate_diagrams(n).entries)
 )
@@ -224,6 +253,31 @@ class TestMultiplicity:
         mu = YoungDiagram((25, 25))
         assert irrep_dim(mu) == brute_force_catalan(25)
         assert multiplicity(mu, 2) == 1
+
+
+class TestHookFormulas:
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_uncapped(self, n):
+        for mu in enumerate_diagrams(n):
+            assert irrep_dim(mu) == hook_length_dim(mu.rows), mu
+            for d in HOOK_DIMS:
+                want = hook_content_multiplicity(mu.rows, d)
+                assert multiplicity(mu, d) == want, (mu, d)
+
+    @pytest.mark.parametrize("n,d", [(100, 3), (60, 4), (400, 2), (40, 9)])
+    def test_capped_bases(self, n, d):
+        for mu in enumerate_diagrams(n, d):
+            assert irrep_dim(mu) == hook_length_dim(mu.rows), mu
+            assert multiplicity(mu, d) == hook_content_multiplicity(mu.rows, d), mu
+
+    def test_qubit_closed_forms_at_large_n(self):
+        # two rows [n - k, k]: m = n - 2k + 1, d_mu = C(n, k) - C(n, k - 1)
+        n = 2000
+        for mu in enumerate_diagrams(n, 2):
+            k = mu.rows[1] if mu.height == 2 else 0
+            assert multiplicity(mu, 2) == n - 2 * k + 1
+            below = math.comb(n, k - 1) if k else 0
+            assert irrep_dim(mu) == math.comb(n, k) - below
 
 
 def brute_force_catalan(k):

@@ -184,7 +184,7 @@ class TestGeneralPovmFidelity:
         want = sqrt_measurement_fidelity(n, d).fidelity
         assert abs(got - want) < 1e-12
 
-    @pytest.mark.parametrize("n", [1023, 1030])
+    @pytest.mark.parametrize("n", [1023, 1030, 2000])
     def test_finite_where_d_to_the_n_overflows(self, n):
         # d^(n+1) exceeds double range here, and so do the terms scaled by it
         got = general_povm_fidelity(n, 2, 1, 2)

@@ -10,6 +10,7 @@ from dpbt.diagrams import add_box, box_move_related, enumerate_diagrams, remove_
 from dpbt.telemat import (
     LabeledIntMatrix,
     gram_H,
+    incidence_edges,
     incidence_matrix,
     parse_csv,
     recursion_defect,
@@ -64,6 +65,33 @@ class TestTeleportationMatrix:
         for n in range(1, 8):
             assert teleportation_matrix(n).entries == teleportation_matrix(n, n).entries
             assert teleportation_matrix(n).entries == teleportation_matrix(n, n + 3).entries
+
+
+def add_box_edges(n, d=None):
+    """Sorted (parent, child) index pairs of R from add_box and basis lookups."""
+    row_basis = enumerate_diagrams(n - 1, d)
+    col_basis = enumerate_diagrams(n, d)
+    pairs = sorted(
+        (i, col_basis.index(mu))
+        for i, alpha in enumerate(row_basis)
+        for mu in add_box(alpha, d)
+    )
+    return np.array(pairs, dtype=np.intp).T
+
+
+class TestIncidenceEdges:
+    @pytest.mark.parametrize(
+        "n,d",
+        SMALL_GRID
+        + [(40, 4), (100, 3), (400, 2)]
+        + [(n, None) for n in range(1, 11)],
+    )
+    def test_matches_add_box_reference(self, n, d):
+        e = incidence_edges(n, d)
+        parent, child = add_box_edges(n, d)
+        assert e.parent.dtype == e.child.dtype == np.intp
+        assert np.array_equal(e.parent, parent)
+        assert np.array_equal(e.child, child)
 
 
 class TestIncidenceMatrix:
