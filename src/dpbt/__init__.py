@@ -29,6 +29,7 @@ from .diagrams import (
     enumerate_diagrams,
     irrep_dim,
     multiplicity,
+    partition_counts,
     remove_box,
 )
 from .protocol import (
@@ -49,9 +50,9 @@ from .spectral import (
     SpectralResult,
     closed_form_d2,
     closed_form_full,
+    closed_form_spectrum,
     dominant_eigenpair,
     power_iteration,
-    spectrum_via_characters,
 )
 from .telemat import (
     IncidenceEdges,

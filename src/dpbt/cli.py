@@ -1,8 +1,9 @@
 """Command-line surface: matrices, spectra, fidelities, coefficients,
 verification and sweeps, emitted as deterministic JSON or CSV.
 
-Exit codes: 0 success, 1 validation error (usage on stderr), 2 computation
-failure (non-convergence, cap exceeded, failed verification).
+Exit codes: 0 success, 1 validation error (usage on stderr; also a matrix above
+MAX_MATRIX_ENTRIES), 2 computation failure (non-convergence, cap exceeded,
+failed verification).
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import replace
 
 from . import __version__
 from .characters import cycle_types
+from .diagrams import partition_counts
 from .oracle import (
     DEFAULT_CAP,
     DEFAULT_CHECK_CELLS,
@@ -27,8 +28,8 @@ from .protocol import fidelity_row, optimal_solution, sweep
 from .spectral import (
     PowerIterationError,
     closed_form_d2,
+    closed_form_spectrum,
     dominant_eigenpair,
-    spectrum_via_characters,
 )
 from .telemat import (
     gram_H,
@@ -49,6 +50,8 @@ SWEEP_COLUMNS = (
     "iterations",
     "error",
 )
+
+MAX_MATRIX_ENTRIES = 10**7
 
 
 class UsageError(Exception):
@@ -173,13 +176,19 @@ def _json(payload: dict) -> str:
 
 def _cmd_matrix(args, out) -> int:
     _validate_nd(args.ports, args.dim)
-    builders = {
-        "MF": teleportation_matrix,
-        "R": incidence_matrix,
-        "G": teleportation_matrix,  # G = R^T R is the teleportation matrix
-        "H": gram_H,
-    }
-    m = replace(builders[args.kind](args.ports, args.dim), kind=args.kind)
+    parents, children = partition_counts(args.ports, args.dim)[-2:]  # diagrams of N-1, N
+    build, rows, cols = {
+        "MF": (teleportation_matrix, children, children),
+        "R": (incidence_matrix, parents, children),
+        "G": (teleportation_matrix, children, children),  # G = R^T R is M_F
+        "H": (gram_H, parents, parents),
+    }[args.kind]
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise UsageError(
+            f"--kind {args.kind} at N={args.ports}, d={args.dim} has {rows * cols} entries, "
+            f"above the dense output limit of {MAX_MATRIX_ENTRIES}"
+        )
+    m = replace(build(args.ports, args.dim), kind=args.kind)
     if _resolve_format(args) == "csv":
         _emit(to_csv(m), args.output, out)
     else:
@@ -206,7 +215,7 @@ def _cmd_spectrum(args, out) -> int:
         payload["eigenvalues"] = closed_form_d2(n)
     if d >= n:
         payload["spectrum_multiplicities"] = {
-            str(k): v for k, v in sorted(spectrum_via_characters(n).items(), reverse=True)
+            str(k): v for k, v in sorted(closed_form_spectrum(n).items(), reverse=True)
         }
         payload["eigenvector_classes"] = [
             {"class": c.label(), "eigenvalue": c.fixed_points} for c in cycle_types(n)
@@ -247,13 +256,6 @@ def _cmd_povm(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     if not args.oracle:
         raise UsageError("verify currently requires --oracle")
-    cap = DEFAULT_CAP
-    env_cap = os.environ.get("PBT_ORACLE_CAP")
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError:
-            raise UsageError(f"PBT_ORACLE_CAP must be an integer, got {env_cap!r}") from None
     if (args.ports is None) != (args.dim is None):
         raise UsageError("give both --ports and --dim, or neither")
     if args.ports is not None:
@@ -263,7 +265,7 @@ def _cmd_verify(args, out) -> int:
         cells = list(DEFAULT_CHECK_CELLS)
     records = []
     for n, d in cells:
-        for res in run_checks(n, d, cap=cap):
+        for res in run_checks(n, d):
             records.append(
                 {
                     "name": res.name,
@@ -277,7 +279,7 @@ def _cmd_verify(args, out) -> int:
     all_passed = all(r["passed"] for r in records)
     payload = {
         "version": __version__,
-        "cap": cap,
+        "cap": DEFAULT_CAP,
         "checks": records,
         "all_passed": all_passed,
     }

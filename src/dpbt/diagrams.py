@@ -23,6 +23,7 @@ __all__ = [
     "DiagramBasis",
     "EMPTY_DIAGRAM",
     "enumerate_diagrams",
+    "partition_counts",
     "add_box",
     "remove_box",
     "box_move_related",
@@ -150,6 +151,20 @@ def enumerate_diagrams(n: int, d: int | None = None) -> DiagramBasis:
     max_len = n if d is None else min(n, d)
     entries = tuple(YoungDiagram(rows) for rows in _partition_tuples(n, n, max_len))
     return DiagramBasis(n, d, entries)
+
+
+def partition_counts(n: int, d: int | None = None) -> list[int]:
+    """len(enumerate_diagrams(m, d)) for m = 0..n, by coin change over the part
+    sizes 1..min(n, d) (conjugation maps height <= d to parts <= d)."""
+    if n < 0:
+        raise ValueError("box count must be >= 0")
+    if d is not None and d < 1:
+        raise ValueError("height cap must be >= 1")
+    counts = [1] + [0] * n
+    for part in range(1, (n if d is None else min(n, d)) + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts
 
 
 def add_box(alpha: YoungDiagram, d: int | None = None) -> frozenset[YoungDiagram]:

@@ -65,14 +65,12 @@ def _sqrt_ratio(num: int, den: int) -> float:
 class ProtocolEigen:
     """One port-operator eigenvalue, labelled by (parent alpha, child mu).
 
-    gamma = N * m_mu * d_alpha / (m_alpha * d_mu) as an exact rational;
-    lam = gamma / d^N in double precision.
+    gamma = N * m_mu * d_alpha / (m_alpha * d_mu) as an exact rational.
     """
 
     alpha: YoungDiagram
     mu: YoungDiagram
     gamma: Fraction
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -111,13 +109,12 @@ def protocol_eigenvalues(n: int, d: int) -> list[ProtocolEigen]:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     e = incidence_edges(n, d)
-    dn = d**n
     out: list[ProtocolEigen] = []
     for i, j in zip(e.parent.tolist(), e.child.tolist()):
         alpha, mu = e.row_basis[i], e.col_basis[j]
         m_m, m_a = multiplicity(mu, d), multiplicity(alpha, d)
         gamma = Fraction(n * m_m * irrep_dim(alpha), m_a * irrep_dim(mu))
-        out.append(ProtocolEigen(alpha, mu, gamma, float(gamma / dn)))
+        out.append(ProtocolEigen(alpha, mu, gamma))
     return out
 
 

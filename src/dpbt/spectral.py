@@ -3,8 +3,9 @@
 `dominant_eigenpair` is the one dispatch between three routes: an exact
 closed form when every diagram height fits (d >= N), the tridiagonal cosine
 closed form at d = 2, and a normalised power iteration on the incidence edge
-list, M_F w = R^T (R w), for everything in between.  The character table
-provides an exact integer diagonalisation of the full matrix.
+list, M_F w = R^T (R w), for everything in between.  The full spectrum of
+the uncapped matrix is the closed form `closed_form_spectrum`, counted from
+partition numbers; the dense oracle proves it from the character table.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import character_matrix
-from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams, irrep_dim
+from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams, irrep_dim, partition_counts
 from .telemat import incidence_edges
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "power_iteration",
     "closed_form_full",
     "closed_form_d2",
-    "spectrum_via_characters",
+    "closed_form_spectrum",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -150,38 +150,14 @@ def closed_form_d2(n: int) -> list[float]:
     return [4.0 * math.cos(math.pi * k / (n + 2)) ** 2 for k in range(1, t + 1)]
 
 
-def spectrum_via_characters(n: int) -> dict[int, int]:
-    """Exact integer diagonalisation of the full matrix by character columns.
+def closed_form_spectrum(n: int) -> dict[int, int]:
+    """Eigenvalue multiplicities {k: count} of the full matrix (any d >= n).
 
-    Verifies R^T (R T(C)) = k T(C) for every class C with k fixed points,
-    in exact integers on the incidence edge list, then returns {eigenvalue k:
-    number of classes with k fixed points}.  The eigenvalues are 0..n-2 and
-    n, with n-1 absent.  Any failure of the exact identity is a hard error.
+    The class column of the character table with k fixed points has eigenvalue
+    k (oracle.character_spectrum checks this exactly), so k has multiplicity
+    p(n-k) - p(n-k-1), the partitions of n - k without a part 1 (zero for k = n-1).
     """
-    e = incidence_edges(n)
-    table = character_matrix(n)
-    if e.col_basis.entries != table.basis.entries:
-        raise AssertionError("diagram bases of the matrix and the table disagree")
-    edges = list(zip(e.parent.tolist(), e.child.tolist()))
-    multiplicities: dict[int, int] = {}
-    for j, cls in enumerate(table.classes):
-        k = cls.fixed_points
-        col = table.column(j)
-        r_col = [0] * len(e.row_basis)
-        for p, c in edges:
-            r_col[p] += col[c]
-        product = [0] * len(col)
-        for p, c in edges:
-            product[c] += r_col[p]
-        if product != [k * x for x in col]:
-            raise ArithmeticError(
-                f"character column {cls.label()} is not an eigenvector with "
-                f"eigenvalue {k} for N={n}"
-            )
-        multiplicities[k] = multiplicities.get(k, 0) + 1
-    expected = set(range(0, n - 1)) | {n}
-    if set(multiplicities) != expected:
-        raise ArithmeticError(
-            f"spectrum {sorted(multiplicities)} != expected {sorted(expected)} for N={n}"
-        )
-    return multiplicities
+    if n < 1:
+        raise ValueError("port count must be >= 1")
+    p = partition_counts(n)
+    return {n: 1} | {k: p[n - k] - p[n - k - 1] for k in range(n - 2, -1, -1)}

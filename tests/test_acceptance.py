@@ -13,6 +13,7 @@ import pytest
 from dpbt.characters import cycle_types
 from dpbt.diagrams import irrep_dim, multiplicity
 from dpbt.oracle import (
+    character_spectrum,
     direct_fidelity,
     dual_witness_check,
     eta_operator,
@@ -25,7 +26,7 @@ from dpbt.protocol import (
     protocol_eigenvalues,
     sqrt_measurement_fidelity,
 )
-from dpbt.spectral import power_iteration, spectrum_via_characters
+from dpbt.spectral import closed_form_spectrum, power_iteration
 from dpbt.telemat import (
     incidence_matrix,
     recursion_defect,
@@ -44,13 +45,14 @@ def test_criterion_1_exact_spectrum_law():
     """Exact integer eigenvalue law of the character columns, N = 2..8."""
     start = time.time()
     for n in range(2, 9):
-        mult = spectrum_via_characters(n)  # hard error on any exact failure
+        mult = character_spectrum(n)  # hard error on any exact failure
         assert (n - 1) not in mult
         assert set(mult) == set(range(0, n - 1)) | {n}
         expected = {}
         for cls in cycle_types(n):
             expected[cls.fixed_points] = expected.get(cls.fixed_points, 0) + 1
         assert mult == expected
+        assert closed_form_spectrum(n) == expected
     elapsed = time.time() - start
     assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s, budget 10s"
     report(1, f"exact spectrum law for N=2..8 in {elapsed:.2f}s")

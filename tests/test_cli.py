@@ -69,6 +69,15 @@ class TestMatrixCommand:
         rows, cols, entries = parse_csv(target.read_text())
         assert entries == ((1, 1), (1, 2))
 
+    def test_refuses_dense_output_above_limit(self, tmp_path):
+        # 3434 diagrams of 200 with height <= 3, so M_F has 3434^2 entries
+        target = tmp_path / "m.json"
+        for argv in (["--kind", "MF"], ["--kind", "MF", "-o", str(target)]):
+            code, out, err = invoke(["matrix", "--ports", "200", "--dim", "3", *argv])
+            assert code == 1 and out == ""
+            assert "11792356 entries" in err and "limit of 10000000" in err
+        assert not target.exists()
+
 
 class TestFidelityCommand:
     def test_qubit_three_ports(self):
@@ -111,6 +120,13 @@ class TestSpectrumCommand:
         assert payload["method"] == "closed_dgeN"
         assert payload["spectrum_multiplicities"] == {"4": 1, "2": 1, "1": 1, "0": 2}
         assert abs(payload["perron"]["[3,1]"] - 0.3) < 1e-12
+
+    def test_full_regime_at_30_ports(self):
+        code, out, _ = invoke(["spectrum", "--ports", "30", "--dim", "30"])
+        assert code == 0
+        mult = json.loads(out)["spectrum_multiplicities"]
+        assert sum(mult.values()) == 5604  # p(30), one eigenvector per class
+        assert "29" not in mult and mult["30"] == 1
 
     def test_qubit_regime(self):
         code, out, _ = invoke(["spectrum", "--ports", "6", "--dim", "2"])
@@ -184,20 +200,14 @@ class TestVerifyCommand:
         code, out, _ = invoke(["verify", "--oracle"])
         assert code == 0
         checks = json.loads(out)["checks"]
-        assert [(r["N"], r["d"]) for r in checks[::27]] == list(DEFAULT_CHECK_CELLS)
-        assert len(checks) == 27 * len(DEFAULT_CHECK_CELLS)
+        assert [(r["N"], r["d"]) for r in checks[::28]] == list(DEFAULT_CHECK_CELLS)
+        assert len(checks) == 28 * len(DEFAULT_CHECK_CELLS)
         assert all(r["passed"] for r in checks)
 
     def test_cap_exceeded_is_computation_failure(self):
         code, _, err = invoke(["verify", "--oracle", "--ports", "9", "--dim", "3"])
         assert code == 2
         assert "cap" in err
-
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("PBT_ORACLE_CAP", "4")
-        code, _, err = invoke(["verify", "--oracle", "--ports", "2", "--dim", "2"])
-        assert code == 2
-        assert "cap 4" in err
 
     def test_requires_oracle_flag(self):
         code, _, err = invoke(["verify"])

@@ -15,6 +15,7 @@ from dpbt.diagrams import (
     enumerate_diagrams,
     irrep_dim,
     multiplicity,
+    partition_counts,
     remove_box,
 )
 
@@ -159,8 +160,18 @@ class TestEnumerate:
             for d in range(1, 6):
                 rows = [m.rows for m in enumerate_diagrams(n, d)]
                 assert len(rows) == p[n][d], (n, d)
+                assert partition_counts(n, d)[n] == p[n][d], (n, d)
                 assert rows == sorted(set(rows), reverse=True)
                 assert all(sum(r) == n and len(r) <= d for r in rows)
+
+    def test_partition_counts_uncapped(self):
+        assert partition_counts(20) == [len(enumerate_diagrams(m)) for m in range(21)]
+        assert partition_counts(30)[30] == 5604
+        assert partition_counts(0) == partition_counts(0, 3) == [1]
+        with pytest.raises(ValueError):
+            partition_counts(-1)
+        with pytest.raises(ValueError):
+            partition_counts(3, 0)
 
 
 class TestBoxMoves:

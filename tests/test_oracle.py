@@ -6,10 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from dpbt.diagrams import EMPTY_DIAGRAM, YoungDiagram, enumerate_diagrams, irrep_dim, multiplicity
+from dpbt import oracle
+from dpbt.diagrams import (
+    EMPTY_DIAGRAM,
+    YoungDiagram,
+    add_box,
+    enumerate_diagrams,
+    irrep_dim,
+    multiplicity,
+)
 from dpbt.oracle import (
     CapExceededError,
     DenseOperator,
+    character_spectrum,
     direct_fidelity,
     dual_witness_check,
     eta_operator,
@@ -77,10 +86,6 @@ class TestPermutationOperator:
             permutation_operator((0, 0, 1), 2)
         with pytest.raises(CapExceededError):
             permutation_operator(tuple(range(11)), 2)
-
-    def test_cap_override(self):
-        with pytest.raises(CapExceededError):
-            permutation_operator((0, 1), 2, cap=2)
 
 
 class TestYoungProjector:
@@ -275,4 +280,15 @@ class TestRunChecks:
 
     def test_cap_respected(self):
         with pytest.raises(CapExceededError):
-            run_checks(4, 2, cap=16)
+            run_checks(10, 2)
+
+
+class TestCharacterSpectrum:
+    def test_broken_walk_is_a_hard_error(self, monkeypatch):
+        # a walk that never lengthens the first row gives a wrong M_F
+        def walk(alpha, d=None):
+            return frozenset(mu for mu in add_box(alpha, d) if mu.rows[0] == alpha.rows[0])
+
+        monkeypatch.setattr(oracle, "add_box", walk)
+        with pytest.raises(ArithmeticError, match="not eigenvectors at N=3"):
+            character_spectrum(3)

@@ -34,7 +34,7 @@ class TestProtocolEigenvalues:
             ((1,), (2,)): Fraction(3),
             ((1,), (1, 1)): Fraction(1),
         }
-        lams = {e.mu.rows: e.lam for e in eigs}
+        lams = {e.mu.rows: e.gamma / 2**2 for e in eigs}
         assert lams[(2,)] == 0.75 and lams[(1, 1)] == 0.25
 
     def test_three_ports_qubits(self):
@@ -126,7 +126,7 @@ class TestOptimalSolution:
             sol.c_coeffs[mu] * irrep_dim(mu) * multiplicity(mu, d) for mu in sol.basis
         )
         assert abs(trace - d**n) < 1e-10 * d**n
-        lam = {(e.alpha, e.mu): e.lam for e in protocol_eigenvalues(n, d)}
+        lam = {(e.alpha, e.mu): e.gamma / d**n for e in protocol_eigenvalues(n, d)}
         for (alpha, mu), p in sol.p_coeffs.items():
             c = sol.c_coeffs[mu]
             assert abs(p * p * lam[(alpha, mu)] - c) < 1e-10 * max(1.0, c)
@@ -224,7 +224,7 @@ class TestGeneralPovmFidelity:
             za = z_spec(alpha) if callable(z_spec) else z_spec
             ya = y_spec(alpha) if callable(y_spec) else y_spec
             inner = math.fsum(
-                math.sqrt(za) * e.lam ** (-1.0 / ya) * multiplicity(e.mu, d)
+                math.sqrt(za) * (e.gamma / d**n) ** (-1.0 / ya) * multiplicity(e.mu, d)
                 for e in group
             )
             total += irrep_dim(alpha) / multiplicity(alpha, d) * inner**2

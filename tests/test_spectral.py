@@ -1,4 +1,4 @@
-"""Spectral routes: power iteration vs closed forms vs exact character spectrum."""
+"""Spectral routes: power iteration vs closed forms; closed-form vs character spectrum."""
 
 import math
 
@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from dpbt.diagrams import enumerate_diagrams
+from dpbt.oracle import character_spectrum
 from dpbt.spectral import (
     PowerIterationError,
     closed_form_d2,
     closed_form_full,
+    closed_form_spectrum,
     dominant_eigenpair,
     power_iteration,
-    spectrum_via_characters,
 )
 from dpbt.telemat import teleportation_matrix
 
@@ -135,20 +136,23 @@ class TestDominantEigenpair:
 
 
 class TestSpectrumViaCharacters:
+    """The closed-form spectrum against the exact character-table law."""
+
     def test_examples(self):
-        assert spectrum_via_characters(4) == {4: 1, 2: 1, 1: 1, 0: 2}
-        assert spectrum_via_characters(3) == {3: 1, 1: 1, 0: 1}
-        assert spectrum_via_characters(2) == {2: 1, 0: 1}
+        for spectrum in (closed_form_spectrum, character_spectrum):
+            assert spectrum(4) == {4: 1, 2: 1, 1: 1, 0: 2}
+            assert spectrum(3) == {3: 1, 1: 1, 0: 1}
+            assert spectrum(2) == {2: 1, 0: 1}
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exact_identity_and_gap(self, n):
-        mult = spectrum_via_characters(n)
+        mult = character_spectrum(n)  # hard error on any exact failure
         assert (n - 1) not in mult
         assert set(mult) == set(range(0, n - 1)) | {n}
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_low_lying_multiplicities(self, n):
-        mult = spectrum_via_characters(n)
+        mult = closed_form_spectrum(n)
         assert mult[n] == 1
         assert mult[n - 2] == 1
         if n >= 3:
@@ -160,4 +164,16 @@ class TestSpectrumViaCharacters:
 
     def test_total_multiplicity_is_class_count(self):
         for n in range(1, 9):
-            assert sum(spectrum_via_characters(n).values()) == len(enumerate_diagrams(n))
+            assert sum(closed_form_spectrum(n).values()) == len(enumerate_diagrams(n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_matches_characters(self, n):
+        assert closed_form_spectrum(n) == character_spectrum(n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_matches_eigvalsh(self, n):
+        w = np.linalg.eigvalsh(teleportation_matrix(n).to_float())
+        k = np.rint(w).astype(int)
+        assert np.max(np.abs(w - k)) < 1e-9
+        values, counts = np.unique(k, return_counts=True)
+        assert dict(zip(values.tolist(), counts.tolist())) == closed_form_spectrum(n)
