@@ -2,8 +2,8 @@
 verification and sweeps, emitted as deterministic JSON or CSV.
 
 Exit codes: 0 success, 1 validation error (usage on stderr; also a matrix above
-MAX_MATRIX_ENTRIES), 2 computation failure (non-convergence, cap exceeded,
-failed verification).
+MAX_MATRIX_ENTRIES) or stdout closed by its reader (no traceback), 2
+computation failure (non-convergence, cap exceeded, failed verification).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from .spectral import (
 )
 from .telemat import (
     gram_H,
+    incidence_edges,
     incidence_matrix,
     teleportation_matrix,
     to_csv,
@@ -71,19 +73,17 @@ def build_parser() -> _Parser:
     def common(p: _Parser, solve: bool = True) -> None:
         p.add_argument("--ports", "-N", type=int, required=True, help="port count N >= 1")
         p.add_argument("--dim", "-d", type=int, required=True, help="local dimension d >= 2")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default=None,
-            help="default: json, or inferred from the output extension",
-        )
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         if solve:
             p.add_argument("--tol", type=float, default=1e-12)
             p.add_argument("--max-iter", type=int, default=1_000_000)
 
+    def table_format(p: _Parser) -> None:
+        p.add_argument("--format", choices=("json", "csv"), help="default json; csv for -o *.csv")
+
     p_matrix = sub.add_parser("matrix", help="emit MF/R/G/H matrices")
     common(p_matrix, solve=False)
+    table_format(p_matrix)
     p_matrix.add_argument("--kind", choices=("MF", "R", "G", "H"), default="MF")
 
     p_spectrum = sub.add_parser("spectrum", help="spectral radius and Perron vector")
@@ -104,12 +104,7 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="fidelity table over an (N, d) grid")
     p_sweep.add_argument("--ports", required=True, help="inclusive range a:b")
     p_sweep.add_argument("--dims", required=True, help="comma-separated dimensions")
-    p_sweep.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=None,
-        help="default: json, or inferred from the output extension",
-    )
+    table_format(p_sweep)
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.add_argument("--tol", type=float, default=1e-12)
     p_sweep.add_argument("--max-iter", type=int, default=1_000_000)
@@ -200,7 +195,7 @@ def _cmd_matrix(args, out) -> int:
 def _cmd_spectrum(args, out) -> int:
     _validate_nd(args.ports, args.dim)
     n, d = args.ports, args.dim
-    res = dominant_eigenpair(n, d, args.tol, args.max_iter)
+    res = dominant_eigenpair(incidence_edges(n, d), args.tol, args.max_iter)
     payload = {
         "version": __version__,
         "N": n,
@@ -338,7 +333,13 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader closed stdout; devnull silences the exit flush (SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

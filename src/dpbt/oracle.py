@@ -40,6 +40,7 @@ from .protocol import (
     sqrt_measurement_fidelity,
 )
 from .spectral import closed_form_spectrum, dominant_eigenpair
+from .telemat import incidence_edges
 
 __all__ = [
     "DEFAULT_CAP",
@@ -318,7 +319,7 @@ def dual_witness_check(n: int, d: int) -> dict[str, float]:
     dominate every port state, and d^(N-2) times the infinity norm of its
     last-factor partial trace reproduces the optimum radius / d^2.
     """
-    eigenpair = dominant_eigenpair(n, d)
+    eigenpair = dominant_eigenpair(incidence_edges(n, d))
     t = {mu: eigenpair.perron_entry(mu) for mu in eigenpair.basis}
     dim = d ** (n + 1)
     _require_cap(d, n + 1)
@@ -488,12 +489,12 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("pt_trace", pt_trace, 1e-12))
 
     # the fidelity triangle
-    f_sqrt_formula = sqrt_measurement_fidelity(n, d).fidelity
+    f_sqrt_formula = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
     f_sqrt_direct = direct_fidelity(n, d, "sqrt_measurement")
     checks.append(_check("fidelity_sqrt_direct", abs(f_sqrt_direct - f_sqrt_formula), _TOL))
     f_family = general_povm_fidelity(n, d, 1, 2)
     checks.append(_check("fidelity_povm_family", abs(f_family - f_sqrt_formula), 1e-12))
-    opt = optimal_fidelity(n, d)
+    opt = optimal_fidelity(incidence_edges(n, d))
     f_opt_direct = direct_fidelity(n, d, "optimal")
     checks.append(_check("fidelity_optimal_direct", abs(f_opt_direct - opt.fidelity), _TOL))
 

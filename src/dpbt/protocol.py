@@ -9,9 +9,10 @@ fidelity of the plain maximally entangled resource, the generalised
 one-parameter POVM family, and a closed-form lower bound, and drives (N, d)
 sweeps.
 
-Every sum over parent-child pairs (alpha, mu) takes them, under the height
-cap d, from telemat.incidence_edges.  Eigenvalues are exact rationals, and
-coefficients are roots of exact integer ratios, so d^N never becomes a float.
+A cell is one edge list, telemat.incidence_edges(n, d), built once and shared
+with the solver; every sum over parent-child pairs (alpha, mu) runs over it.
+Eigenvalues are exact rationals, and coefficients are roots of exact integer
+ratios, so d^N never becomes a float.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .diagrams import DiagramBasis, YoungDiagram, irrep_dim, multiplicity
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
-from .telemat import incidence_edges
+from .telemat import IncidenceEdges, incidence_edges
 
 __all__ = [
     "ProtocolEigen",
@@ -42,10 +43,10 @@ __all__ = [
 ]
 
 
-def _check_nd(n: int, d: int) -> None:
+def _check_nd(n: int, d: int | None) -> None:
     if n < 1:
         raise ValueError("port count must be >= 1")
-    if d < 2:
+    if d is None or d < 2:
         raise ValueError("local dimension must be >= 2")
 
 
@@ -119,23 +120,16 @@ def protocol_eigenvalues(n: int, d: int) -> list[ProtocolEigen]:
 
 
 def optimal_fidelity(
-    n: int,
-    d: int,
+    e: IncidenceEdges,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FidelityReport:
-    """Best achievable fidelity: spectral radius of the restricted matrix / d^2.
-
-    The radius is n exactly when d >= n (all irreps occur), taken without
-    enumerating the diagrams; otherwise it comes from dominant_eigenpair.
-    """
+    """Best achievable fidelity at the cell of the edge list e: the spectral
+    radius of its teleportation matrix from dominant_eigenpair, over d^2."""
+    n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
-    if d >= n:
-        radius, method, iterations = float(n), "closed_dgeN", 0
-    else:
-        res = dominant_eigenpair(n, d, tol, max_iter)
-        radius, method, iterations = res.radius, res.method, res.iterations
-    return FidelityReport(n, d, "optimal", radius / d**2, method, radius, iterations)
+    r = dominant_eigenpair(e, tol, max_iter)
+    return FidelityReport(n, d, "optimal", r.radius / d**2, r.method, r.radius, r.iterations)
 
 
 def optimal_solution(
@@ -154,7 +148,8 @@ def optimal_solution(
     whenever it fits a double; otherwise ArithmeticError names it.
     """
     _check_nd(n, d)
-    eigenpair = dominant_eigenpair(n, d, tol, max_iter)
+    e = incidence_edges(n, d)
+    eigenpair = dominant_eigenpair(e, tol, max_iter)
     basis = eigenpair.basis
     norm = math.sqrt(math.fsum(x * x for x in eigenpair.perron))
     v = {mu: x / norm for mu, x in zip(basis, eigenpair.perron)}
@@ -168,7 +163,6 @@ def optimal_solution(
             name = f"o_mu, c_mu at mu={mu}"
             o_coeffs[mu] = _sqrt_ratio(num, den)
             c_coeffs[mu] = num / den
-        e = incidence_edges(n, d)
         for i, j in zip(e.parent.tolist(), e.child.tolist()):
             alpha, mu = e.row_basis[i], e.col_basis[j]
             a, b = v[mu].as_integer_ratio()
@@ -184,16 +178,16 @@ def optimal_solution(
     )
 
 
-def sqrt_measurement_fidelity(n: int, d: int) -> FidelityReport:
+def sqrt_measurement_fidelity(e: IncidenceEdges) -> FidelityReport:
     """Fidelity of the maximally entangled resource with square-root measurement.
 
-    The Rayleigh quotient ||R w||^2 / d^2 of the teleportation matrix with
-    the unit vector w_mu = sqrt(d_mu m_mu / d^n), one gather over the
-    incidence edges; so it never exceeds the optimal fidelity.  Each w_mu is
-    the square root of an exact integer ratio, so nothing overflows at large n.
+    The Rayleigh quotient ||R w||^2 / d^2 of the teleportation matrix R^T R
+    of e with the unit vector w_mu = sqrt(d_mu m_mu / d^n), one gather over
+    the edges; so it never exceeds the optimal fidelity.  Each w_mu is the
+    square root of an exact integer ratio, so nothing overflows at large n.
     """
+    n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
-    e = incidence_edges(n, d)
     dn = d**n
     w = np.array(
         [_sqrt_ratio(irrep_dim(mu) * multiplicity(mu, d), dn) for mu in e.col_basis]
@@ -265,8 +259,9 @@ def fidelity_row(
     """The lower-bound, square-root-measurement and optimal fidelities at one
     cell, with the method, radius and iterations of the optimal one."""
     lower = lower_bound_fidelity(n, d)
-    entangled = sqrt_measurement_fidelity(n, d)
-    optimal = optimal_fidelity(n, d, tol=tol, max_iter=max_iter)
+    e = incidence_edges(n, d)
+    entangled = sqrt_measurement_fidelity(e)
+    optimal = optimal_fidelity(e, tol, max_iter)
     return {
         "N": n,
         "d": d,

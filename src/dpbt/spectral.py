@@ -1,11 +1,12 @@
 """Spectral radius and Perron eigenvector of the teleportation matrices.
 
-`dominant_eigenpair` is the one dispatch between three routes: an exact
-closed form when every diagram height fits (d >= N), the tridiagonal cosine
-closed form at d = 2, and a normalised power iteration on the incidence edge
-list, M_F w = R^T (R w), for everything in between.  The full spectrum of
-the uncapped matrix is the closed form `closed_form_spectrum`, counted from
-partition numbers; the dense oracle proves it from the character table.
+`dominant_eigenpair(e)` takes one cell, the edge list e from
+telemat.incidence_edges(n, d), and dispatches between an exact closed form
+when every diagram height fits (d >= N or no cap), the tridiagonal cosine
+closed form at d = 2, and a normalised power iteration M_F w = R^T (R w) on
+e for everything in between.  The full spectrum of the uncapped matrix is
+the closed form `closed_form_spectrum`, counted from partition numbers; the
+dense oracle proves it from the character table.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams, irrep_dim, partition_counts
-from .telemat import incidence_edges
+from .diagrams import DiagramBasis, YoungDiagram, irrep_dim, partition_counts
+from .telemat import IncidenceEdges
 
 __all__ = [
     "SpectralResult",
@@ -61,23 +62,21 @@ class PowerIterationError(RuntimeError):
 
 
 def power_iteration(
-    n: int,
-    d: int | None = None,
+    e: IncidenceEdges,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralResult:
-    """Spectral radius and Perron vector of the teleportation matrix at (n, d).
+    """Spectral radius and Perron vector of the teleportation matrix R^T R.
 
     From the uniform positive start, iterate v <- M_F w, w <- v / sum(v) and
     stop once two successive normalisers differ by less than tol; the
     normaliser then estimates the radius and w the Perron vector.  Each
-    product is R^T (R w), two gathers over the incidence edge list.  M_F is
+    product is R^T (R w), two gathers over the edge list e.  M_F is
     primitive (positive diagonal, connected), so the iteration converges.
     The sums use numpy's pairwise summation, so runs are deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    e = incidence_edges(n, d)
     rows, size = len(e.row_basis), len(e.col_basis)
     w = np.full(size, 1.0 / size)
     s_prev: float | None = None
@@ -100,37 +99,37 @@ def power_iteration(
 
 
 def dominant_eigenpair(
-    n: int,
-    d: int,
+    e: IncidenceEdges,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralResult:
-    """Perron eigenpair of the teleportation matrix with heights <= d.
+    """Perron eigenpair of the teleportation matrix R^T R of the edge list e.
 
-    d >= n: the exact full-matrix closed form.  d = 2: radius
+    d >= n or no cap: the exact full-matrix closed form.  d = 2: radius
     4 cos^2(pi/(n+2)) and Perron entry sin((n+1-2k) pi/(n+2)) on the diagram
     [n-k, k] (sum-normalised).  Otherwise: the power iteration.
     """
-    if d >= n:
-        return closed_form_full(n)
+    basis = e.col_basis
+    n, d = basis.n, basis.d
+    if d is None or d >= n:
+        return closed_form_full(basis)
     if d == 2:
-        basis = enumerate_diagrams(n, 2)
         x = [math.sin((2 * mu.rows[0] - n + 1) * math.pi / (n + 2)) for mu in basis]
         total = math.fsum(x)
         perron = tuple(v / total for v in x)
         return SpectralResult(closed_form_d2(n)[0], basis, perron, 0, 0.0, "closed_d2")
-    return power_iteration(n, d, tol, max_iter)
+    return power_iteration(e, tol, max_iter)
 
 
-def closed_form_full(n: int) -> SpectralResult:
-    """Exact dominant eigenpair of the full matrix (any d >= n).
+def closed_form_full(basis: DiagramBasis) -> SpectralResult:
+    """Exact dominant eigenpair of the full matrix (basis with any d >= n).
 
     The radius is n and the Perron vector is proportional to the irrep
     dimensions.
     """
-    if n < 1:
-        raise ValueError("port count must be >= 1")
-    basis = enumerate_diagrams(n)
+    n = basis.n
+    if n < 1 or (basis.d is not None and basis.d < n):
+        raise ValueError(f"need every diagram of n >= 1 boxes, got n={n}, d={basis.d}")
     dims = [irrep_dim(mu) for mu in basis]
     total = sum(dims)
     perron = tuple(x / total for x in dims)

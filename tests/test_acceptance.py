@@ -28,6 +28,7 @@ from dpbt.protocol import (
 )
 from dpbt.spectral import closed_form_spectrum, power_iteration
 from dpbt.telemat import (
+    incidence_edges,
     incidence_matrix,
     recursion_defect,
     teleportation_matrix,
@@ -61,7 +62,7 @@ def test_criterion_1_exact_spectrum_law():
 def test_criterion_2_maximal_eigenvalue():
     """Power iteration reaches radius N with Perron vector ~ irrep dims, N = 2..10."""
     for n in range(2, 11):
-        res = power_iteration(n)
+        res = power_iteration(incidence_edges(n))
         assert abs(res.radius - n) < 1e-10, f"radius off at N={n}: {res.radius}"
         dims = [irrep_dim(mu) for mu in res.basis]
         total = sum(dims)
@@ -73,10 +74,10 @@ def test_criterion_2_maximal_eigenvalue():
 def test_criterion_3_qubit_closed_form():
     """Power-iteration radius of the d=2 matrix equals 4cos^2(pi/(N+2)), N = 2..50."""
     for n in range(2, 51):
-        res = power_iteration(n, 2, tol=1e-12)
+        res = power_iteration(incidence_edges(n, 2), tol=1e-12)
         want = 4 * math.cos(math.pi / (n + 2)) ** 2
         assert abs(res.radius - want) < 1e-9, f"d=2 radius off at N={n}"
-        fid = optimal_fidelity(n, 2)
+        fid = optimal_fidelity(incidence_edges(n, 2))
         assert abs(fid.fidelity - math.cos(math.pi / (n + 2)) ** 2) < 1e-9
     report(3, "qubit cosine closed form matched by power iteration for N=2..50")
 
@@ -120,7 +121,7 @@ def test_criterion_5_oracle_strong_duality():
         gap = max(abs(a - b) for a, b in zip(actual, sorted(expected, reverse=True)))
         assert gap < 1e-8, f"eta eigenvalues off at ({n},{d}): {gap}"
 
-        radius_fid = optimal_fidelity(n, d).fidelity
+        radius_fid = optimal_fidelity(incidence_edges(n, d)).fidelity
         primal_fid = direct_fidelity(n, d, "optimal")
         assert abs(primal_fid - radius_fid) < 1e-8, f"primal fidelity off at ({n},{d})"
 
@@ -140,7 +141,7 @@ def test_criterion_6_square_root_measurement_recovery():
     """The z=1, y=2 member of the POVM family is the square-root measurement."""
     for n, d in ORACLE_CELLS:
         family = general_povm_fidelity(n, d, 1, 2)
-        formula = sqrt_measurement_fidelity(n, d).fidelity
+        formula = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         assert abs(family - formula) < 1e-12, f"family vs formula at ({n},{d})"
         direct = direct_fidelity(n, d, "sqrt_measurement")
         assert abs(family - direct) < 1e-8, f"family vs dense oracle at ({n},{d})"
@@ -156,8 +157,8 @@ def test_criterion_7_ordering_and_bounds():
         previous = 0.0
         for n in range(1, 21):
             lower = lower_bound_fidelity(n, d).fidelity
-            entangled = sqrt_measurement_fidelity(n, d).fidelity
-            optimal = optimal_fidelity(n, d, tol=1e-13).fidelity
+            entangled = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
+            optimal = optimal_fidelity(incidence_edges(n, d), tol=1e-13).fidelity
             assert n / (d * d + n - 1) == pytest.approx(lower, abs=1e-15)
             assert lower <= entangled + 1e-10, f"lower>sqrt at ({n},{d})"
             assert entangled <= optimal + 1e-10, f"sqrt>opt at ({n},{d})"

@@ -3,11 +3,17 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpbt
+from dpbt import telemat
 from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
 from dpbt.oracle import DEFAULT_CHECK_CELLS
@@ -267,6 +273,9 @@ class TestValidation:
             ["matrix", "--ports", "3", "--dim", "2", "--max-iter", "5"],
             ["verify", "--oracle", "--format", "json"],
             ["verify", "--oracle", "--tol", "1e-6"],
+            ["spectrum", "--ports", "5", "--dim", "2", "--format", "csv"],
+            ["fidelity", "--ports", "5", "--dim", "2", "--format", "csv"],
+            ["povm", "--ports", "5", "--dim", "2", "--format", "json"],
         ):
             code, _, err = invoke(argv)
             assert code == 1 and "unrecognized arguments" in err
@@ -274,3 +283,53 @@ class TestValidation:
     def test_help_exits_zero(self):
         # argparse prints help straight to stdout; run() maps the exit to 0
         assert run(["--help"]) == 0
+
+
+class TestOneEdgeBuildPerCell:
+    """Each command evaluates a cell on one edge list: solver, fidelities and
+    coefficients all receive the list the command built."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls, build = [], telemat.incidence_edges
+
+        def counted(n, d=None):
+            calls.append((n, d))
+            return build(n, d)
+
+        # every name in the package that is bound to the builder
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dpbt") and hasattr(module, "incidence_edges"):
+                monkeypatch.setattr(module, "incidence_edges", counted)
+        return calls
+
+    # power, closed d = 2, closed d >= N, and N = 1
+    @pytest.mark.parametrize("verb", ["fidelity", "povm", "spectrum"])
+    @pytest.mark.parametrize("n,d", [(12, 3), (9, 4), (10, 2), (6, 6), (5, 9), (1, 2)])
+    def test_one_build_per_command(self, builds, verb, n, d):
+        code, _, _ = invoke([verb, "--ports", str(n), "--dim", str(d)])
+        assert code == 0
+        assert builds == [(n, d)]
+
+    def test_one_build_per_sweep_cell(self, builds):
+        code, _, _ = invoke(["sweep", "--ports", "1:12", "--dims", "2,3,4"])
+        assert code == 0
+        assert sorted(builds) == [(n, d) for n in range(1, 13) for d in (2, 3, 4)]
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_exits_1_without_traceback(self):
+        # a child with a closed stdout fails on its first write, not on the solve
+        src = Path(dpbt.__file__).resolve().parents[1]
+        path = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dpbt", "povm", "-N", "1030", "-d", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err

@@ -30,6 +30,7 @@ from dpbt.oracle import (
     young_projector,
 )
 from dpbt.protocol import optimal_fidelity, protocol_eigenvalues, sqrt_measurement_fidelity
+from dpbt.telemat import incidence_edges
 
 GOLDEN = math.cos(math.pi / 5) ** 2
 
@@ -225,7 +226,7 @@ class TestDirectFidelity:
         got = direct_fidelity(2, 2, "sqrt_measurement")
         assert abs(got - (math.sqrt(3) + 1) ** 2 / 16) < 1e-8
         got32 = direct_fidelity(3, 2, "sqrt_measurement")
-        assert abs(got32 - sqrt_measurement_fidelity(3, 2).fidelity) < 1e-8
+        assert abs(got32 - sqrt_measurement_fidelity(incidence_edges(3, 2)).fidelity) < 1e-8
 
     def test_optimal_values(self):
         assert abs(direct_fidelity(2, 2, "optimal") - 0.5) < 1e-8
@@ -266,7 +267,7 @@ class TestSdpChecks:
         for n, d in [(2, 2), (2, 3)]:
             primal = direct_fidelity(n, d, "optimal")
             dual = dual_witness_check(n, d)["objective"]
-            radius = optimal_fidelity(n, d).fidelity
+            radius = optimal_fidelity(incidence_edges(n, d)).fidelity
             assert abs(primal - radius) < 1e-8
             assert abs(dual - radius) < 1e-8
 

@@ -22,6 +22,7 @@ from dpbt.protocol import (
     sqrt_measurement_fidelity,
     sweep,
 )
+from dpbt.telemat import incidence_edges
 
 GOLDEN = math.cos(math.pi / 5) ** 2  # optimal qubit fidelity at three ports
 
@@ -68,34 +69,39 @@ class TestProtocolEigenvalues:
 
 class TestOptimalFidelity:
     def test_examples(self):
-        assert optimal_fidelity(2, 2).fidelity == 0.5
-        assert abs(optimal_fidelity(3, 4).fidelity - 3 / 16) < 1e-15
-        assert abs(optimal_fidelity(3, 3).fidelity - 1 / 3) < 1e-15
-        assert abs(optimal_fidelity(3, 2).fidelity - GOLDEN) < 1e-12
+        assert optimal_fidelity(incidence_edges(2, 2)).fidelity == 0.5
+        assert abs(optimal_fidelity(incidence_edges(3, 4)).fidelity - 3 / 16) < 1e-15
+        assert abs(optimal_fidelity(incidence_edges(3, 3)).fidelity - 1 / 3) < 1e-15
+        assert abs(optimal_fidelity(incidence_edges(3, 2)).fidelity - GOLDEN) < 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_qubit_closed_form(self, n):
-        rep = optimal_fidelity(n, 2)
+        rep = optimal_fidelity(incidence_edges(n, 2))
         assert abs(rep.fidelity - math.cos(math.pi / (n + 2)) ** 2) < 1e-12
 
     def test_method_dispatch(self):
-        assert optimal_fidelity(3, 4).method == "closed_dgeN"
-        assert optimal_fidelity(5, 2).method == "closed_d2"
-        assert optimal_fidelity(5, 3).method == "power"
-        assert optimal_fidelity(2, 2).method == "closed_dgeN"
+        assert optimal_fidelity(incidence_edges(3, 4)).method == "closed_dgeN"
+        assert optimal_fidelity(incidence_edges(5, 2)).method == "closed_d2"
+        assert optimal_fidelity(incidence_edges(5, 3)).method == "power"
+        assert optimal_fidelity(incidence_edges(2, 2)).method == "closed_dgeN"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            optimal_fidelity(0, 2)
+            optimal_fidelity(incidence_edges(0, 2))
         with pytest.raises(ValueError):
-            optimal_fidelity(3, 1)
+            optimal_fidelity(incidence_edges(3, 1))
+
+    def test_rejects_uncapped_edge_list(self):
+        # the fidelity divides by d^2, so the cell needs an integer d
+        with pytest.raises(ValueError):
+            optimal_fidelity(incidence_edges(4))
 
     def test_degenerate_single_port(self):
         for d in (2, 3, 4):
-            assert abs(optimal_fidelity(1, d).fidelity - 1 / d**2) < 1e-15
+            assert abs(optimal_fidelity(incidence_edges(1, d)).fidelity - 1 / d**2) < 1e-15
 
     def test_radius_report(self):
-        rep = optimal_fidelity(6, 3)
+        rep = optimal_fidelity(incidence_edges(6, 3))
         assert rep.radius is not None
         assert abs(rep.fidelity - rep.radius / 9) < 1e-15
         assert rep.iterations > 0
@@ -138,7 +144,7 @@ class TestOptimalSolution:
             math.fsum(sol.v[mu] for mu in add_box(alpha, d) if mu in sol.basis) ** 2
             for alpha in enumerate_diagrams(n - 1, d)
         )
-        assert abs(total / d**2 - optimal_fidelity(n, d).fidelity) < 1e-10
+        assert abs(total / d**2 - optimal_fidelity(incidence_edges(n, d)).fidelity) < 1e-10
 
     def test_positive_entries(self):
         for n, d in [(4, 2), (5, 3), (4, 4)]:
@@ -164,14 +170,21 @@ class TestSqrtRatio:
 class TestSqrtMeasurementFidelity:
     def test_examples(self):
         assert abs(
-            sqrt_measurement_fidelity(2, 2).fidelity - (math.sqrt(3) + 1) ** 2 / 16
+            sqrt_measurement_fidelity(incidence_edges(2, 2)).fidelity
+            - (math.sqrt(3) + 1) ** 2 / 16
         ) < 1e-14
-        assert sqrt_measurement_fidelity(3, 2).fidelity == pytest.approx(0.625, abs=1e-14)
+        f32 = sqrt_measurement_fidelity(incidence_edges(3, 2)).fidelity
+        assert f32 == pytest.approx(0.625, abs=1e-14)
         for d in (2, 3, 4):
-            assert abs(sqrt_measurement_fidelity(1, d).fidelity - 1 / d**2) < 1e-14
+            f1 = sqrt_measurement_fidelity(incidence_edges(1, d)).fidelity
+            assert abs(f1 - 1 / d**2) < 1e-14
+
+    def test_rejects_uncapped_edge_list(self):
+        with pytest.raises(ValueError):
+            sqrt_measurement_fidelity(incidence_edges(4))
 
     def test_resource_tag(self):
-        rep = sqrt_measurement_fidelity(4, 3)
+        rep = sqrt_measurement_fidelity(incidence_edges(4, 3))
         assert rep.resource == "sqrt_entangled"
         assert 0 < rep.fidelity <= 1
 
@@ -181,14 +194,14 @@ class TestGeneralPovmFidelity:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_z1_y2_reproduces_sqrt_measurement(self, n, d):
         got = general_povm_fidelity(n, d, 1, 2)
-        want = sqrt_measurement_fidelity(n, d).fidelity
+        want = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("n", [1023, 1030, 2000])
     def test_finite_where_d_to_the_n_overflows(self, n):
         # d^(n+1) exceeds double range here, and so do the terms scaled by it
         got = general_povm_fidelity(n, 2, 1, 2)
-        want = sqrt_measurement_fidelity(n, 2).fidelity
+        want = sqrt_measurement_fidelity(incidence_edges(n, 2)).fidelity
         assert abs(got - want) <= 1e-12 * want
 
     def test_two_ports_value(self):
@@ -237,7 +250,8 @@ class TestGeneralPovmFidelity:
         z = {a: 1.0 for a in alphas}
         y = {a: 2.0 for a in alphas}
         assert abs(
-            general_povm_fidelity(n, d, z, y) - sqrt_measurement_fidelity(n, d).fidelity
+            general_povm_fidelity(n, d, z, y)
+            - sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         ) < 1e-12
 
 
@@ -258,8 +272,8 @@ class TestOrderingAndConsistency:
     def test_fidelity_chain(self, d):
         for n in range(1, 13):
             low = lower_bound_fidelity(n, d).fidelity
-            ent = sqrt_measurement_fidelity(n, d).fidelity
-            opt = optimal_fidelity(n, d).fidelity
+            ent = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
+            opt = optimal_fidelity(incidence_edges(n, d)).fidelity
             assert low <= ent + 1e-10
             assert ent <= opt + 1e-10
             assert opt <= 1 + 1e-10
@@ -268,7 +282,7 @@ class TestOrderingAndConsistency:
     def test_monotone_in_ports(self, d):
         prev = 0.0
         for n in range(1, 13):
-            cur = optimal_fidelity(n, d, tol=1e-13).fidelity
+            cur = optimal_fidelity(incidence_edges(n, d), tol=1e-13).fidelity
             assert cur >= prev - 1e-10
             prev = cur
 
@@ -276,9 +290,9 @@ class TestOrderingAndConsistency:
         from dpbt.spectral import power_iteration
 
         for n, d in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
-            closed = optimal_fidelity(n, d).fidelity
+            closed = optimal_fidelity(incidence_edges(n, d)).fidelity
             assert closed == n / d**2
-            iterated = power_iteration(n, d).radius / d**2
+            iterated = power_iteration(incidence_edges(n, d)).radius / d**2
             assert abs(iterated - closed) < 1e-10
 
 

@@ -15,39 +15,39 @@ from dpbt.spectral import (
     dominant_eigenpair,
     power_iteration,
 )
-from dpbt.telemat import teleportation_matrix
+from dpbt.telemat import incidence_edges, teleportation_matrix
 
 
 class TestPowerIteration:
     def test_full_matrix_radius(self):
-        res = power_iteration(3, tol=1e-12)
+        res = power_iteration(incidence_edges(3), tol=1e-12)
         assert abs(res.radius - 3.0) < 1e-10
         assert res.method == "power"
         assert res.residual < 1e-12
 
     def test_golden_ratio_case(self):
-        res = power_iteration(3, 2)
+        res = power_iteration(incidence_edges(3, 2))
         assert abs(res.radius - 4 * math.cos(math.pi / 5) ** 2) < 1e-9
 
     def test_one_by_one(self):
-        res = power_iteration(1, 3)  # M_F(1) = [[1]]
+        res = power_iteration(incidence_edges(1, 3))  # M_F(1) = [[1]]
         assert res.radius == 1.0
         assert res.perron == (1.0,)
 
     def test_perron_properties(self):
         for n in range(2, 9):
             for d in range(2, n + 1):
-                res = power_iteration(n, d)
+                res = power_iteration(incidence_edges(n, d))
                 assert all(x > 0 for x in res.perron)
                 assert abs(sum(res.perron) - 1.0) < 1e-12
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            power_iteration(3, tol=0.0)
+            power_iteration(incidence_edges(3), tol=0.0)
 
     def test_non_convergence_carries_last_iterate(self):
         with pytest.raises(PowerIterationError) as info:
-            power_iteration(6, 3, tol=1e-15, max_iter=2)
+            power_iteration(incidence_edges(6, 3), tol=1e-15, max_iter=2)
         last = info.value.last
         assert last.iterations == 2
         assert len(last.perron) == len(enumerate_diagrams(6, 3))
@@ -55,18 +55,24 @@ class TestPowerIteration:
 
 class TestClosedForms:
     def test_full_n2(self):
-        res = closed_form_full(2)
+        res = closed_form_full(enumerate_diagrams(2))
         assert res.radius == 2.0
         assert res.perron == (0.5, 0.5)
         assert res.method == "closed_dgeN"
 
     def test_full_n4_dims(self):
-        res = closed_form_full(4)
+        res = closed_form_full(enumerate_diagrams(4))
         dims = (1, 3, 2, 3, 1)
         assert res.perron == tuple(x / 10 for x in dims)
 
     def test_full_n1(self):
-        assert closed_form_full(1).radius == 1.0
+        assert closed_form_full(enumerate_diagrams(1)).radius == 1.0
+
+    def test_full_rejects_capped_basis(self):
+        with pytest.raises(ValueError):
+            closed_form_full(enumerate_diagrams(5, 3))
+        with pytest.raises(ValueError):
+            closed_form_full(enumerate_diagrams(0))
 
     def test_d2_examples(self):
         lam = closed_form_d2(3)
@@ -92,43 +98,50 @@ class TestClosedForms:
 class TestAgreementAcrossRoutes:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_power_matches_closed_full(self, n):
-        res = power_iteration(n)
-        closed = closed_form_full(n)
+        res = power_iteration(incidence_edges(n))
+        closed = closed_form_full(enumerate_diagrams(n))
         assert abs(res.radius - closed.radius) < 1e-9
         for a, b in zip(res.perron, closed.perron):
             assert abs(a - b) < 1e-9
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_power_matches_closed_d2(self, n):
-        res = power_iteration(n, 2)
+        res = power_iteration(incidence_edges(n, 2))
         assert abs(res.radius - closed_form_d2(n)[0]) < 1e-9
 
     def test_radius_nondecreasing_in_d(self):
         for n in range(2, 9):
             radii = []
             for d in range(2, n + 1):
-                radii.append(power_iteration(n, d).radius)
+                radii.append(power_iteration(incidence_edges(n, d)).radius)
             for lo, hi in zip(radii, radii[1:]):
                 assert hi >= lo - 1e-10
 
     @pytest.mark.parametrize("n,d", [(30, 3), (20, 4), (12, 5)])
     def test_power_matches_eigvalsh(self, n, d):
-        res = power_iteration(n, d)
+        res = power_iteration(incidence_edges(n, d))
         top = np.linalg.eigvalsh(teleportation_matrix(n, d).to_float())[-1]
         assert abs(res.radius - top) < 1e-9 * top
 
 
 class TestDominantEigenpair:
     def test_dispatch(self):
-        assert dominant_eigenpair(4, 4).method == "closed_dgeN"
-        assert dominant_eigenpair(4, 7).method == "closed_dgeN"
-        assert dominant_eigenpair(5, 2).method == "closed_d2"
-        res = dominant_eigenpair(6, 3)
+        assert dominant_eigenpair(incidence_edges(4, 4)).method == "closed_dgeN"
+        assert dominant_eigenpair(incidence_edges(4, 7)).method == "closed_dgeN"
+        assert dominant_eigenpair(incidence_edges(5, 2)).method == "closed_d2"
+        res = dominant_eigenpair(incidence_edges(6, 3))
         assert res.method == "power" and res.iterations > 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_cell_at_any_cap(self, n):
+        # d = n, d > n and no cap all list every diagram: one closed form
+        got = [dominant_eigenpair(incidence_edges(n, d)) for d in (n, n + 3, None)]
+        assert len({(r.radius, r.perron, r.method) for r in got}) == 1
+        assert got[0].method == "closed_dgeN"
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_d2_perron_matches_eigh(self, n):
-        res = dominant_eigenpair(n, 2)
+        res = dominant_eigenpair(incidence_edges(n, 2))
         w, v = np.linalg.eigh(teleportation_matrix(n, 2).to_float())
         top = np.abs(v[:, -1])  # the Perron vector is positive up to sign
         assert abs(res.radius - w[-1]) < 1e-12 * w[-1]
