@@ -4,7 +4,7 @@ The best achievable fidelity of the deterministic protocol, with both the
 measurement and the resource state optimised, equals the spectral radius of
 an integer matrix over Young diagrams divided by d^2.  This package builds
 that matrix, finds its spectral radius (closed forms where available, a
-convergent power iteration otherwise), emits the optimal measurement and
+certified Lanczos solve otherwise), emits the optimal measurement and
 resource-state coefficients, and cross-checks every formula against a dense
 brute-force operator oracle at small sizes.
 """
@@ -52,7 +52,7 @@ from .spectral import (
     closed_form_full,
     closed_form_spectrum,
     dominant_eigenpair,
-    power_iteration,
+    lanczos_perron,
 )
 from .telemat import (
     IncidenceEdges,

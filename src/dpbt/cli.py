@@ -2,8 +2,10 @@
 verification and sweeps, emitted as deterministic JSON or CSV.
 
 Exit codes: 0 success, 1 validation error (usage on stderr; also a matrix above
-MAX_MATRIX_ENTRIES) or stdout closed by its reader (no traceback), 2
-computation failure (non-convergence, cap exceeded, failed verification).
+MAX_MATRIX_ENTRIES, a solver option out of range, or a .csv output path for a
+JSON-only verb) or stdout closed by its reader (no traceback), 2 computation
+failure (no certified radius within --max-iter, cap exceeded, failed
+verification).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .oracle import (
 )
 from .protocol import fidelity_row, optimal_solution, sweep
 from .spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     PowerIterationError,
     closed_form_d2,
     closed_form_spectrum,
@@ -70,13 +74,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def solver_options(p: _Parser) -> None:
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative bracket width, 0 < tol < 1")
+        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="bound on products by M_F")
+
     def common(p: _Parser, solve: bool = True) -> None:
         p.add_argument("--ports", "-N", type=int, required=True, help="port count N >= 1")
         p.add_argument("--dim", "-d", type=int, required=True, help="local dimension d >= 2")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         if solve:
-            p.add_argument("--tol", type=float, default=1e-12)
-            p.add_argument("--max-iter", type=int, default=1_000_000)
+            solver_options(p)
 
     def table_format(p: _Parser) -> None:
         p.add_argument("--format", choices=("json", "csv"), help="default json; csv for -o *.csv")
@@ -106,8 +113,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--dims", required=True, help="comma-separated dimensions")
     table_format(p_sweep)
     p_sweep.add_argument("-o", "--output", default=None)
-    p_sweep.add_argument("--tol", type=float, default=1e-12)
-    p_sweep.add_argument("--max-iter", type=int, default=1_000_000)
+    solver_options(p_sweep)
 
     return parser
 
@@ -118,6 +124,17 @@ def _resolve_format(args) -> str:
     if args.output is not None and args.output.lower().endswith(".csv"):
         return "csv"
     return "json"
+
+
+def _validate_options(args) -> None:
+    """Reject solver options out of range, and a .csv path for JSON-only verbs."""
+    if "tol" in args:
+        if not 0 < args.tol < 1:  # also rejects nan and inf
+            raise UsageError(f"--tol must be a finite number with 0 < tol < 1, got {args.tol}")
+        if args.max_iter < 1:
+            raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
+    if "format" not in args and (args.output or "").lower().endswith(".csv"):
+        raise UsageError(f"{args.verb} writes JSON only; --output {args.output} ends in .csv")
 
 
 def _validate_nd(n: int, d: int) -> None:
@@ -203,7 +220,7 @@ def _cmd_spectrum(args, out) -> int:
         "radius": res.radius,
         "method": res.method,
         "iterations": res.iterations,
-        "residual": res.residual,
+        "bracket": [res.lo, res.hi],
         "perron": {mu.label(): res.perron_entry(mu) for mu in res.basis},
     }
     if d == 2:
@@ -320,6 +337,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _validate_options(args)
         return _COMMANDS[args.verb](args, out)
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)

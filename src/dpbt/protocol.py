@@ -3,11 +3,13 @@
 The optimal fidelity with a simultaneously optimised measurement and resource
 state is the spectral radius of the height-restricted teleportation matrix
 divided by d^2.  This module takes that radius and the Perron eigenvector
-from spectral.dominant_eigenpair, derives the optimal POVM and resource-state
-coefficients from the eigenvector, evaluates the square-root-measurement
-fidelity of the plain maximally entangled resource, the generalised
-one-parameter POVM family, and a closed-form lower bound, and drives (N, d)
-sweeps.
+from spectral.dominant_eigenpair (a closed form, or the certified Lanczos
+solve, whose radius lies in a bracket of relative width tol and whose
+`iterations` count its products by M_F), derives the optimal POVM and
+resource-state coefficients from the eigenvector, evaluates the
+square-root-measurement fidelity of the plain maximally entangled resource,
+the generalised one-parameter POVM family, and a closed-form lower bound,
+and drives (N, d) sweeps.
 
 A cell is one edge list, telemat.incidence_edges(n, d), built once and shared
 with the solver; every sum over parent-child pairs (alpha, mu) runs over it.

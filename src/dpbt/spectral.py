@@ -3,10 +3,12 @@
 `dominant_eigenpair(e)` takes one cell, the edge list e from
 telemat.incidence_edges(n, d), and dispatches between an exact closed form
 when every diagram height fits (d >= N or no cap), the tridiagonal cosine
-closed form at d = 2, and a normalised power iteration M_F w = R^T (R w) on
-e for everything in between.  The full spectrum of the uncapped matrix is
-the closed form `closed_form_spectrum`, counted from partition numbers; the
-dense oracle proves it from the character table.
+closed form at d = 2, and the certified solver `lanczos_perron` for
+everything in between.  The solver multiplies by M_F w = R^T (R w) on e and
+returns an enclosure [lo, hi] of the radius whose relative width is at most
+tol.  The full spectrum of the uncapped matrix is the closed form
+`closed_form_spectrum`, counted from partition numbers; the dense oracle
+proves it from the character table.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "SpectralResult",
     "PowerIterationError",
     "dominant_eigenpair",
-    "power_iteration",
+    "lanczos_perron",
     "closed_form_full",
     "closed_form_d2",
     "closed_form_spectrum",
@@ -31,71 +33,144 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
+# Smallest Lanczos target.  |beta_k s_k| first falls to O(eps) * radius when
+# the top Ritz pair converges; asked for less, the run goes on while ghost
+# copies of that Ritz value appear (k = 786 at (100, 3) with tol 1e-30, against
+# 122 at 1e-15), and the k x k tridiagonal grows with k.  The positive steps
+# then narrow the bracket below the floor.
+LANCZOS_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Spectral radius estimate with its diagram-indexed Perron eigenvector.
+    """Spectral radius with its enclosure and diagram-indexed Perron vector.
 
-    The Perron vector is sum-normalised with strictly positive entries;
-    `residual` is the last successive-normaliser difference (0 for closed
-    forms).
+    The Perron vector is sum-normalised with strictly positive entries.  Up
+    to rounding, lo <= true radius <= hi: lo is the Rayleigh quotient of the
+    Perron vector and equals `radius`, hi is its largest Collatz-Wielandt
+    ratio (M_F w)_mu / w_mu; the closed forms have lo = hi = radius.
+    `iterations` counts the products by M_F (0 for closed forms).
     """
 
     radius: float
     basis: DiagramBasis
     perron: tuple[float, ...]
     iterations: int
-    residual: float
-    method: str  # "closed_dgeN" | "closed_d2" | "power"
+    lo: float
+    hi: float
+    method: str  # "closed_dgeN" | "closed_d2" | "lanczos"
 
     def perron_entry(self, mu: YoungDiagram) -> float:
         return self.perron[self.basis.index(mu)]
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration did not converge; `last` holds the final iterate."""
+    """The solver ran out of products; `last` holds the last positive iterate
+    with its (uncertified) bracket."""
 
     def __init__(self, message: str, last: SpectralResult):
         super().__init__(message)
         self.last = last
 
 
-def power_iteration(
+def lanczos_perron(
     e: IncidenceEdges,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralResult:
-    """Spectral radius and Perron vector of the teleportation matrix R^T R.
+    """Perron eigenpair of the teleportation matrix M_F = R^T R of e, with
+    a certified enclosure hi - lo <= tol * hi of its radius.
 
-    From the uniform positive start, iterate v <- M_F w, w <- v / sum(v) and
-    stop once two successive normalisers differ by less than tol; the
-    normaliser then estimates the radius and w the Perron vector.  Each
-    product is R^T (R w), two gathers over the edge list e.  M_F is
-    primitive (positive diagonal, connected), so the iteration converges.
-    The sums use numpy's pairwise summation, so runs are deterministic.
+    Every product M_F w = R^T (R w) is two gathers over e.  Three stages:
+    1. Lanczos from the normalised uniform vector (three-term recurrence, no
+       reorthogonalisation) until the top Ritz pair (theta, s) of the k x k
+       tridiagonal has |beta_k s_k| < max(tol, LANCZOS_FLOOR) theta, checked
+       every max(5, k // 8) steps;
+    2. the Ritz vector x = sum_j s_j q_j, regenerated by running the same
+       recurrence again, so memory stays O(size) (Parlett, The Symmetric
+       Eigenvalue Problem, ch. 13);
+    3. positive power steps from w = |x| / sum |x| until w > 0 and the
+       Collatz-Wielandt ratios r = M_F w / w have max r - min r <= tol max r
+       (Meyer, Matrix Analysis, 8.3).  M_F is symmetric, nonnegative and
+       irreducible, so the Rayleigh quotient of w (a weighted mean of r) and
+       max r enclose the radius; the Lanczos stages only supply a start
+       whose tail the positive steps make accurate entry by entry.
+    max_iter bounds the products of all three stages; running out raises
+    PowerIterationError with the last positive iterate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rows, size = len(e.row_basis), len(e.col_basis)
-    w = np.full(size, 1.0 / size)
-    s_prev: float | None = None
-    s = 0.0
-    diff = math.inf
-    for it in range(1, max_iter + 1):
+    products = 0
+    last = None  # (w, M_F w) of the latest positive iterate
+
+    def result(w: np.ndarray, v: np.ndarray) -> SpectralResult:
+        lo, hi = float(w @ v / (w @ w)), float(np.max(v / w))
+        perron = tuple((w / w.sum()).tolist())
+        return SpectralResult(lo, e.col_basis, perron, products, lo, hi, "lanczos")
+
+    def matvec(w: np.ndarray) -> np.ndarray:
+        nonlocal products
+        if products == max_iter:
+            res = result(*last)
+            raise PowerIterationError(
+                f"no certified radius within {max_iter} products by M_F "
+                f"(bracket [{res.lo!r}, {res.hi!r}], tol {tol!r})",
+                res,
+            )
+        products += 1
         u = np.bincount(e.parent, weights=w[e.child], minlength=rows)
-        v = np.bincount(e.child, weights=u[e.parent], minlength=size)
-        s = float(v.sum())
-        w = v / s
-        if s_prev is not None:
-            diff = abs(s - s_prev)
-            if diff < tol:
-                return SpectralResult(s, e.col_basis, tuple(w), it, diff, "power")
-        s_prev = s
-    last = SpectralResult(s, e.col_basis, tuple(w), max_iter, diff, "power")
-    raise PowerIterationError(
-        f"no convergence after {max_iter} iterations (last diff {diff:.3e})", last
-    )
+        return np.bincount(e.child, weights=u[e.parent], minlength=size)
+
+    # 1. Lanczos: keep only the tridiagonal (alphas, betas)
+    start = np.full(size, 1.0 / math.sqrt(size))
+    q_prev, q, b = np.zeros(size), start, 0.0
+    alphas: list[float] = []
+    betas: list[float] = []
+    check, amax, target = 5, 0.0, max(tol, LANCZOS_FLOOR)
+    while True:
+        mq = matvec(q)
+        if last is None:
+            last = (q, mq)
+        a = float(q @ mq)
+        v = mq - a * q - b * q_prev
+        b = float(np.linalg.norm(v))
+        alphas.append(a)
+        amax = max(amax, a)
+        k = len(alphas)
+        if k == check or b < target * amax:  # theta >= max alpha: converged
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta, s = np.linalg.eigh(t)
+            theta, s = theta[-1], s[:, -1]
+            if abs(b * s[-1]) < target * theta:
+                break
+            check = k + max(5, k // 8)
+        betas.append(b)
+        q_prev, q = q, v / b
+
+    # 2. Ritz vector, regenerating q_1..q_k with the stored coefficients
+    x = s[0] * start
+    q_prev, q, b = np.zeros(size), start, 0.0
+    for j in range(k - 1):
+        v = matvec(q) - alphas[j] * q - b * q_prev
+        b = betas[j]
+        q_prev, q = q, v / b
+        x += s[j + 1] * q
+
+    # 3. Positive power steps to a Collatz-Wielandt bracket
+    w = np.abs(x)
+    w /= w.sum()
+    while True:
+        v = matvec(w)
+        if w.min() > 0:
+            last = (w, v)
+            r = v / w
+            hi = r.max()
+            if hi - r.min() <= tol * hi:
+                return result(w, v)
+        w = v / v.sum()
 
 
 def dominant_eigenpair(
@@ -107,7 +182,7 @@ def dominant_eigenpair(
 
     d >= n or no cap: the exact full-matrix closed form.  d = 2: radius
     4 cos^2(pi/(n+2)) and Perron entry sin((n+1-2k) pi/(n+2)) on the diagram
-    [n-k, k] (sum-normalised).  Otherwise: the power iteration.
+    [n-k, k] (sum-normalised).  Otherwise: the certified lanczos_perron.
     """
     basis = e.col_basis
     n, d = basis.n, basis.d
@@ -117,8 +192,9 @@ def dominant_eigenpair(
         x = [math.sin((2 * mu.rows[0] - n + 1) * math.pi / (n + 2)) for mu in basis]
         total = math.fsum(x)
         perron = tuple(v / total for v in x)
-        return SpectralResult(closed_form_d2(n)[0], basis, perron, 0, 0.0, "closed_d2")
-    return power_iteration(e, tol, max_iter)
+        radius = closed_form_d2(n)[0]
+        return SpectralResult(radius, basis, perron, 0, radius, radius, "closed_d2")
+    return lanczos_perron(e, tol, max_iter)
 
 
 def closed_form_full(basis: DiagramBasis) -> SpectralResult:
@@ -133,7 +209,7 @@ def closed_form_full(basis: DiagramBasis) -> SpectralResult:
     dims = [irrep_dim(mu) for mu in basis]
     total = sum(dims)
     perron = tuple(x / total for x in dims)
-    return SpectralResult(float(n), basis, perron, 0, 0.0, "closed_dgeN")
+    return SpectralResult(float(n), basis, perron, 0, float(n), float(n), "closed_dgeN")
 
 
 def closed_form_d2(n: int) -> list[float]:

@@ -26,7 +26,7 @@ from dpbt.protocol import (
     protocol_eigenvalues,
     sqrt_measurement_fidelity,
 )
-from dpbt.spectral import closed_form_spectrum, power_iteration
+from dpbt.spectral import closed_form_spectrum, lanczos_perron
 from dpbt.telemat import (
     incidence_edges,
     incidence_matrix,
@@ -60,9 +60,9 @@ def test_criterion_1_exact_spectrum_law():
 
 
 def test_criterion_2_maximal_eigenvalue():
-    """Power iteration reaches radius N with Perron vector ~ irrep dims, N = 2..10."""
+    """The Lanczos solver reaches radius N with Perron vector ~ irrep dims, N = 2..10."""
     for n in range(2, 11):
-        res = power_iteration(incidence_edges(n))
+        res = lanczos_perron(incidence_edges(n))
         assert abs(res.radius - n) < 1e-10, f"radius off at N={n}: {res.radius}"
         dims = [irrep_dim(mu) for mu in res.basis]
         total = sum(dims)
@@ -72,14 +72,14 @@ def test_criterion_2_maximal_eigenvalue():
 
 
 def test_criterion_3_qubit_closed_form():
-    """Power-iteration radius of the d=2 matrix equals 4cos^2(pi/(N+2)), N = 2..50."""
+    """Lanczos-solver radius of the d=2 matrix equals 4cos^2(pi/(N+2)), N = 2..50."""
     for n in range(2, 51):
-        res = power_iteration(incidence_edges(n, 2), tol=1e-12)
+        res = lanczos_perron(incidence_edges(n, 2), tol=1e-12)
         want = 4 * math.cos(math.pi / (n + 2)) ** 2
         assert abs(res.radius - want) < 1e-9, f"d=2 radius off at N={n}"
         fid = optimal_fidelity(incidence_edges(n, 2))
         assert abs(fid.fidelity - math.cos(math.pi / (n + 2)) ** 2) < 1e-9
-    report(3, "qubit cosine closed form matched by power iteration for N=2..50")
+    report(3, "qubit cosine closed form matched by the Lanczos solver for N=2..50")
 
 
 def test_criterion_4_gram_and_recursion():

@@ -104,6 +104,12 @@ class TestFidelityCommand:
         assert payload["f_opt"] == math.cos(math.pi / (n + 2)) ** 2
         assert payload["f_lower"] <= payload["f_sqrt_ent"] <= payload["f_opt"]
 
+    def test_product_budget_exhausted_exits_2(self):
+        code, out, err = invoke(["fidelity", "--ports", "100", "--dim", "3", "--max-iter", "50"])
+        assert code == 2 and out == ""
+        assert err.startswith("computation failed: no certified radius within 50 products")
+        assert "Traceback" not in err
+
     def test_deterministic_bytes(self):
         runs = {invoke(["fidelity", "--ports", "6", "--dim", "3"])[1] for _ in range(3)}
         assert len(runs) == 1
@@ -146,9 +152,17 @@ class TestSpectrumCommand:
         code, out, _ = invoke(["spectrum", "--ports", "6", "--dim", "3"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "power"
+        assert payload["method"] == "lanczos"
         assert payload["iterations"] > 0
         assert abs(sum(payload["perron"].values()) - 1) < 1e-12
+        lo, hi = payload["bracket"]
+        assert lo == payload["radius"] and hi - lo <= 1e-12 * hi
+        assert "residual" not in payload
+
+    def test_closed_forms_have_a_point_bracket(self):
+        for n, d in [(6, 2), (5, 5)]:
+            payload = json.loads(invoke(["spectrum", "--ports", str(n), "--dim", str(d)])[1])
+            assert payload["bracket"] == [payload["radius"], payload["radius"]]
 
 
 class TestPovmCommand:
@@ -279,6 +293,30 @@ class TestValidation:
         ):
             code, _, err = invoke(argv)
             assert code == 1 and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("verb", ["spectrum", "fidelity", "povm", "sweep"])
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--tol", "-1"), ("--tol", "0"), ("--tol", "1"), ("--tol", "nan"), ("--tol", "inf"),
+         ("--max-iter", "0"), ("--max-iter", "-3")],
+    )
+    def test_solver_options_out_of_range(self, verb, option, value):
+        cell = ["--ports", "30", "--dims", "3"] if verb == "sweep" else ["-N", "30", "-d", "3"]
+        code, out, err = invoke([verb, *cell, option, value])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {option} must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "-N", "5", "-d", "3"], ["fidelity", "-N", "5", "-d", "3"],
+         ["povm", "-N", "5", "-d", "3"], ["verify", "--oracle", "-N", "2", "-d", "2"]],
+    )
+    def test_json_only_verbs_refuse_csv_output(self, tmp_path, argv):
+        target = tmp_path / "out.CSV"
+        code, out, err = invoke([*argv, "-o", str(target)])
+        assert code == 1 and out == ""
+        assert f"{argv[0]} writes JSON only" in err
+        assert not target.exists()
 
     def test_help_exits_zero(self):
         # argparse prints help straight to stdout; run() maps the exit to 0

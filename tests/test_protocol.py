@@ -82,7 +82,7 @@ class TestOptimalFidelity:
     def test_method_dispatch(self):
         assert optimal_fidelity(incidence_edges(3, 4)).method == "closed_dgeN"
         assert optimal_fidelity(incidence_edges(5, 2)).method == "closed_d2"
-        assert optimal_fidelity(incidence_edges(5, 3)).method == "power"
+        assert optimal_fidelity(incidence_edges(5, 3)).method == "lanczos"
         assert optimal_fidelity(incidence_edges(2, 2)).method == "closed_dgeN"
 
     def test_validation(self):
@@ -287,12 +287,12 @@ class TestOrderingAndConsistency:
             prev = cur
 
     def test_three_paths_agree_in_full_regime(self):
-        from dpbt.spectral import power_iteration
+        from dpbt.spectral import lanczos_perron
 
         for n, d in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
             closed = optimal_fidelity(incidence_edges(n, d)).fidelity
             assert closed == n / d**2
-            iterated = power_iteration(incidence_edges(n, d)).radius / d**2
+            iterated = lanczos_perron(incidence_edges(n, d)).radius / d**2
             assert abs(iterated - closed) < 1e-10
 
 

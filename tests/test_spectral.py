@@ -1,56 +1,142 @@
-"""Spectral routes: power iteration vs closed forms; closed-form vs character spectrum."""
+"""Spectral routes: the certified Lanczos solver vs closed forms and eigvalsh;
+closed-form vs character spectrum."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dpbt.diagrams import enumerate_diagrams
 from dpbt.oracle import character_spectrum
+from dpbt.protocol import fidelity_row, sweep
 from dpbt.spectral import (
     PowerIterationError,
     closed_form_d2,
     closed_form_full,
     closed_form_spectrum,
     dominant_eigenpair,
-    power_iteration,
+    lanczos_perron,
 )
 from dpbt.telemat import incidence_edges, teleportation_matrix
 
 
 class TestPowerIteration:
     def test_full_matrix_radius(self):
-        res = power_iteration(incidence_edges(3), tol=1e-12)
+        res = lanczos_perron(incidence_edges(3), tol=1e-12)
         assert abs(res.radius - 3.0) < 1e-10
-        assert res.method == "power"
-        assert res.residual < 1e-12
+        assert res.method == "lanczos"
+        assert res.hi - res.lo <= 1e-12 * res.hi
 
     def test_golden_ratio_case(self):
-        res = power_iteration(incidence_edges(3, 2))
+        res = lanczos_perron(incidence_edges(3, 2))
         assert abs(res.radius - 4 * math.cos(math.pi / 5) ** 2) < 1e-9
 
     def test_one_by_one(self):
-        res = power_iteration(incidence_edges(1, 3))  # M_F(1) = [[1]]
+        res = lanczos_perron(incidence_edges(1, 3))  # M_F(1) = [[1]]
         assert res.radius == 1.0
         assert res.perron == (1.0,)
 
     def test_perron_properties(self):
         for n in range(2, 9):
             for d in range(2, n + 1):
-                res = power_iteration(incidence_edges(n, d))
+                res = lanczos_perron(incidence_edges(n, d))
                 assert all(x > 0 for x in res.perron)
                 assert abs(sum(res.perron) - 1.0) < 1e-12
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            power_iteration(incidence_edges(3), tol=0.0)
+            lanczos_perron(incidence_edges(3), tol=0.0)
+        for tol, max_iter in [(1.0, 10), (math.nan, 10), (1e-12, 0)]:
+            with pytest.raises(ValueError):
+                lanczos_perron(incidence_edges(3), tol=tol, max_iter=max_iter)
 
     def test_non_convergence_carries_last_iterate(self):
         with pytest.raises(PowerIterationError) as info:
-            power_iteration(incidence_edges(6, 3), tol=1e-15, max_iter=2)
+            lanczos_perron(incidence_edges(6, 3), tol=1e-15, max_iter=2)
         last = info.value.last
         assert last.iterations == 2
         assert len(last.perron) == len(enumerate_diagrams(6, 3))
+
+    def test_unattainable_tol_spends_the_budget_on_positive_steps(self):
+        # the Lanczos stage stops at LANCZOS_FLOOR, so the budget reaches the
+        # positive steps, which narrow the bracket to rounding level
+        with pytest.raises(PowerIterationError) as info:
+            lanczos_perron(incidence_edges(100, 3), tol=1e-30, max_iter=1000)
+        last = info.value.last
+        assert last.iterations == 1000 and min(last.perron) > 0
+        assert last.lo <= last.hi <= last.lo * (1 + 1e-14)
+
+
+def dense_mf(e):
+    """M_F = R^T R as a float matrix, from the dense 0/1 incidence matrix of e."""
+    r = np.zeros((len(e.row_basis), len(e.col_basis)))
+    r[e.parent, e.child] = 1.0
+    return r.T @ r
+
+
+# eigvalsh is itself accurate only to a few ulps: at (28, 3) it lies 1.7e-15
+# relative below the exact Rayleigh quotient of the solver's vector, which is a
+# rigorous lower bound.  Float references get this relative slack.
+ROUNDING = 1e-14
+
+SOLVER_CELLS = [(n, d) for d in (3, 4) for n in range(d + 1, 41)]
+
+
+class TestCertifiedBracket:
+    @pytest.mark.parametrize("n,d", SOLVER_CELLS)
+    def test_encloses_eigvalsh(self, n, d):
+        e = incidence_edges(n, d)
+        res = dominant_eigenpair(e)
+        top = np.linalg.eigvalsh(dense_mf(e))[-1]
+        assert res.method == "lanczos" and res.radius == res.lo
+        assert res.lo - ROUNDING * top <= top <= res.hi + ROUNDING * top
+        assert res.hi - res.lo <= 1e-12 * res.hi
+        assert abs(res.radius - top) <= 1e-13 * top
+        assert min(res.perron) > 0
+
+    @pytest.mark.parametrize("n,d", [(28, 3), (36, 4), (12, 5)])
+    def test_bracket_holds_in_exact_arithmetic(self, n, d):
+        # for the returned float vector w, the exact Rayleigh quotient and the
+        # exact largest ratio (M_F w)/w enclose the radius with no rounding
+        e = incidence_edges(n, d)
+        res = lanczos_perron(e)
+        w = [Fraction(x) for x in res.perron]
+        u = [Fraction(0)] * len(e.row_basis)
+        for i, j in zip(e.parent.tolist(), e.child.tolist()):
+            u[i] += w[j]
+        mw = [Fraction(0)] * len(w)
+        for i, j in zip(e.parent.tolist(), e.child.tolist()):
+            mw[j] += u[i]
+        lo = sum(a * b for a, b in zip(w, mw)) / sum(a * a for a in w)
+        hi = max(a / b for a, b in zip(mw, w))
+        assert hi - lo <= Fraction(1e-12) * hi
+        assert abs(Fraction(res.lo) - lo) <= Fraction(1e-15) * hi
+        assert abs(Fraction(res.hi) - hi) <= Fraction(1e-15) * hi
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_brackets_qubit_closed_form(self, n):
+        # lanczos_perron directly, bypassing the d = 2 closed form
+        res = lanczos_perron(incidence_edges(n, 2))
+        want = 4 * math.cos(math.pi / (n + 2)) ** 2
+        assert res.lo - ROUNDING * want <= want <= res.hi + ROUNDING * want
+        assert res.hi - res.lo <= 1e-12 * res.hi
+
+    def test_scale_regression_through_fidelity_row(self):
+        row = fidelity_row(300, 3)
+        res = lanczos_perron(incidence_edges(300, 3))
+        assert (row["method"], row["radius"], row["iterations"]) == (
+            "lanczos", res.radius, res.iterations
+        )
+        assert res.hi - res.lo <= 1e-12 * res.hi
+        assert row["f_lower"] <= row["f_sqrt_ent"] <= row["f_opt"]
+
+    def test_sweep_product_count(self):
+        # a deterministic cost guard: the power iteration needed 21159 products
+        rows = sweep(range(2, 41), [2, 3, 4])
+        solved = [r for r in rows if r["method"] == "lanczos"]
+        assert len(solved) == 73
+        assert sum(r["iterations"] for r in solved) < 8000
 
 
 class TestClosedForms:
@@ -98,7 +184,7 @@ class TestClosedForms:
 class TestAgreementAcrossRoutes:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_power_matches_closed_full(self, n):
-        res = power_iteration(incidence_edges(n))
+        res = lanczos_perron(incidence_edges(n))
         closed = closed_form_full(enumerate_diagrams(n))
         assert abs(res.radius - closed.radius) < 1e-9
         for a, b in zip(res.perron, closed.perron):
@@ -106,20 +192,20 @@ class TestAgreementAcrossRoutes:
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_power_matches_closed_d2(self, n):
-        res = power_iteration(incidence_edges(n, 2))
+        res = lanczos_perron(incidence_edges(n, 2))
         assert abs(res.radius - closed_form_d2(n)[0]) < 1e-9
 
     def test_radius_nondecreasing_in_d(self):
         for n in range(2, 9):
             radii = []
             for d in range(2, n + 1):
-                radii.append(power_iteration(incidence_edges(n, d)).radius)
+                radii.append(lanczos_perron(incidence_edges(n, d)).radius)
             for lo, hi in zip(radii, radii[1:]):
                 assert hi >= lo - 1e-10
 
     @pytest.mark.parametrize("n,d", [(30, 3), (20, 4), (12, 5)])
     def test_power_matches_eigvalsh(self, n, d):
-        res = power_iteration(incidence_edges(n, d))
+        res = lanczos_perron(incidence_edges(n, d))
         top = np.linalg.eigvalsh(teleportation_matrix(n, d).to_float())[-1]
         assert abs(res.radius - top) < 1e-9 * top
 
@@ -130,7 +216,7 @@ class TestDominantEigenpair:
         assert dominant_eigenpair(incidence_edges(4, 7)).method == "closed_dgeN"
         assert dominant_eigenpair(incidence_edges(5, 2)).method == "closed_d2"
         res = dominant_eigenpair(incidence_edges(6, 3))
-        assert res.method == "power" and res.iterations > 0
+        assert res.method == "lanczos" and res.iterations > 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_full_cell_at_any_cap(self, n):
