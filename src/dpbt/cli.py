@@ -31,6 +31,7 @@ from .protocol import fidelity_row, optimal_solution, sweep
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    LANCZOS_FLOOR,
     PowerIterationError,
     closed_form_d2,
     closed_form_spectrum,
@@ -75,7 +76,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def solver_options(p: _Parser) -> None:
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative bracket width, 0 < tol < 1")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative bracket width, 1e-14 <= tol < 1")
         p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="bound on products by M_F")
 
     def common(p: _Parser, solve: bool = True) -> None:
@@ -129,8 +130,8 @@ def _resolve_format(args) -> str:
 def _validate_options(args) -> None:
     """Reject solver options out of range, and a .csv path for JSON-only verbs."""
     if "tol" in args:
-        if not 0 < args.tol < 1:  # also rejects nan and inf
-            raise UsageError(f"--tol must be a finite number with 0 < tol < 1, got {args.tol}")
+        if not LANCZOS_FLOOR <= args.tol < 1:  # also rejects nan and inf
+            raise UsageError(f"--tol must be a number with {LANCZOS_FLOOR} <= tol < 1, got {args.tol}")
         if args.max_iter < 1:
             raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
     if "format" not in args and (args.output or "").lower().endswith(".csv"):

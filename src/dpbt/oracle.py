@@ -6,12 +6,14 @@ operators (index maps of that basis), Young projectors, the port operator and
 its eigenprojectors, the measurement operators, the optimal resource operator
 and the dual certificate.  Each formula is then checked by plain linear algebra;
 the character-table spectrum of the full teleportation matrix, in exact integers.
+run_checks builds each operator of one (N, d) once, in a DenseCell, and runs its
+29 checks on that cell.
 
 Operators grow as d^(N+1), so constructions are capped at DEFAULT_CAP = 1024, which
-covers (N,d) in {(2,2),(3,2),(4,2),(5,2),(6,2),(2,3),(3,3),(4,3),(2,4),(3,4)}.
-All operators are kept complex even though every one of them is real in this
-basis; the Hermiticity checks stay honest that way.  Eigensolves go through LAPACK
-(numpy.linalg.eigh), which shares no code with the fast spectral path.
+covers the ten DEFAULT_CHECK_CELLS.  Operators are plain numpy arrays, all kept
+complex even though every one of them is real in this basis; the Hermiticity
+checks stay honest that way.  Eigensolves go through LAPACK (numpy.linalg.eigh),
+which shares no code with the fast spectral path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .diagrams import (
     multiplicity,
 )
 from .protocol import (
+    OptimalSolution,
     general_povm_fidelity,
     optimal_fidelity,
     optimal_solution,
@@ -46,14 +48,15 @@ __all__ = [
     "DEFAULT_CAP",
     "DEFAULT_CHECK_CELLS",
     "CapExceededError",
-    "DenseOperator",
     "CheckResult",
+    "DenseCell",
     "permutation_operator",
     "transposition",
     "young_projector",
     "partial_transpose_last",
     "eta_operator",
     "f_projector",
+    "dense_cell",
     "direct_fidelity",
     "primal_constraint_check",
     "dual_witness_check",
@@ -63,9 +66,7 @@ __all__ = [
 
 DEFAULT_CAP = 1024
 
-# (4,3) and (6,2) fit the cap too but are slower: run_checks builds each eigenprojector
-# four times and each Young projector, from all N! permutations, on every call
-DEFAULT_CHECK_CELLS = ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4))
+DEFAULT_CHECK_CELLS = ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (6, 2))
 
 # bound on trace, eigenvalue and fidelity residuals; operator identities use 1e-10, 1e-12
 _TOL = 1e-8
@@ -73,24 +74,6 @@ _TOL = 1e-8
 
 class CapExceededError(RuntimeError):
     """Requested operator dimension d^k lies above DEFAULT_CAP."""
-
-
-@dataclass
-class DenseOperator:
-    """Dense complex operator on `systems` tensor factors of local dimension d."""
-
-    matrix: np.ndarray
-    d: int
-    systems: int
-
-    def __post_init__(self) -> None:
-        dim = self.d**self.systems
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape}, expected ({dim}, {dim})")
-
-    @property
-    def dim(self) -> int:
-        return self.d**self.systems
 
 
 def _require_cap(d: int, systems: int) -> None:
@@ -115,7 +98,7 @@ def _perm_index(perm: tuple[int, ...], d: int) -> np.ndarray:
     return np.arange(d**k).reshape((d,) * k).transpose(np.argsort(perm)).ravel()
 
 
-def permutation_operator(perm: tuple[int, ...], d: int) -> DenseOperator:
+def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     """0/1 operator permuting tensor factors.
 
     Factor i of the output carries what factor perm^{-1}(i) carried on input,
@@ -125,7 +108,7 @@ def permutation_operator(perm: tuple[int, ...], d: int) -> DenseOperator:
     if sorted(perm) != list(range(k)):
         raise ValueError(f"not a permutation of 0..{k - 1}: {perm}")
     _require_cap(d, k)
-    return DenseOperator(np.eye(d**k, dtype=complex)[_perm_index(perm, d)], d, k)
+    return np.eye(d**k, dtype=complex)[_perm_index(perm, d)]
 
 
 def _cycle_type_of(perm: tuple[int, ...]) -> CycleType:
@@ -145,7 +128,7 @@ def _cycle_type_of(perm: tuple[int, ...]) -> CycleType:
     return CycleType(tuple(parts))
 
 
-def young_projector(mu: YoungDiagram, d: int) -> DenseOperator:
+def young_projector(mu: YoungDiagram, d: int) -> np.ndarray:
     """Isotypic projector for mu on (C^d)^N: (dim_mu/N!) sum_s chi_mu(s) V(s).
 
     Characters of a class equal those of its inverses, so the class value is
@@ -155,25 +138,21 @@ def young_projector(mu: YoungDiagram, d: int) -> DenseOperator:
     n = mu.boxes
     _require_cap(d, n)
     if n == 0:
-        return DenseOperator(np.ones((1, 1), dtype=complex), d, 0)
+        return np.ones((1, 1), dtype=complex)
     dim = d**n
     chi = {c: character(mu, c) for c in cycle_types(n)}
     acc = np.zeros((dim, dim), dtype=complex)
     for perm in itertools.permutations(range(n)):
         acc[np.arange(dim), _perm_index(perm, d)] += chi[_cycle_type_of(perm)]
     acc *= irrep_dim(mu) / math.factorial(n)
-    return DenseOperator(acc, d, n)
+    return acc
 
 
-def _pt_last(mat: np.ndarray, d: int) -> np.ndarray:
+def partial_transpose_last(mat: np.ndarray, d: int) -> np.ndarray:
+    """Transpose applied to the last tensor factor (of dimension d) only."""
     dim = mat.shape[0]
     rest = dim // d
     return mat.reshape(rest, d, rest, d).transpose(0, 3, 2, 1).reshape(dim, dim)
-
-
-def partial_transpose_last(op: DenseOperator) -> DenseOperator:
-    """Transpose applied to the last tensor factor only."""
-    return DenseOperator(_pt_last(op.matrix, op.d), op.d, op.systems)
 
 
 def _trace_last(mat: np.ndarray, d: int) -> np.ndarray:
@@ -210,20 +189,19 @@ def _pt_swaps(n: int, d: int) -> list[np.ndarray]:
     teleported factor; port state a is the a-th one over d^N."""
     _require_cap(d, n + 1)
     eye = np.eye(d ** (n + 1), dtype=complex)
-    return [_pt_last(eye[_perm_index(transposition(a, n, n + 1), d)], d) for a in range(n)]
+    return [
+        partial_transpose_last(eye[_perm_index(transposition(a, n, n + 1), d)], d)
+        for a in range(n)
+    ]
 
 
-def eta_operator(n: int, d: int) -> DenseOperator:
+def eta_operator(n: int, d: int) -> np.ndarray:
     """Sum over ports of the last-factor partial transpose of the swap between
     port a and the teleported factor; Hermitian, d^N times the port state sum."""
-    return DenseOperator(sum(_pt_swaps(n, d)), d, n + 1)
+    return sum(_pt_swaps(n, d))
 
 
-def _sigma_operators(n: int, d: int) -> list[np.ndarray]:
-    return [s / d**n for s in _pt_swaps(n, d)]
-
-
-def f_projector(alpha: YoungDiagram, mu: YoungDiagram, d: int) -> DenseOperator:
+def f_projector(alpha: YoungDiagram, mu: YoungDiagram, d: int) -> np.ndarray:
     """Port-operator eigenprojector labelled by parent alpha and child mu.
 
     (1/gamma) P_mu [sum_a V(a,N) (P_alpha x Ptilde+) V(a,N)] P_mu, acting on
@@ -231,25 +209,61 @@ def f_projector(alpha: YoungDiagram, mu: YoungDiagram, d: int) -> DenseOperator:
     under the port operator.
     """
     n = mu.boxes
-    k = n + 1
     if alpha.boxes != n - 1 or mu not in add_box(alpha):
         raise ValueError(f"{mu.label()} does not grow from {alpha.label()} by one box")
-    _require_cap(d, k)
-    m_a = multiplicity(alpha, d)
-    m_m = multiplicity(mu, d)
-    if m_a == 0 or m_m == 0:
+    _require_cap(d, n + 1)
+    if multiplicity(alpha, d) == 0 or multiplicity(mu, d) == 0:
         raise ValueError(
             f"zero multiplicity at d={d} for {alpha.label()} -> {mu.label()}"
         )
-    gamma = Fraction(n * m_m * irrep_dim(alpha), m_a * irrep_dim(mu))
-    core = np.kron(young_projector(alpha, d).matrix, _ptilde_plus(d))
+    return _f_operator(alpha, mu, {nu: young_projector(nu, d) for nu in (alpha, mu)}, d)
+
+
+def _f_operator(alpha: YoungDiagram, mu: YoungDiagram, projectors: dict, d: int) -> np.ndarray:
+    """f_projector, reading P_alpha and P_mu from projectors."""
+    n = mu.boxes
+    gamma = n * multiplicity(mu, d) * irrep_dim(alpha) / (multiplicity(alpha, d) * irrep_dim(mu))
+    core = np.kron(projectors[alpha], _ptilde_plus(d))
     acc = np.zeros_like(core)
     for a in range(n):
         # V core V for the involution V = V(a, N-1)
-        idx = _perm_index(transposition(a, n - 1, k), d)
+        idx = _perm_index(transposition(a, n - 1, n + 1), d)
         acc += core[np.ix_(idx, idx)]
-    p_mu = _embed_front(young_projector(mu, d).matrix, d)
-    return DenseOperator((p_mu @ acc @ p_mu) / float(gamma), d, k)
+    p_mu = _embed_front(projectors[mu], d)
+    return (p_mu @ acc @ p_mu) / gamma
+
+
+@dataclass(frozen=True)
+class DenseCell:
+    """Every dense operator the checks at one (N, d) need, each built once.
+
+    projectors: the Young projector of every diagram of N (the vanishing ones
+    too) and of every diagram of N-1 with height <= d.  family: F_mu(alpha)
+    for each pair of the add_box(alpha, d) walk, parents in basis order and
+    children by descending rows.  sigmas: the port states.  solution: the
+    optimal POVM coefficients.
+    """
+
+    n: int
+    d: int
+    projectors: dict[YoungDiagram, np.ndarray]
+    family: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray]
+    sigmas: list[np.ndarray]
+    solution: OptimalSolution
+
+
+def dense_cell(n: int, d: int) -> DenseCell:
+    """The DenseCell of (N, d); CapExceededError above DEFAULT_CAP."""
+    _require_cap(d, n + 1)
+    parents = enumerate_diagrams(n - 1, d)
+    projectors = {mu: young_projector(mu, d) for mu in [*enumerate_diagrams(n), *parents]}
+    family = {
+        (alpha, mu): _f_operator(alpha, mu, projectors, d)
+        for alpha in parents
+        for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
+    }
+    sigmas = [s / d**n for s in _pt_swaps(n, d)]
+    return DenseCell(n, d, projectors, family, sigmas, optimal_solution(n, d))
 
 
 def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
@@ -259,84 +273,66 @@ def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarra
     return (v * inv) @ v.T
 
 
-def _optimal_povm_element(n: int, d: int) -> np.ndarray:
-    sol = optimal_solution(n, d)
-    dim = d ** (n + 1)
-    pi = np.zeros((dim, dim), dtype=complex)
-    for (alpha, mu), p in sorted(
-        sol.p_coeffs.items(), key=lambda kv: (kv[0][0].rows, kv[0][1].rows)
-    ):
-        pi += p * f_projector(alpha, mu, d).matrix
-    return pi
+def _optimal_povm_element(cell: DenseCell) -> np.ndarray:
+    """sum p_mu(alpha) F_mu(alpha) over the optimal coefficients the walk also has."""
+    coeffs = sorted(
+        cell.solution.p_coeffs.items(), key=lambda kv: (kv[0][0].rows, kv[0][1].rows)
+    )
+    return sum(p * cell.family[key] for key, p in coeffs if key in cell.family)
 
 
-def direct_fidelity(n: int, d: int, povm_spec: str) -> float:
+def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
     """Teleportation fidelity by direct traces against a constructed POVM family.
 
     povm_spec "sqrt_measurement" conjugates the port states by the inverse
     square root of their sum; "optimal" sandwiches them with the optimal
     projector combination.
     """
-    sigmas = _sigma_operators(n, d)
     if povm_spec == "sqrt_measurement":
-        rho = sum(sigmas)
-        isqrt = _pseudo_inverse_sqrt(rho)
-        povms = [isqrt @ s @ isqrt for s in sigmas]
+        isqrt = _pseudo_inverse_sqrt(sum(cell.sigmas))
+        povms = [isqrt @ s @ isqrt for s in cell.sigmas]
     elif povm_spec == "optimal":
-        pi = _optimal_povm_element(n, d)
-        povms = [pi @ s @ pi for s in sigmas]
+        pi = _optimal_povm_element(cell)
+        povms = [pi @ s @ pi for s in cell.sigmas]
     else:
         raise ValueError(f"unknown povm_spec {povm_spec!r}")
-    total = math.fsum(float(np.trace(p @ s).real) for p, s in zip(povms, sigmas))
-    return total / d**2
+    total = math.fsum(float(np.trace(p @ s).real) for p, s in zip(povms, cell.sigmas))
+    return total / cell.d**2
 
 
-def primal_constraint_check(n: int, d: int) -> dict[str, float]:
+def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
     """Feasibility of the optimal primal point.
 
     Returns the smallest eigenvalue of X_A (x) 1 - sum_a POVM_a (must be
     >= -tolerance) and the trace of X_A (must be d^N).
     """
-    sol = optimal_solution(n, d)
-    dim_a = d**n
-    x_a = np.zeros((dim_a, dim_a), dtype=complex)
-    for mu in sol.basis:
-        x_a += sol.c_coeffs[mu] * young_projector(mu, d).matrix
-    trace_xa = float(np.trace(x_a).real)
-    pi = _optimal_povm_element(n, d)
-    povm_sum = np.zeros((d ** (n + 1), d ** (n + 1)), dtype=complex)
-    for s in _sigma_operators(n, d):
-        povm_sum += pi @ s @ pi
-    slack = _embed_front(x_a, d) - povm_sum
-    w, _ = _eigh(slack)
-    return {"min_eig": float(w[0]), "trace_XA": trace_xa}
+    sol = cell.solution
+    x_a = sum(sol.c_coeffs[mu] * cell.projectors[mu] for mu in sol.basis)
+    pi = _optimal_povm_element(cell)
+    povm_sum = sum(pi @ s @ pi for s in cell.sigmas)
+    w, _ = _eigh(_embed_front(x_a, cell.d) - povm_sum)
+    return {"min_eig": float(w[0]), "trace_XA": float(np.trace(x_a).real)}
 
 
-def dual_witness_check(n: int, d: int) -> dict[str, float]:
+def dual_witness_check(cell: DenseCell) -> dict[str, float]:
     """Feasibility and objective of the dual certificate.
 
     Per-diagram weights t are the Perron entries; the certificate must
     dominate every port state, and d^(N-2) times the infinity norm of its
     last-factor partial trace reproduces the optimum radius / d^2.
     """
+    n, d = cell.n, cell.d
     eigenpair = dominant_eigenpair(incidence_edges(n, d))
     t = {mu: eigenpair.perron_entry(mu) for mu in eigenpair.basis}
-    dim = d ** (n + 1)
-    _require_cap(d, n + 1)
-    omega = np.zeros((dim, dim), dtype=complex)
-    for alpha in enumerate_diagrams(n - 1, d):
-        group = sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
-        t_sum = math.fsum(t[mu] for mu in group)
-        m_a = multiplicity(alpha, d)
-        for mu in group:
-            coeff = t_sum * multiplicity(mu, d) / (m_a * t[mu] * d**n)
-            omega += coeff * f_projector(alpha, mu, d).matrix
-    min_slack = math.inf
-    for s in _sigma_operators(n, d):
-        w, _ = _eigh(omega - s)
-        min_slack = min(min_slack, float(w[0]))
-    reduced = _trace_last(omega, d)
-    w, _ = _eigh(reduced)
+    omega = sum(
+        math.fsum(t[nu] for parent, nu in cell.family if parent == alpha)
+        * multiplicity(mu, d)
+        / (multiplicity(alpha, d) * t[mu] * d**n)
+        * f
+        for (alpha, mu), f in cell.family.items()
+    )
+    min_slack = min(float(_eigh(omega - s)[0][0]) for s in cell.sigmas)
+    w, _ = _eigh(_trace_last(omega, d))
     objective = d ** (n - 2) * float(np.abs(w).max())
     return {"min_slack": min_slack, "objective": objective}
 
@@ -383,7 +379,7 @@ def _norm_inf(mat: np.ndarray) -> float:
 def run_checks(n: int, d: int) -> list[CheckResult]:
     """Full verification battery at one (N, d); every formula the fast modules
     rely on is recomputed by dense linear algebra and compared."""
-    _require_cap(d, n + 1)
+    cell = dense_cell(n, d)
     checks: list[CheckResult] = []
     full_basis = enumerate_diagrams(n)
     dim_a = d**n
@@ -396,12 +392,12 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     for s in gens:
         for t in gens:
             st = tuple(s[t[i]] for i in range(n + 1))
-            lhs = permutation_operator(s, d).matrix @ permutation_operator(t, d).matrix
-            comp_res = max(comp_res, _norm_inf(lhs - permutation_operator(st, d).matrix))
+            lhs = permutation_operator(s, d) @ permutation_operator(t, d)
+            comp_res = max(comp_res, _norm_inf(lhs - permutation_operator(st, d)))
     checks.append(_check("perm_composition", comp_res, 1e-12))
 
     # Young projectors: resolution, idempotence, Hermiticity, traces, centrality
-    projectors = {mu: young_projector(mu, d).matrix for mu in full_basis}
+    projectors = {mu: cell.projectors[mu] for mu in full_basis}
     resolution = sum(projectors.values()) - np.eye(dim_a)
     checks.append(_check("young_resolution", _norm_inf(resolution), 1e-10))
     idem = max(_norm_inf(p @ p - p) for p in projectors.values())
@@ -423,7 +419,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("young_commute", commute, 1e-10))
 
     # port operator: Hermitian, PSD, exact eigenvalue multiset with multiplicities
-    eta = eta_operator(n, d).matrix
+    eta = d**n * sum(cell.sigmas)
     checks.append(_check("eta_hermitian", _norm_inf(eta - eta.conj().T), 1e-10))
     eigs_eta, _ = _eigh(eta)
     checks.append(_check("eta_psd", max(0.0, -float(eigs_eta[0])), 1e-10))
@@ -437,9 +433,12 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     eig_res = max(abs(a - b) for a, b in zip(actual, expected))
     checks.append(_check("eta_eigenvalues", eig_res, _TOL))
 
-    # eigenprojector family
-    fams = {(e.alpha, e.mu): f_projector(e.alpha, e.mu, d).matrix for e in eigen_labels}
-    gamma_of = {(e.alpha, e.mu): float(e.gamma) for e in eigen_labels}
+    # eigenprojector family on the oracle's walk; the gamma checks take the pairs
+    # that the fast edge list has too, and edge_pairs counts the others
+    fams = cell.family
+    gammas = {(e.alpha, e.mu): float(e.gamma) for e in eigen_labels}
+    checks.append(_check("edge_pairs", len(fams.keys() ^ gammas.keys()), 0.5))
+    gamma_of = {key: g for key, g in gammas.items() if key in fams}
     idem = max(_norm_inf(f @ f - f) for f in fams.values())
     checks.append(_check("f_idempotent", idem, 1e-10))
     herm = max(_norm_inf(f - f.conj().T) for f in fams.values())
@@ -449,9 +448,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
         for (alpha, mu), f in fams.items()
     )
     checks.append(_check("f_trace", f_trace_res, _TOL))
-    f_eig_res = max(
-        _norm_inf(eta @ f - gamma_of[key] * f) for key, f in fams.items()
-    )
+    f_eig_res = max(_norm_inf(eta @ fams[key] - g * fams[key]) for key, g in gamma_of.items())
     checks.append(_check("f_eigen", f_eig_res, 1e-10))
     ortho = 0.0
     keys = list(fams)
@@ -465,8 +462,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     inner_res = 0.0
     p_plus = _ptilde_plus(d) / d
     for (alpha, mu), f in fams.items():
-        p_alpha = young_projector(alpha, d).matrix
-        wall = np.kron(p_alpha, p_plus)
+        wall = np.kron(cell.projectors[alpha], p_plus)
         lhs = wall @ f @ wall
         rhs = (multiplicity(mu, d) / (d * multiplicity(alpha, d))) * wall
         inner_res = max(inner_res, _norm_inf(lhs - rhs))
@@ -482,27 +478,26 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("f_support_rank", abs(rank_eta - rank_expected), 0.5))
 
     # partial transpose is an involution and preserves traces
-    checks.append(
-        _check("pt_involution", _norm_inf(_pt_last(_pt_last(eta, d), d) - eta), 1e-12)
-    )
-    pt_trace = abs(float(np.trace(_pt_last(eta, d)).real - np.trace(eta).real))
+    pt = partial_transpose_last(eta, d)
+    checks.append(_check("pt_involution", _norm_inf(partial_transpose_last(pt, d) - eta), 1e-12))
+    pt_trace = abs(float(np.trace(pt).real - np.trace(eta).real))
     checks.append(_check("pt_trace", pt_trace, 1e-12))
 
     # the fidelity triangle
     f_sqrt_formula = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
-    f_sqrt_direct = direct_fidelity(n, d, "sqrt_measurement")
+    f_sqrt_direct = direct_fidelity(cell, "sqrt_measurement")
     checks.append(_check("fidelity_sqrt_direct", abs(f_sqrt_direct - f_sqrt_formula), _TOL))
     f_family = general_povm_fidelity(n, d, 1, 2)
     checks.append(_check("fidelity_povm_family", abs(f_family - f_sqrt_formula), 1e-12))
     opt = optimal_fidelity(incidence_edges(n, d))
-    f_opt_direct = direct_fidelity(n, d, "optimal")
+    f_opt_direct = direct_fidelity(cell, "optimal")
     checks.append(_check("fidelity_optimal_direct", abs(f_opt_direct - opt.fidelity), _TOL))
 
-    primal = primal_constraint_check(n, d)
+    primal = primal_constraint_check(cell)
     checks.append(_check("primal_min_eig", max(0.0, -primal["min_eig"]), _TOL))
     checks.append(_check("primal_trace", abs(primal["trace_XA"] - d**n), _TOL))
 
-    dual = dual_witness_check(n, d)
+    dual = dual_witness_check(cell)
     checks.append(_check("dual_min_slack", max(0.0, -dual["min_slack"]), _TOL))
     checks.append(_check("dual_objective", abs(dual["objective"] - opt.fidelity), _TOL))
     checks.append(_check("duality_gap", abs(f_opt_direct - dual["objective"]), _TOL))

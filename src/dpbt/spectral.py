@@ -33,11 +33,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
-# Smallest Lanczos target.  |beta_k s_k| first falls to O(eps) * radius when
+# Smallest accepted tol.  |beta_k s_k| first falls to O(eps) * radius when
 # the top Ritz pair converges; asked for less, the run goes on while ghost
 # copies of that Ritz value appear (k = 786 at (100, 3) with tol 1e-30, against
-# 122 at 1e-15), and the k x k tridiagonal grows with k.  The positive steps
-# then narrow the bracket below the floor.
+# 122 at 1e-15), and a bracket much narrower than this is out of reach in double
+# precision: at tol 1e-16, (100, 3) spent 10^6 products at rounding level.
 LANCZOS_FLOOR = 1e-14
 
 
@@ -84,7 +84,7 @@ def lanczos_perron(
     Every product M_F w = R^T (R w) is two gathers over e.  Three stages:
     1. Lanczos from the normalised uniform vector (three-term recurrence, no
        reorthogonalisation) until the top Ritz pair (theta, s) of the k x k
-       tridiagonal has |beta_k s_k| < max(tol, LANCZOS_FLOOR) theta, checked
+       tridiagonal has |beta_k s_k| < tol theta, checked
        every max(5, k // 8) steps;
     2. the Ritz vector x = sum_j s_j q_j, regenerated by running the same
        recurrence again, so memory stays O(size) (Parlett, The Symmetric
@@ -96,10 +96,11 @@ def lanczos_perron(
        max r enclose the radius; the Lanczos stages only supply a start
        whose tail the positive steps make accurate entry by entry.
     max_iter bounds the products of all three stages; running out raises
-    PowerIterationError with the last positive iterate.
+    PowerIterationError with the last positive iterate; tol below LANCZOS_FLOOR
+    is a ValueError.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
+    if not LANCZOS_FLOOR <= tol < 1:
+        raise ValueError(f"tol must satisfy {LANCZOS_FLOOR} <= tol < 1, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rows, size = len(e.row_basis), len(e.col_basis)
@@ -129,7 +130,7 @@ def lanczos_perron(
     q_prev, q, b = np.zeros(size), start, 0.0
     alphas: list[float] = []
     betas: list[float] = []
-    check, amax, target = 5, 0.0, max(tol, LANCZOS_FLOOR)
+    check, amax = 5, 0.0
     while True:
         mq = matvec(q)
         if last is None:
@@ -140,11 +141,11 @@ def lanczos_perron(
         alphas.append(a)
         amax = max(amax, a)
         k = len(alphas)
-        if k == check or b < target * amax:  # theta >= max alpha: converged
+        if k == check or b < tol * amax:  # theta >= max alpha: converged
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             theta, s = np.linalg.eigh(t)
             theta, s = theta[-1], s[:, -1]
-            if abs(b * s[-1]) < target * theta:
+            if abs(b * s[-1]) < tol * theta:
                 break
             check = k + max(5, k // 8)
         betas.append(b)

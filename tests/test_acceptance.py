@@ -14,6 +14,7 @@ from dpbt.characters import cycle_types
 from dpbt.diagrams import irrep_dim, multiplicity
 from dpbt.oracle import (
     character_spectrum,
+    dense_cell,
     direct_fidelity,
     dual_witness_check,
     eta_operator,
@@ -111,7 +112,7 @@ def test_criterion_5_oracle_strong_duality():
     start = time.time()
     for n, d in ORACLE_CELLS:
         dim = d ** (n + 1)
-        eta = eta_operator(n, d).matrix
+        eta = eta_operator(n, d)
         w = np.linalg.eigvalsh(eta.real)
         expected = []
         for e in protocol_eigenvalues(n, d):
@@ -122,14 +123,15 @@ def test_criterion_5_oracle_strong_duality():
         assert gap < 1e-8, f"eta eigenvalues off at ({n},{d}): {gap}"
 
         radius_fid = optimal_fidelity(incidence_edges(n, d)).fidelity
-        primal_fid = direct_fidelity(n, d, "optimal")
+        cell = dense_cell(n, d)
+        primal_fid = direct_fidelity(cell, "optimal")
         assert abs(primal_fid - radius_fid) < 1e-8, f"primal fidelity off at ({n},{d})"
 
-        primal = primal_constraint_check(n, d)
+        primal = primal_constraint_check(cell)
         assert primal["min_eig"] >= -1e-8, f"primal infeasible at ({n},{d})"
         assert abs(primal["trace_XA"] - d**n) < 1e-8, f"trace constraint off at ({n},{d})"
 
-        dual = dual_witness_check(n, d)
+        dual = dual_witness_check(cell)
         assert dual["min_slack"] >= -1e-8, f"dual infeasible at ({n},{d})"
         assert abs(dual["objective"] - radius_fid) < 1e-8, f"dual objective off at ({n},{d})"
     elapsed = time.time() - start
@@ -143,7 +145,7 @@ def test_criterion_6_square_root_measurement_recovery():
         family = general_povm_fidelity(n, d, 1, 2)
         formula = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         assert abs(family - formula) < 1e-12, f"family vs formula at ({n},{d})"
-        direct = direct_fidelity(n, d, "sqrt_measurement")
+        direct = direct_fidelity(dense_cell(n, d), "sqrt_measurement")
         assert abs(family - direct) < 1e-8, f"family vs dense oracle at ({n},{d})"
     assert abs(
         general_povm_fidelity(2, 2, 1, 2) - (math.sqrt(3) + 1) ** 2 / 16

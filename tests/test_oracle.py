@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from dpbt.diagrams import (
 )
 from dpbt.oracle import (
     CapExceededError,
-    DenseOperator,
     character_spectrum,
+    dense_cell,
     direct_fidelity,
     dual_witness_check,
     eta_operator,
@@ -33,10 +34,6 @@ from dpbt.protocol import optimal_fidelity, protocol_eigenvalues, sqrt_measureme
 from dpbt.telemat import incidence_edges
 
 GOLDEN = math.cos(math.pi / 5) ** 2
-
-
-def mx(op: DenseOperator) -> np.ndarray:
-    return op.matrix
 
 
 def digit_permutation_matrix(perm, d):
@@ -56,17 +53,17 @@ class TestPermutationOperator:
     def test_matches_digit_reference(self, k, d):
         for perm in itertools.permutations(range(k)):
             want = digit_permutation_matrix(perm, d)
-            assert np.array_equal(mx(permutation_operator(perm, d)), want), perm
+            assert np.array_equal(permutation_operator(perm, d), want), perm
 
     def test_identity(self):
         v = permutation_operator((0, 1, 2), 2)
-        assert np.array_equal(mx(v), np.eye(8))
+        assert np.array_equal(v, np.eye(8))
 
     def test_swap(self):
         v = permutation_operator((1, 0), 2)
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1
-        assert np.array_equal(mx(v).real, swap)
+        assert np.array_equal(v.real, swap)
 
     def test_composition_three_cycle(self):
         # applying (2 3) then (1 2) equals the 3-cycle 1->2->3->1
@@ -74,12 +71,12 @@ class TestPermutationOperator:
         t = (0, 2, 1)
         st = tuple(s[t[i]] for i in range(3))
         assert st == (1, 2, 0)
-        lhs = mx(permutation_operator(s, 2)) @ mx(permutation_operator(t, 2))
-        assert np.array_equal(lhs, mx(permutation_operator(st, 2)))
+        lhs = permutation_operator(s, 2) @ permutation_operator(t, 2)
+        assert np.array_equal(lhs, permutation_operator(st, 2))
 
     def test_unitary_and_inverse(self):
         perm = (2, 0, 1)
-        v = mx(permutation_operator(perm, 3))
+        v = permutation_operator(perm, 3)
         assert np.allclose(v @ v.conj().T, np.eye(27))
 
     def test_rejects_bad_input(self):
@@ -91,8 +88,8 @@ class TestPermutationOperator:
 
 class TestYoungProjector:
     def test_symmetric_and_antisymmetric_qubits(self):
-        sym = mx(young_projector(YoungDiagram((2,)), 2))
-        anti = mx(young_projector(YoungDiagram((1, 1)), 2))
+        sym = young_projector(YoungDiagram((2,)), 2)
+        anti = young_projector(YoungDiagram((1, 1)), 2)
         assert abs(np.trace(sym).real - 3) < 1e-12
         assert abs(np.trace(anti).real - 1) < 1e-12
         assert np.allclose(sym + anti, np.eye(4), atol=1e-12)
@@ -102,66 +99,66 @@ class TestYoungProjector:
     def test_resolution_with_vanishing_projector(self):
         # the height-3 diagram contributes the zero operator at d=2
         total = sum(
-            mx(young_projector(mu, 2)) for mu in enumerate_diagrams(3)
+            young_projector(mu, 2) for mu in enumerate_diagrams(3)
         )
         assert np.allclose(total, np.eye(8), atol=1e-12)
-        tall = mx(young_projector(YoungDiagram((1, 1, 1)), 2))
+        tall = young_projector(YoungDiagram((1, 1, 1)), 2)
         assert np.allclose(tall, 0, atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_idempotent_hermitian_trace(self, n, d):
         for mu in enumerate_diagrams(n):
-            p = mx(young_projector(mu, d))
+            p = young_projector(mu, d)
             assert np.allclose(p @ p, p, atol=1e-10)
             assert np.allclose(p, p.conj().T, atol=1e-12)
             assert abs(np.trace(p).real - irrep_dim(mu) * multiplicity(mu, d)) < 1e-10
 
     def test_empty_diagram(self):
         p = young_projector(EMPTY_DIAGRAM, 3)
-        assert p.matrix.shape == (1, 1) and p.matrix[0, 0] == 1
+        assert p.shape == (1, 1) and p[0, 0] == 1
 
 
 class TestPartialTranspose:
     def test_involution_and_trace(self):
         eta = eta_operator(3, 2)
-        pt = partial_transpose_last(eta)
-        back = partial_transpose_last(pt)
-        assert np.allclose(back.matrix, eta.matrix, atol=1e-15)
-        assert abs(np.trace(pt.matrix) - np.trace(eta.matrix)) < 1e-12
+        pt = partial_transpose_last(eta, 2)
+        back = partial_transpose_last(pt, 2)
+        assert np.allclose(back, eta, atol=1e-15)
+        assert abs(np.trace(pt) - np.trace(eta)) < 1e-12
 
     def test_known_swap_transpose(self):
         swap = permutation_operator((1, 0), 2)
-        pt = partial_transpose_last(swap)
+        pt = partial_transpose_last(swap, 2)
         # the partially transposed swap is the unnormalised entangled projector
         expect = np.zeros((4, 4))
         expect[0, 0] = expect[3, 3] = expect[0, 3] = expect[3, 0] = 1
-        assert np.allclose(pt.matrix.real, expect, atol=1e-15)
+        assert np.allclose(pt.real, expect, atol=1e-15)
 
 
 class TestEtaOperator:
     def test_two_ports_qubits(self):
         eta = eta_operator(2, 2)
-        assert eta.matrix.shape == (8, 8)
-        assert abs(np.trace(eta.matrix).real - 8) < 1e-12
-        eigs = np.linalg.eigvalsh(eta.matrix.real)
+        assert eta.shape == (8, 8)
+        assert abs(np.trace(eta).real - 8) < 1e-12
+        eigs = np.linalg.eigvalsh(eta.real)
         top = sorted(eigs, reverse=True)
         assert np.allclose(top[:4], [3, 3, 1, 1], atol=1e-10)
         assert np.allclose(top[4:], 0, atol=1e-10)
 
     def test_single_port(self):
         eta = eta_operator(1, 2)
-        eigs = sorted(np.linalg.eigvalsh(eta.matrix.real), reverse=True)
+        eigs = sorted(np.linalg.eigvalsh(eta.real), reverse=True)
         assert np.allclose(eigs, [2, 0, 0, 0], atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
     def test_psd_and_hermitian(self, n, d):
-        eta = eta_operator(n, d).matrix
+        eta = eta_operator(n, d)
         assert np.allclose(eta, eta.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(eta.real).min() > -1e-10
 
     def test_eigenvalues_match_gamma_with_multiplicity(self):
         n, d = 3, 2
-        eta = eta_operator(n, d).matrix
+        eta = eta_operator(n, d)
         expected = []
         for e in protocol_eigenvalues(n, d):
             expected += [float(e.gamma)] * (irrep_dim(e.mu) * multiplicity(e.alpha, d))
@@ -173,15 +170,15 @@ class TestEtaOperator:
 class TestFProjector:
     def test_two_ports_symmetric(self):
         alpha, mu = YoungDiagram((1,)), YoungDiagram((2,))
-        f = mx(f_projector(alpha, mu, 2))
+        f = f_projector(alpha, mu, 2)
         assert abs(np.trace(f).real - 2) < 1e-10  # d_mu * m_alpha = 1 * 2
-        eta = mx(eta_operator(2, 2))
+        eta = eta_operator(2, 2)
         assert np.allclose(eta @ f, 3 * f, atol=1e-10)
 
     def test_family_orthogonal_projectors(self):
         n, d = 3, 2
         fams = {
-            (e.alpha, e.mu): mx(f_projector(e.alpha, e.mu, d))
+            (e.alpha, e.mu): f_projector(e.alpha, e.mu, d)
             for e in protocol_eigenvalues(n, d)
         }
         keys = list(fams)
@@ -193,18 +190,18 @@ class TestFProjector:
 
     def test_reconstruction(self):
         for n, d in [(2, 2), (3, 2), (2, 3)]:
-            eta = mx(eta_operator(n, d))
+            eta = eta_operator(n, d)
             recon = np.zeros_like(eta)
             for e in protocol_eigenvalues(n, d):
-                recon += float(e.gamma) * mx(f_projector(e.alpha, e.mu, d))
+                recon += float(e.gamma) * f_projector(e.alpha, e.mu, d)
             assert np.abs(recon - eta).max() < 1e-9
 
     def test_inner_product_identity(self):
         # sandwiching by P_alpha (x) P+ rescales the projector by m_mu/(d m_alpha)
         n, d = 2, 2
         for e in protocol_eigenvalues(n, d):
-            f = mx(f_projector(e.alpha, e.mu, d))
-            p_alpha = mx(young_projector(e.alpha, d))
+            f = f_projector(e.alpha, e.mu, d)
+            p_alpha = young_projector(e.alpha, d)
             p_plus = np.zeros((4, 4))
             for i in range(2):
                 for j in range(2):
@@ -223,50 +220,51 @@ class TestFProjector:
 
 class TestDirectFidelity:
     def test_sqrt_measurement_values(self):
-        got = direct_fidelity(2, 2, "sqrt_measurement")
+        got = direct_fidelity(dense_cell(2, 2), "sqrt_measurement")
         assert abs(got - (math.sqrt(3) + 1) ** 2 / 16) < 1e-8
-        got32 = direct_fidelity(3, 2, "sqrt_measurement")
+        got32 = direct_fidelity(dense_cell(3, 2), "sqrt_measurement")
         assert abs(got32 - sqrt_measurement_fidelity(incidence_edges(3, 2)).fidelity) < 1e-8
 
     def test_optimal_values(self):
-        assert abs(direct_fidelity(2, 2, "optimal") - 0.5) < 1e-8
-        assert abs(direct_fidelity(3, 2, "optimal") - GOLDEN) < 1e-8
+        assert abs(direct_fidelity(dense_cell(2, 2), "optimal") - 0.5) < 1e-8
+        assert abs(direct_fidelity(dense_cell(3, 2), "optimal") - GOLDEN) < 1e-8
 
     def test_single_port_degenerate(self):
         for d in (2, 3):
-            assert abs(direct_fidelity(1, d, "sqrt_measurement") - 1 / d**2) < 1e-8
+            assert abs(direct_fidelity(dense_cell(1, d), "sqrt_measurement") - 1 / d**2) < 1e-8
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
-            direct_fidelity(2, 2, "bogus")
+            direct_fidelity(dense_cell(2, 2), "bogus")
 
 
 class TestSdpChecks:
     def test_primal_2_2(self):
-        res = primal_constraint_check(2, 2)
+        res = primal_constraint_check(dense_cell(2, 2))
         assert res["min_eig"] >= -1e-8
         assert abs(res["trace_XA"] - 4) < 1e-8
 
     def test_primal_3_2_and_3_3(self):
-        res = primal_constraint_check(3, 2)
+        res = primal_constraint_check(dense_cell(3, 2))
         assert res["min_eig"] >= -1e-8
         assert abs(res["trace_XA"] - 8) < 1e-8
-        res33 = primal_constraint_check(3, 3)
+        res33 = primal_constraint_check(dense_cell(3, 3))
         assert abs(res33["trace_XA"] - 27) < 1e-8
 
     def test_dual_values(self):
-        res = dual_witness_check(2, 2)
+        res = dual_witness_check(dense_cell(2, 2))
         assert res["min_slack"] >= -1e-8
         assert abs(res["objective"] - 0.5) < 1e-8
-        res32 = dual_witness_check(3, 2)
+        res32 = dual_witness_check(dense_cell(3, 2))
         assert abs(res32["objective"] - GOLDEN) < 1e-8
-        res33 = dual_witness_check(3, 3)
+        res33 = dual_witness_check(dense_cell(3, 3))
         assert abs(res33["objective"] - 1 / 3) < 1e-8
 
     def test_strong_duality_triangle_small(self):
         for n, d in [(2, 2), (2, 3)]:
-            primal = direct_fidelity(n, d, "optimal")
-            dual = dual_witness_check(n, d)["objective"]
+            cell = dense_cell(n, d)
+            primal = direct_fidelity(cell, "optimal")
+            dual = dual_witness_check(cell)["objective"]
             radius = optimal_fidelity(incidence_edges(n, d)).fidelity
             assert abs(primal - radius) < 1e-8
             assert abs(dual - radius) < 1e-8
@@ -282,6 +280,37 @@ class TestRunChecks:
     def test_cap_respected(self):
         with pytest.raises(CapExceededError):
             run_checks(10, 2)
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (4, 2)])
+    def test_each_operator_built_once(self, monkeypatch, n, d):
+        calls = Counter()
+
+        def count(name):
+            real = getattr(oracle, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, counted)
+
+        for name in ("young_projector", "_f_operator", "optimal_solution"):
+            count(name)
+        run_checks(n, d)
+        parents = enumerate_diagrams(n - 1, d)
+        assert calls == {
+            "young_projector": len(enumerate_diagrams(n)) + len(parents),
+            "_f_operator": sum(len(add_box(alpha, d)) for alpha in parents),
+            "optimal_solution": 1,
+        }
+
+    def test_edge_list_disagreement_is_a_failed_check(self, monkeypatch):
+        real = oracle.protocol_eigenvalues
+        monkeypatch.setattr(oracle, "protocol_eigenvalues", lambda n, d: real(n, d)[1:])
+        results = {r.name: r for r in run_checks(3, 2)}
+        assert len(results) == 29
+        assert results["edge_pairs"].residual == 1 and not results["edge_pairs"].passed
+        assert results["f_idempotent"].passed and results["dual_objective"].passed
 
 
 class TestCharacterSpectrum:

@@ -11,6 +11,7 @@ from dpbt.diagrams import enumerate_diagrams
 from dpbt.oracle import character_spectrum
 from dpbt.protocol import fidelity_row, sweep
 from dpbt.spectral import (
+    LANCZOS_FLOOR,
     PowerIterationError,
     closed_form_d2,
     closed_form_full,
@@ -47,24 +48,25 @@ class TestPowerIteration:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             lanczos_perron(incidence_edges(3), tol=0.0)
-        for tol, max_iter in [(1.0, 10), (math.nan, 10), (1e-12, 0)]:
+        for tol, max_iter in [(1.0, 10), (math.nan, 10), (1e-12, 0), (LANCZOS_FLOOR / 2, 10)]:
             with pytest.raises(ValueError):
                 lanczos_perron(incidence_edges(3), tol=tol, max_iter=max_iter)
 
     def test_non_convergence_carries_last_iterate(self):
         with pytest.raises(PowerIterationError) as info:
-            lanczos_perron(incidence_edges(6, 3), tol=1e-15, max_iter=2)
+            lanczos_perron(incidence_edges(6, 3), tol=LANCZOS_FLOOR, max_iter=2)
         last = info.value.last
         assert last.iterations == 2
         assert len(last.perron) == len(enumerate_diagrams(6, 3))
 
     def test_unattainable_tol_spends_the_budget_on_positive_steps(self):
-        # the Lanczos stage stops at LANCZOS_FLOOR, so the budget reaches the
-        # positive steps, which narrow the bracket to rounding level
+        # at the smallest tol the two Lanczos passes take 243 products at (100, 3)
+        # and the positive steps finish at 276; a budget of 265 runs out among
+        # the positive steps, which have already narrowed [lo, hi] to rounding level
         with pytest.raises(PowerIterationError) as info:
-            lanczos_perron(incidence_edges(100, 3), tol=1e-30, max_iter=1000)
+            lanczos_perron(incidence_edges(100, 3), tol=LANCZOS_FLOOR, max_iter=265)
         last = info.value.last
-        assert last.iterations == 1000 and min(last.perron) > 0
+        assert last.iterations == 265 and min(last.perron) > 0
         assert last.lo <= last.hi <= last.lo * (1 + 1e-14)
 
 
