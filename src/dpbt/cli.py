@@ -3,14 +3,15 @@ verification and sweeps, emitted as deterministic JSON or CSV.
 
 Exit codes: 0 success, 1 validation error (usage on stderr; also a matrix above
 MAX_MATRIX_ENTRIES, a solver option out of range, or a .csv output path for a
-JSON-only verb) or stdout closed by its reader (no traceback), 2 computation
-failure (no certified radius within --max-iter, cap exceeded, failed
-verification).
+JSON-only verb), an -o path that cannot be opened (one error line, no usage)
+or stdout closed by its reader (no traceback), 2 computation failure (no
+certified radius within --max-iter, cap exceeded, failed verification).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -63,6 +64,10 @@ MAX_MATRIX_ENTRIES = 10**7
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """The -o path cannot be opened for writing."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,15 +177,15 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def _emit(text: str, path: str | None, out) -> None:
-    if path is None:
+    with contextlib.ExitStack() as stack:
+        if path is not None:
+            try:
+                out = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            except OSError as exc:
+                raise OutputError(f"cannot write {path}: {exc.strerror}") from None
         out.write(text)
         if not text.endswith("\n"):
             out.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _json(payload: dict) -> str:
@@ -246,7 +251,7 @@ def _cmd_fidelity(args, out) -> int:
 
 def _cmd_povm(args, out) -> int:
     _validate_nd(args.ports, args.dim)
-    sol = optimal_solution(args.ports, args.dim, tol=args.tol, max_iter=args.max_iter)
+    sol = optimal_solution(incidence_edges(args.ports, args.dim), args.tol, args.max_iter)
     payload = {
         "version": __version__,
         "N": sol.n,
@@ -345,6 +350,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     except UsageError as exc:
         err.write(f"error: {exc}\n")
         err.write(parser.format_usage())
+        return 1
+    except OutputError as exc:
+        err.write(f"error: {exc}\n")
         return 1
     except (PowerIterationError, CapExceededError, ArithmeticError) as exc:
         err.write(f"computation failed: {exc}\n")

@@ -6,8 +6,8 @@ operators (index maps of that basis), Young projectors, the port operator and
 its eigenprojectors, the measurement operators, the optimal resource operator
 and the dual certificate.  Each formula is then checked by plain linear algebra;
 the character-table spectrum of the full teleportation matrix, in exact integers.
-run_checks builds each operator of one (N, d) once, in a DenseCell, and runs its
-29 checks on that cell.
+run_checks builds each operator of one (N, d) once, in a DenseCell that also
+holds the fast path's one edge list, and runs its 29 checks on that cell.
 
 Operators grow as d^(N+1), so constructions are capped at DEFAULT_CAP = 1024, which
 covers the ten DEFAULT_CHECK_CELLS.  Operators are plain numpy arrays, all kept
@@ -41,8 +41,8 @@ from .protocol import (
     protocol_eigenvalues,
     sqrt_measurement_fidelity,
 )
-from .spectral import closed_form_spectrum, dominant_eigenpair
-from .telemat import incidence_edges
+from .spectral import closed_form_spectrum
+from .telemat import IncidenceEdges, incidence_edges
 
 __all__ = [
     "DEFAULT_CAP",
@@ -128,6 +128,15 @@ def _cycle_type_of(perm: tuple[int, ...]) -> CycleType:
     return CycleType(tuple(parts))
 
 
+def _perm_table(n: int, d: int) -> list[tuple[np.ndarray, CycleType]]:
+    """(index map on n factors, cycle type) of every permutation of S_n, in
+    itertools.permutations order."""
+    return [
+        (_perm_index(perm, d), _cycle_type_of(perm))
+        for perm in itertools.permutations(range(n))
+    ]
+
+
 def young_projector(mu: YoungDiagram, d: int) -> np.ndarray:
     """Isotypic projector for mu on (C^d)^N: (dim_mu/N!) sum_s chi_mu(s) V(s).
 
@@ -135,15 +144,23 @@ def young_projector(mu: YoungDiagram, d: int) -> np.ndarray:
     used directly.  Idempotent and Hermitian with trace d_mu * m_mu; the zero
     operator when the diagram is taller than d.
     """
+    _require_cap(d, mu.boxes)
+    return _young_projector(mu, d, _perm_table(mu.boxes, d))
+
+
+def _young_projector(
+    mu: YoungDiagram, d: int, table: list[tuple[np.ndarray, CycleType]]
+) -> np.ndarray:
+    """young_projector, summing over table, the _perm_table of S_N."""
     n = mu.boxes
-    _require_cap(d, n)
     if n == 0:
         return np.ones((1, 1), dtype=complex)
     dim = d**n
     chi = {c: character(mu, c) for c in cycle_types(n)}
     acc = np.zeros((dim, dim), dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        acc[np.arange(dim), _perm_index(perm, d)] += chi[_cycle_type_of(perm)]
+    rows = np.arange(dim)
+    for idx, ctype in table:
+        acc[rows, idx] += chi[ctype]
     acc *= irrep_dim(mu) / math.factorial(n)
     return acc
 
@@ -235,35 +252,51 @@ def _f_operator(alpha: YoungDiagram, mu: YoungDiagram, projectors: dict, d: int)
 
 @dataclass(frozen=True)
 class DenseCell:
-    """Every dense operator the checks at one (N, d) need, each built once.
+    """Every operator and fast-path input the checks at one (N, d) need, each
+    built once.
 
-    projectors: the Young projector of every diagram of N (the vanishing ones
-    too) and of every diagram of N-1 with height <= d.  family: F_mu(alpha)
-    for each pair of the add_box(alpha, d) walk, parents in basis order and
-    children by descending rows.  sigmas: the port states.  solution: the
-    optimal POVM coefficients.
+    edges: the fast path's edge list, incidence_edges(N, d), which every
+    protocol call of the checks takes.  perms: the index map of every
+    permutation of the N ports, in itertools.permutations order.  projectors:
+    the Young projector of every diagram of N (the vanishing ones too) and of
+    every diagram of N-1 with height <= d.  family: F_mu(alpha) for each pair
+    of the add_box(alpha, d) walk, parents in basis order and children by
+    descending rows.  sigmas: the port states.  solution: the optimal POVM
+    coefficients and the Perron vector v.  povm: the optimal POVM element
+    sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.
     """
 
     n: int
     d: int
+    edges: IncidenceEdges
+    perms: list[np.ndarray]
     projectors: dict[YoungDiagram, np.ndarray]
     family: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray]
     sigmas: list[np.ndarray]
     solution: OptimalSolution
+    povm: np.ndarray
 
 
 def dense_cell(n: int, d: int) -> DenseCell:
     """The DenseCell of (N, d); CapExceededError above DEFAULT_CAP."""
     _require_cap(d, n + 1)
+    edges = incidence_edges(n, d)
     parents = enumerate_diagrams(n - 1, d)
-    projectors = {mu: young_projector(mu, d) for mu in [*enumerate_diagrams(n), *parents]}
+    table, sub_table = _perm_table(n, d), _perm_table(n - 1, d)
+    projectors = {mu: _young_projector(mu, d, table) for mu in enumerate_diagrams(n)}
+    projectors.update({mu: _young_projector(mu, d, sub_table) for mu in parents})
     family = {
         (alpha, mu): _f_operator(alpha, mu, projectors, d)
         for alpha in parents
         for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
     }
     sigmas = [s / d**n for s in _pt_swaps(n, d)]
-    return DenseCell(n, d, projectors, family, sigmas, optimal_solution(n, d))
+    solution = optimal_solution(edges)
+    coeffs = sorted(solution.p_coeffs.items(), key=lambda kv: (kv[0][0].rows, kv[0][1].rows))
+    povm = sum(p * family[key] for key, p in coeffs if key in family)
+    return DenseCell(
+        n, d, edges, [idx for idx, _ in table], projectors, family, sigmas, solution, povm
+    )
 
 
 def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
@@ -271,14 +304,6 @@ def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarra
     w, v = _eigh(mat)
     inv = np.where(w > threshold, 1.0 / np.sqrt(np.maximum(w, threshold)), 0.0)
     return (v * inv) @ v.T
-
-
-def _optimal_povm_element(cell: DenseCell) -> np.ndarray:
-    """sum p_mu(alpha) F_mu(alpha) over the optimal coefficients the walk also has."""
-    coeffs = sorted(
-        cell.solution.p_coeffs.items(), key=lambda kv: (kv[0][0].rows, kv[0][1].rows)
-    )
-    return sum(p * cell.family[key] for key, p in coeffs if key in cell.family)
 
 
 def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
@@ -292,8 +317,7 @@ def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
         isqrt = _pseudo_inverse_sqrt(sum(cell.sigmas))
         povms = [isqrt @ s @ isqrt for s in cell.sigmas]
     elif povm_spec == "optimal":
-        pi = _optimal_povm_element(cell)
-        povms = [pi @ s @ pi for s in cell.sigmas]
+        povms = [cell.povm @ s @ cell.povm for s in cell.sigmas]
     else:
         raise ValueError(f"unknown povm_spec {povm_spec!r}")
     total = math.fsum(float(np.trace(p @ s).real) for p, s in zip(povms, cell.sigmas))
@@ -308,8 +332,7 @@ def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
     """
     sol = cell.solution
     x_a = sum(sol.c_coeffs[mu] * cell.projectors[mu] for mu in sol.basis)
-    pi = _optimal_povm_element(cell)
-    povm_sum = sum(pi @ s @ pi for s in cell.sigmas)
+    povm_sum = sum(cell.povm @ s @ cell.povm for s in cell.sigmas)
     w, _ = _eigh(_embed_front(x_a, cell.d) - povm_sum)
     return {"min_eig": float(w[0]), "trace_XA": float(np.trace(x_a).real)}
 
@@ -317,13 +340,13 @@ def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
 def dual_witness_check(cell: DenseCell) -> dict[str, float]:
     """Feasibility and objective of the dual certificate.
 
-    Per-diagram weights t are the Perron entries; the certificate must
-    dominate every port state, and d^(N-2) times the infinity norm of its
-    last-factor partial trace reproduces the optimum radius / d^2.
+    Per-diagram weights t are the entries of the cell's Perron vector (only
+    the ratios t_nu / t_mu enter); the certificate must dominate every port
+    state, and d^(N-2) times the infinity norm of its last-factor partial
+    trace reproduces the optimum radius / d^2.
     """
     n, d = cell.n, cell.d
-    eigenpair = dominant_eigenpair(incidence_edges(n, d))
-    t = {mu: eigenpair.perron_entry(mu) for mu in eigenpair.basis}
+    t = cell.solution.v
     omega = sum(
         math.fsum(t[nu] for parent, nu in cell.family if parent == alpha)
         * multiplicity(mu, d)
@@ -410,11 +433,10 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     )
     checks.append(_check("young_trace", trace_res, _TOL))
     commute = 0.0
-    for perm in itertools.permutations(range(n)):
-        idx = _perm_index(perm, d)
+    for idx in cell.perms:
         inv = np.argsort(idx)
         for p in projectors.values():
-            # p V - V p for the permutation matrix V of perm
+            # p V - V p for the permutation matrix V with index map idx
             commute = max(commute, _norm_inf(p[:, inv] - p[idx]))
     checks.append(_check("young_commute", commute, 1e-10))
 
@@ -423,7 +445,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("eta_hermitian", _norm_inf(eta - eta.conj().T), 1e-10))
     eigs_eta, _ = _eigh(eta)
     checks.append(_check("eta_psd", max(0.0, -float(eigs_eta[0])), 1e-10))
-    eigen_labels = protocol_eigenvalues(n, d)
+    eigen_labels = protocol_eigenvalues(cell.edges)
     expected = []
     for e in eigen_labels:
         expected.extend([float(e.gamma)] * (irrep_dim(e.mu) * multiplicity(e.alpha, d)))
@@ -484,12 +506,12 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("pt_trace", pt_trace, 1e-12))
 
     # the fidelity triangle
-    f_sqrt_formula = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
+    f_sqrt_formula = sqrt_measurement_fidelity(cell.edges).fidelity
     f_sqrt_direct = direct_fidelity(cell, "sqrt_measurement")
     checks.append(_check("fidelity_sqrt_direct", abs(f_sqrt_direct - f_sqrt_formula), _TOL))
-    f_family = general_povm_fidelity(n, d, 1, 2)
+    f_family = general_povm_fidelity(cell.edges, 1, 2)
     checks.append(_check("fidelity_povm_family", abs(f_family - f_sqrt_formula), 1e-12))
-    opt = optimal_fidelity(incidence_edges(n, d))
+    opt = optimal_fidelity(cell.edges)
     f_opt_direct = direct_fidelity(cell, "optimal")
     checks.append(_check("fidelity_optimal_direct", abs(f_opt_direct - opt.fidelity), _TOL))
 

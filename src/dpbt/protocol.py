@@ -11,8 +11,10 @@ square-root-measurement fidelity of the plain maximally entangled resource,
 the generalised one-parameter POVM family, and a closed-form lower bound,
 and drives (N, d) sweeps.
 
-A cell is one edge list, telemat.incidence_edges(n, d), built once and shared
-with the solver; every sum over parent-child pairs (alpha, mu) runs over it.
+A cell is one edge list, telemat.incidence_edges(n, d), which the caller builds
+once.  Every per-cell function here takes it and reads N and d from its column
+basis (an uncapped list is a ValueError), and hands the same list to the
+solver; every sum over parent-child pairs (alpha, mu) runs over it.
 Eigenvalues are exact rationals, and coefficients are roots of exact integer
 ratios, so d^N never becomes a float.
 """
@@ -107,11 +109,11 @@ class OptimalSolution:
     method: str
 
 
-def protocol_eigenvalues(n: int, d: int) -> list[ProtocolEigen]:
-    """All (alpha, mu) port-operator eigenvalues, in incidence-edge order."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    e = incidence_edges(n, d)
+def protocol_eigenvalues(e: IncidenceEdges) -> list[ProtocolEigen]:
+    """All (alpha, mu) port-operator eigenvalues of the cell of the edge list
+    e, in edge order."""
+    n, d = e.col_basis.n, e.col_basis.d
+    _check_nd(n, d)
     out: list[ProtocolEigen] = []
     for i, j in zip(e.parent.tolist(), e.child.tolist()):
         alpha, mu = e.row_basis[i], e.col_basis[j]
@@ -135,12 +137,11 @@ def optimal_fidelity(
 
 
 def optimal_solution(
-    n: int,
-    d: int,
+    e: IncidenceEdges,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> OptimalSolution:
-    """Optimal POVM / resource-state coefficients at (n, d).
+    """Optimal POVM / resource-state coefficients at the cell of the edge list e.
 
     p_mu(alpha) = v_mu sqrt(d^(2n) m_alpha / (n d_alpha m_mu^2)),
     o_mu = v_mu sqrt(d^n / (d_mu m_mu)),
@@ -149,8 +150,8 @@ def optimal_solution(
     operation on exact integers (v_mu^2 is an exact ratio), so it is finite
     whenever it fits a double; otherwise ArithmeticError names it.
     """
+    n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
-    e = incidence_edges(n, d)
     eigenpair = dominant_eigenpair(e, tol, max_iter)
     basis = eigenpair.basis
     norm = math.sqrt(math.fsum(x * x for x in eigenpair.perron))
@@ -210,8 +211,9 @@ def _param(value: ParamMap, alpha: YoungDiagram) -> float:
     return float(value)
 
 
-def general_povm_fidelity(n: int, d: int, z: ParamMap, y: ParamMap) -> float:
-    """Fidelity of the POVM family with per-parent weight z and exponent y.
+def general_povm_fidelity(e: IncidenceEdges, z: ParamMap, y: ParamMap) -> float:
+    """Fidelity of the POVM family with per-parent weight z and exponent y, at
+    the cell of the edge list e.
 
     For each parent alpha the family contributes
     z(alpha) * c(alpha, y) * tr[rho(alpha)^(1 - 1/y)] with
@@ -221,10 +223,11 @@ def general_povm_fidelity(n: int, d: int, z: ParamMap, y: ParamMap) -> float:
     With lam = gamma/d^n, each parent's term carries d^(n (2/y - 1)), which is
     1 at y = 2, times the exact integer ratios m_mu/m_alpha and d_mu m_alpha/d^n.
     """
+    n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
     by_alpha: dict[YoungDiagram, list[ProtocolEigen]] = {}
-    for e in protocol_eigenvalues(n, d):
-        by_alpha.setdefault(e.alpha, []).append(e)
+    for eig in protocol_eigenvalues(e):
+        by_alpha.setdefault(eig.alpha, []).append(eig)
     dn = d**n
     terms = []
     for alpha, group in by_alpha.items():
@@ -236,10 +239,10 @@ def general_povm_fidelity(n: int, d: int, z: ParamMap, y: ParamMap) -> float:
             raise ValueError(f"exponent y({alpha}) must be nonzero")
         m_a = multiplicity(alpha, d)
         c_val = math.fsum(
-            float(e.gamma) ** (-1.0 / ya) * (multiplicity(e.mu, d) / m_a) for e in group
+            float(g.gamma) ** (-1.0 / ya) * (multiplicity(g.mu, d) / m_a) for g in group
         ) / d
         tr_val = math.fsum(
-            float(e.gamma) ** (1.0 - 1.0 / ya) * (irrep_dim(e.mu) * m_a / dn) for e in group
+            float(g.gamma) ** (1.0 - 1.0 / ya) * (irrep_dim(g.mu) * m_a / dn) for g in group
         )
         terms.append(za * c_val * tr_val * float(d) ** (n * (2.0 / ya - 1.0)))
     return math.fsum(terms) / d

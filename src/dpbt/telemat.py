@@ -62,9 +62,6 @@ class LabeledIntMatrix:
     def is_square(self) -> bool:
         return self.shape[0] == self.shape[1]
 
-    def entry(self, mu: YoungDiagram, nu: YoungDiagram) -> int:
-        return self.entries[self.row_basis.index(mu)][self.col_basis.index(nu)]
-
     def to_float(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 

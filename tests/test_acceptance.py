@@ -115,7 +115,7 @@ def test_criterion_5_oracle_strong_duality():
         eta = eta_operator(n, d)
         w = np.linalg.eigvalsh(eta.real)
         expected = []
-        for e in protocol_eigenvalues(n, d):
+        for e in protocol_eigenvalues(incidence_edges(n, d)):
             expected += [float(e.gamma)] * (irrep_dim(e.mu) * multiplicity(e.alpha, d))
         expected += [0.0] * (dim - len(expected))
         actual = sorted((float(x) for x in w), reverse=True)
@@ -142,13 +142,13 @@ def test_criterion_5_oracle_strong_duality():
 def test_criterion_6_square_root_measurement_recovery():
     """The z=1, y=2 member of the POVM family is the square-root measurement."""
     for n, d in ORACLE_CELLS:
-        family = general_povm_fidelity(n, d, 1, 2)
+        family = general_povm_fidelity(incidence_edges(n, d), 1, 2)
         formula = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         assert abs(family - formula) < 1e-12, f"family vs formula at ({n},{d})"
         direct = direct_fidelity(dense_cell(n, d), "sqrt_measurement")
         assert abs(family - direct) < 1e-8, f"family vs dense oracle at ({n},{d})"
     assert abs(
-        general_povm_fidelity(2, 2, 1, 2) - (math.sqrt(3) + 1) ** 2 / 16
+        general_povm_fidelity(incidence_edges(2, 2), 1, 2) - (math.sqrt(3) + 1) ** 2 / 16
     ) < 1e-12
     report(6, "square-root measurement recovered from the POVM family at oracle scale")
 

@@ -194,7 +194,8 @@ class TestPovmCommand:
         trace = sum(c[mu] * irrep_dim(mu) * multiplicity(mu, d) for mu in c)
         assert abs(trace / dn - 1) < 1e-12
         # exact lam = gamma / d^N: its float form is subnormal at this cell
-        gamma = {(e.alpha.label(), e.mu.label()): e.gamma for e in protocol_eigenvalues(n, d)}
+        eigs = protocol_eigenvalues(telemat.incidence_edges(n, d))
+        gamma = {(e.alpha.label(), e.mu.label()): e.gamma for e in eigs}
         assert len(gamma) == len(payload["p_coeffs"])
         for entry in payload["p_coeffs"]:
             lam = gamma[(entry["alpha"], entry["mu"])] / dn
@@ -318,6 +319,17 @@ class TestValidation:
         assert code == 1 and out == ""
         assert f"{argv[0]} writes JSON only" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "verb,target",
+        [("fidelity", "missing/x.json"), ("matrix", ".")],
+        ids=["missing_directory", "directory"],
+    )
+    def test_unwritable_output_path(self, tmp_path, verb, target):
+        path = str(tmp_path / target)
+        code, out, err = invoke([verb, "-N", "3", "-d", "2", "-o", path])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_help_exits_zero(self):
         # argparse prints help straight to stdout; run() maps the exit to 0

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpbt import oracle
+from dpbt import oracle, protocol
 from dpbt.diagrams import (
     EMPTY_DIAGRAM,
     YoungDiagram,
@@ -160,7 +160,7 @@ class TestEtaOperator:
         n, d = 3, 2
         eta = eta_operator(n, d)
         expected = []
-        for e in protocol_eigenvalues(n, d):
+        for e in protocol_eigenvalues(incidence_edges(n, d)):
             expected += [float(e.gamma)] * (irrep_dim(e.mu) * multiplicity(e.alpha, d))
         expected += [0.0] * (2**4 - len(expected))
         actual = sorted(np.linalg.eigvalsh(eta.real), reverse=True)
@@ -179,7 +179,7 @@ class TestFProjector:
         n, d = 3, 2
         fams = {
             (e.alpha, e.mu): f_projector(e.alpha, e.mu, d)
-            for e in protocol_eigenvalues(n, d)
+            for e in protocol_eigenvalues(incidence_edges(n, d))
         }
         keys = list(fams)
         for i, k1 in enumerate(keys):
@@ -192,14 +192,14 @@ class TestFProjector:
         for n, d in [(2, 2), (3, 2), (2, 3)]:
             eta = eta_operator(n, d)
             recon = np.zeros_like(eta)
-            for e in protocol_eigenvalues(n, d):
+            for e in protocol_eigenvalues(incidence_edges(n, d)):
                 recon += float(e.gamma) * f_projector(e.alpha, e.mu, d)
             assert np.abs(recon - eta).max() < 1e-9
 
     def test_inner_product_identity(self):
         # sandwiching by P_alpha (x) P+ rescales the projector by m_mu/(d m_alpha)
         n, d = 2, 2
-        for e in protocol_eigenvalues(n, d):
+        for e in protocol_eigenvalues(incidence_edges(n, d)):
             f = f_projector(e.alpha, e.mu, d)
             p_alpha = young_projector(e.alpha, d)
             p_plus = np.zeros((4, 4))
@@ -285,28 +285,38 @@ class TestRunChecks:
     def test_each_operator_built_once(self, monkeypatch, n, d):
         calls = Counter()
 
-        def count(name):
-            real = getattr(oracle, name)
+        def count(module, name):
+            real = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(oracle, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        for name in ("young_projector", "_f_operator", "optimal_solution"):
-            count(name)
+        for name in ("_perm_table", "_young_projector", "_f_operator", "optimal_solution"):
+            count(oracle, name)
+        # the fast path's edge builds and Perron solves, at every binding the
+        # oracle can reach them through
+        for module in (oracle, protocol):
+            for name in ("incidence_edges", "dominant_eigenpair"):
+                if hasattr(module, name):
+                    count(module, name)
         run_checks(n, d)
         parents = enumerate_diagrams(n - 1, d)
         assert calls == {
-            "young_projector": len(enumerate_diagrams(n)) + len(parents),
+            "_perm_table": 2,
+            "_young_projector": len(enumerate_diagrams(n)) + len(parents),
             "_f_operator": sum(len(add_box(alpha, d)) for alpha in parents),
             "optimal_solution": 1,
+            "incidence_edges": 1,
+            # optimal_solution for the coefficients, optimal_fidelity for the check
+            "dominant_eigenpair": 2,
         }
 
     def test_edge_list_disagreement_is_a_failed_check(self, monkeypatch):
         real = oracle.protocol_eigenvalues
-        monkeypatch.setattr(oracle, "protocol_eigenvalues", lambda n, d: real(n, d)[1:])
+        monkeypatch.setattr(oracle, "protocol_eigenvalues", lambda e: real(e)[1:])
         results = {r.name: r for r in run_checks(3, 2)}
         assert len(results) == 29
         assert results["edge_pairs"].residual == 1 and not results["edge_pairs"].passed

@@ -27,9 +27,33 @@ from dpbt.telemat import incidence_edges
 GOLDEN = math.cos(math.pi / 5) ** 2  # optimal qubit fidelity at three ports
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        protocol_eigenvalues,
+        optimal_fidelity,
+        optimal_solution,
+        sqrt_measurement_fidelity,
+        lambda e: general_povm_fidelity(e, 1, 2),
+    ],
+    ids=[
+        "protocol_eigenvalues",
+        "optimal_fidelity",
+        "optimal_solution",
+        "sqrt_measurement_fidelity",
+        "general_povm_fidelity",
+    ],
+)
+def test_rejects_uncapped_edge_list(evaluate):
+    # every per-cell function reads d from the edge list, and the fidelities,
+    # multiplicities and d^N need an integer d
+    with pytest.raises(ValueError):
+        evaluate(incidence_edges(4))
+
+
 class TestProtocolEigenvalues:
     def test_two_ports_qubits(self):
-        eigs = protocol_eigenvalues(2, 2)
+        eigs = protocol_eigenvalues(incidence_edges(2, 2))
         table = {(e.alpha.rows, e.mu.rows): e.gamma for e in eigs}
         assert table == {
             ((1,), (2,)): Fraction(3),
@@ -40,7 +64,7 @@ class TestProtocolEigenvalues:
 
     def test_three_ports_qubits(self):
         # the height-3 child of [1,1] has zero multiplicity and is excluded
-        eigs = protocol_eigenvalues(3, 2)
+        eigs = protocol_eigenvalues(incidence_edges(3, 2))
         table = {(e.alpha.rows, e.mu.rows): e.gamma for e in eigs}
         assert table == {
             ((2,), (3,)): Fraction(4),
@@ -51,7 +75,7 @@ class TestProtocolEigenvalues:
     def test_single_row_chain(self):
         for n in range(1, 8):
             for d in (2, 3):
-                eigs = protocol_eigenvalues(n, d)
+                eigs = protocol_eigenvalues(incidence_edges(n, d))
                 top = next(
                     e for e in eigs if e.alpha.rows in ((n - 1,), ()) and e.mu.rows == (n,)
                 )
@@ -64,7 +88,7 @@ class TestProtocolEigenvalues:
     def test_gamma_positive(self):
         for n in range(1, 7):
             for d in (2, 3, 4):
-                assert all(e.gamma > 0 for e in protocol_eigenvalues(n, d))
+                assert all(e.gamma > 0 for e in protocol_eigenvalues(incidence_edges(n, d)))
 
 
 class TestOptimalFidelity:
@@ -91,11 +115,6 @@ class TestOptimalFidelity:
         with pytest.raises(ValueError):
             optimal_fidelity(incidence_edges(3, 1))
 
-    def test_rejects_uncapped_edge_list(self):
-        # the fidelity divides by d^2, so the cell needs an integer d
-        with pytest.raises(ValueError):
-            optimal_fidelity(incidence_edges(4))
-
     def test_degenerate_single_port(self):
         for d in (2, 3, 4):
             assert abs(optimal_fidelity(incidence_edges(1, d)).fidelity - 1 / d**2) < 1e-15
@@ -109,7 +128,7 @@ class TestOptimalFidelity:
 
 class TestOptimalSolution:
     def test_two_ports_qubits(self):
-        sol = optimal_solution(2, 2)
+        sol = optimal_solution(incidence_edges(2, 2))
         sym, anti = YoungDiagram((2,)), YoungDiagram((1, 1))
         inv_sqrt2 = 1 / math.sqrt(2)
         assert abs(sol.v[sym] - inv_sqrt2) < 1e-12
@@ -119,27 +138,27 @@ class TestOptimalSolution:
 
     def test_full_regime_vector_is_dims(self):
         for n in range(2, 7):
-            sol = optimal_solution(n, n + 1)
+            sol = optimal_solution(incidence_edges(n, n + 1))
             norm = math.sqrt(math.factorial(n))
             for mu in sol.basis:
                 assert abs(sol.v[mu] - irrep_dim(mu) / norm) < 1e-12
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3), (5, 3), (4, 4), (6, 4)])
     def test_sdp_identities(self, n, d):
-        sol = optimal_solution(n, d)
+        sol = optimal_solution(incidence_edges(n, d))
         assert abs(sum(x * x for x in sol.v.values()) - 1.0) < 1e-10
         trace = sum(
             sol.c_coeffs[mu] * irrep_dim(mu) * multiplicity(mu, d) for mu in sol.basis
         )
         assert abs(trace - d**n) < 1e-10 * d**n
-        lam = {(e.alpha, e.mu): e.gamma / d**n for e in protocol_eigenvalues(n, d)}
+        lam = {(e.alpha, e.mu): e.gamma / d**n for e in protocol_eigenvalues(incidence_edges(n, d))}
         for (alpha, mu), p in sol.p_coeffs.items():
             c = sol.c_coeffs[mu]
             assert abs(p * p * lam[(alpha, mu)] - c) < 1e-10 * max(1.0, c)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (5, 2), (4, 3), (5, 3), (4, 4)])
     def test_quadratic_form_gives_fidelity(self, n, d):
-        sol = optimal_solution(n, d)
+        sol = optimal_solution(incidence_edges(n, d))
         total = math.fsum(
             math.fsum(sol.v[mu] for mu in add_box(alpha, d) if mu in sol.basis) ** 2
             for alpha in enumerate_diagrams(n - 1, d)
@@ -148,7 +167,7 @@ class TestOptimalSolution:
 
     def test_positive_entries(self):
         for n, d in [(4, 2), (5, 3), (4, 4)]:
-            sol = optimal_solution(n, d)
+            sol = optimal_solution(incidence_edges(n, d))
             assert all(x > 0 for x in sol.v.values())
             assert all(x > 0 for x in sol.p_coeffs.values())
 
@@ -179,10 +198,6 @@ class TestSqrtMeasurementFidelity:
             f1 = sqrt_measurement_fidelity(incidence_edges(1, d)).fidelity
             assert abs(f1 - 1 / d**2) < 1e-14
 
-    def test_rejects_uncapped_edge_list(self):
-        with pytest.raises(ValueError):
-            sqrt_measurement_fidelity(incidence_edges(4))
-
     def test_resource_tag(self):
         rep = sqrt_measurement_fidelity(incidence_edges(4, 3))
         assert rep.resource == "sqrt_entangled"
@@ -193,27 +208,27 @@ class TestGeneralPovmFidelity:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_z1_y2_reproduces_sqrt_measurement(self, n, d):
-        got = general_povm_fidelity(n, d, 1, 2)
+        got = general_povm_fidelity(incidence_edges(n, d), 1, 2)
         want = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("n", [1023, 1030, 2000])
     def test_finite_where_d_to_the_n_overflows(self, n):
         # d^(n+1) exceeds double range here, and so do the terms scaled by it
-        got = general_povm_fidelity(n, 2, 1, 2)
+        got = general_povm_fidelity(incidence_edges(n, 2), 1, 2)
         want = sqrt_measurement_fidelity(incidence_edges(n, 2)).fidelity
         assert abs(got - want) <= 1e-12 * want
 
     def test_two_ports_value(self):
         assert abs(
-            general_povm_fidelity(2, 2, 1, 2) - (math.sqrt(3) + 1) ** 2 / 16
+            general_povm_fidelity(incidence_edges(2, 2), 1, 2) - (math.sqrt(3) + 1) ** 2 / 16
         ) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            general_povm_fidelity(3, 2, 1, 0)
+            general_povm_fidelity(incidence_edges(3, 2), 1, 0)
         with pytest.raises(ValueError):
-            general_povm_fidelity(3, 2, -1.0, 2)
+            general_povm_fidelity(incidence_edges(3, 2), -1.0, 2)
 
     @pytest.mark.parametrize(
         "z_spec,y_spec",
@@ -228,7 +243,7 @@ class TestGeneralPovmFidelity:
         # the same POVM written in the projector expansion, p = sqrt(z) lam^(-1/y),
         # must give the same fidelity through the quadratic-form route
         n, d = 4, 3
-        eigs = protocol_eigenvalues(n, d)
+        eigs = protocol_eigenvalues(incidence_edges(n, d))
         by_alpha = {}
         for e in eigs:
             by_alpha.setdefault(e.alpha, []).append(e)
@@ -242,7 +257,7 @@ class TestGeneralPovmFidelity:
             )
             total += irrep_dim(alpha) / multiplicity(alpha, d) * inner**2
         quad = n / d ** (2 * n + 2) * total
-        assert abs(quad - general_povm_fidelity(n, d, z_spec, y_spec)) < 1e-12
+        assert abs(quad - general_povm_fidelity(incidence_edges(n, d), z_spec, y_spec)) < 1e-12
 
     def test_mapping_parameters(self):
         n, d = 3, 2
@@ -250,7 +265,7 @@ class TestGeneralPovmFidelity:
         z = {a: 1.0 for a in alphas}
         y = {a: 2.0 for a in alphas}
         assert abs(
-            general_povm_fidelity(n, d, z, y)
+            general_povm_fidelity(incidence_edges(n, d), z, y)
             - sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         ) < 1e-12
 
