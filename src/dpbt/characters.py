@@ -12,12 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import (
-    DiagramBasis,
-    YoungDiagram,
-    _partition_tuples,
-    enumerate_diagrams,
-)
+from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams
 
 __all__ = [
     "CycleType",
@@ -79,7 +74,9 @@ def cycle_types(n: int) -> tuple[CycleType, ...]:
     """All conjugacy classes of S(n), fixed points descending, then lexicographic."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    classes = [CycleType(parts) for parts in _partition_tuples(n, n, n)]
+    classes = [
+        CycleType(tuple(p for p in parts if p)) for parts in enumerate_diagrams(n).rows.tolist()
+    ]
     classes.sort(key=lambda c: (-c.fixed_points, c.parts))
     return tuple(classes)
 

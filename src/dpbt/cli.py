@@ -3,9 +3,10 @@ verification and sweeps, emitted as deterministic JSON or CSV.
 
 Exit codes: 0 success, 1 validation error (usage on stderr; also a matrix above
 MAX_MATRIX_ENTRIES, a solver option out of range, or a .csv output path for a
-JSON-only verb), an -o path that cannot be opened (one error line, no usage)
-or stdout closed by its reader (no traceback), 2 computation failure (no
-certified radius within --max-iter, cap exceeded, failed verification).
+JSON-only verb), an -o path that cannot be opened (checked before computing;
+one error line, no usage) or stdout closed by its reader (no traceback), 2
+computation failure (no certified radius within --max-iter, cap exceeded,
+failed verification).
 """
 
 from __future__ import annotations
@@ -176,6 +177,21 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _probe_output(path: str) -> None:
+    """Fail before any computation when path cannot be opened for writing.
+
+    Mode "a" does not truncate, so an existing file keeps its contents if the
+    command then fails; a file the probe creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _emit(text: str, path: str | None, out) -> None:
     with contextlib.ExitStack() as stack:
         if path is not None:
@@ -227,7 +243,7 @@ def _cmd_spectrum(args, out) -> int:
         "method": res.method,
         "iterations": res.iterations,
         "bracket": [res.lo, res.hi],
-        "perron": {mu.label(): res.perron_entry(mu) for mu in res.basis},
+        "perron": dict(zip(res.basis.labels(), res.perron)),
     }
     if d == 2:
         payload["eigenvalues"] = closed_form_d2(n)
@@ -344,6 +360,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate_options(args)
+        if args.output is not None:
+            _probe_output(args.output)
         return _COMMANDS[args.verb](args, out)
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)

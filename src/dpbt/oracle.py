@@ -256,10 +256,9 @@ class DenseCell:
     built once.
 
     edges: the fast path's edge list, incidence_edges(N, d), which every
-    protocol call of the checks takes.  perms: the index map of every
-    permutation of the N ports, in itertools.permutations order.  projectors:
-    the Young projector of every diagram of N (the vanishing ones too) and of
-    every diagram of N-1 with height <= d.  family: F_mu(alpha) for each pair
+    protocol call of the checks takes.  projectors: the Young projector of
+    every diagram of N (the vanishing ones too) and of every diagram of N-1
+    with height <= d.  family: F_mu(alpha) for each pair
     of the add_box(alpha, d) walk, parents in basis order and children by
     descending rows.  sigmas: the port states.  solution: the optimal POVM
     coefficients and the Perron vector v.  povm: the optimal POVM element
@@ -269,7 +268,6 @@ class DenseCell:
     n: int
     d: int
     edges: IncidenceEdges
-    perms: list[np.ndarray]
     projectors: dict[YoungDiagram, np.ndarray]
     family: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray]
     sigmas: list[np.ndarray]
@@ -294,9 +292,7 @@ def dense_cell(n: int, d: int) -> DenseCell:
     solution = optimal_solution(edges)
     coeffs = sorted(solution.p_coeffs.items(), key=lambda kv: (kv[0][0].rows, kv[0][1].rows))
     povm = sum(p * family[key] for key, p in coeffs if key in family)
-    return DenseCell(
-        n, d, edges, [idx for idx, _ in table], projectors, family, sigmas, solution, povm
-    )
+    return DenseCell(n, d, edges, projectors, family, sigmas, solution, povm)
 
 
 def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
@@ -433,7 +429,8 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     )
     checks.append(_check("young_trace", trace_res, _TOL))
     commute = 0.0
-    for idx in cell.perms:
+    for i in range(n - 1):  # the adjacent transpositions generate S(N)
+        idx = _perm_index(transposition(i, i + 1, n), d)
         inv = np.argsort(idx)
         for p in projectors.values():
             # p V - V p for the permutation matrix V with index map idx

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .diagrams import DiagramBasis, YoungDiagram, irrep_dim, multiplicity
+from .diagrams import DiagramBasis, YoungDiagram, dim_mult_products, dims_and_multiplicities
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
 from .telemat import IncidenceEdges, incidence_edges
 
@@ -109,18 +109,35 @@ class OptimalSolution:
     method: str
 
 
+def _gammas(
+    e: IncidenceEdges, row: tuple[list[int], list[int]], col: tuple[list[int], list[int]]
+) -> list[Fraction]:
+    """gamma = N m_mu d_alpha / (m_alpha d_mu) of every edge (alpha, mu) of e,
+    in edge order, from the (dims, multiplicities) of its row and column bases."""
+    (dim_a, mult_a), (dim_m, mult_m) = row, col
+    n = e.col_basis.n
+    return [
+        Fraction(n * mult_m[j] * dim_a[i], mult_a[i] * dim_m[j])
+        for i, j in zip(e.parent.tolist(), e.child.tolist())
+    ]
+
+
+def _basis_numbers(e: IncidenceEdges) -> tuple[tuple[list[int], list[int]], ...]:
+    """(dims, multiplicities) of the row basis and of the column basis of e."""
+    d = e.col_basis.d
+    return dims_and_multiplicities(e.row_basis, d), dims_and_multiplicities(e.col_basis, d)
+
+
 def protocol_eigenvalues(e: IncidenceEdges) -> list[ProtocolEigen]:
     """All (alpha, mu) port-operator eigenvalues of the cell of the edge list
     e, in edge order."""
-    n, d = e.col_basis.n, e.col_basis.d
-    _check_nd(n, d)
-    out: list[ProtocolEigen] = []
-    for i, j in zip(e.parent.tolist(), e.child.tolist()):
-        alpha, mu = e.row_basis[i], e.col_basis[j]
-        m_m, m_a = multiplicity(mu, d), multiplicity(alpha, d)
-        gamma = Fraction(n * m_m * irrep_dim(alpha), m_a * irrep_dim(mu))
-        out.append(ProtocolEigen(alpha, mu, gamma))
-    return out
+    _check_nd(e.col_basis.n, e.col_basis.d)
+    alphas, mus = e.row_basis.entries, e.col_basis.entries
+    gammas = _gammas(e, *_basis_numbers(e))
+    return [
+        ProtocolEigen(alphas[i], mus[j], gamma)
+        for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), gammas)
+    ]
 
 
 def optimal_fidelity(
@@ -155,27 +172,34 @@ def optimal_solution(
     eigenpair = dominant_eigenpair(e, tol, max_iter)
     basis = eigenpair.basis
     norm = math.sqrt(math.fsum(x * x for x in eigenpair.perron))
-    v = {mu: x / norm for mu, x in zip(basis, eigenpair.perron)}
+    ratios = [(x / norm).as_integer_ratio() for x in eigenpair.perron]
+    (dim_a, mult_a), (dim_m, mult_m) = _basis_numbers(e)
+    alphas, mus = e.row_basis.entries, basis.entries
     dn = d**n
-    name = "o_mu"
+    at = (None, 0)  # (alpha, mu) indices of the coefficient in the making
     o_coeffs, c_coeffs, p_coeffs = {}, {}, {}
     try:
-        for mu in basis:
-            a, b = v[mu].as_integer_ratio()
-            num, den = a * a * dn, b * b * irrep_dim(mu) * multiplicity(mu, d)
-            name = f"o_mu, c_mu at mu={mu}"
+        for j, (mu, (a, b)) in enumerate(zip(mus, ratios)):
+            at = (None, j)
+            num, den = a * a * dn, b * b * dim_m[j] * mult_m[j]
             o_coeffs[mu] = _sqrt_ratio(num, den)
             c_coeffs[mu] = num / den
         for i, j in zip(e.parent.tolist(), e.child.tolist()):
-            alpha, mu = e.row_basis[i], e.col_basis[j]
-            a, b = v[mu].as_integer_ratio()
-            name = f"p_mu(alpha) at alpha={alpha}, mu={mu}"
-            p_coeffs[(alpha, mu)] = _sqrt_ratio(
-                a * a * dn * dn * multiplicity(alpha, d),
-                b * b * n * irrep_dim(alpha) * multiplicity(mu, d) ** 2,
+            at = (i, j)
+            a, b = ratios[j]
+            p_coeffs[(alphas[i], mus[j])] = _sqrt_ratio(
+                a * a * dn * dn * mult_a[i],
+                b * b * n * dim_a[i] * mult_m[j] ** 2,
             )
     except OverflowError:
+        i, j = at
+        name = (
+            f"o_mu, c_mu at mu={mus[j]}"
+            if i is None
+            else f"p_mu(alpha) at alpha={alphas[i]}, mu={mus[j]}"
+        )
         raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}") from None
+    v = {mu: x / norm for mu, x in zip(mus, eigenpair.perron)}
     return OptimalSolution(
         n, d, basis, v, p_coeffs, o_coeffs, c_coeffs, eigenpair.method
     )
@@ -192,9 +216,7 @@ def sqrt_measurement_fidelity(e: IncidenceEdges) -> FidelityReport:
     n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
     dn = d**n
-    w = np.array(
-        [_sqrt_ratio(irrep_dim(mu) * multiplicity(mu, d), dn) for mu in e.col_basis]
-    )
+    w = np.array([_sqrt_ratio(dm, dn) for dm in dim_mult_products(e.col_basis, d)])
     rw = np.bincount(e.parent, weights=w[e.child], minlength=len(e.row_basis))
     total = math.fsum(rw * rw) / d**2
     return FidelityReport(n, d, "sqrt_entangled", total, "sqrt_measurement_sum")
@@ -225,25 +247,24 @@ def general_povm_fidelity(e: IncidenceEdges, z: ParamMap, y: ParamMap) -> float:
     """
     n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
-    by_alpha: dict[YoungDiagram, list[ProtocolEigen]] = {}
-    for eig in protocol_eigenvalues(e):
-        by_alpha.setdefault(eig.alpha, []).append(eig)
+    row, col = _basis_numbers(e)
+    (_, mult_a), (dim_m, mult_m) = row, col
+    by_alpha: dict[int, list[tuple[float, int]]] = {}
+    for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), _gammas(e, row, col)):
+        by_alpha.setdefault(i, []).append((float(gamma), j))
     dn = d**n
     terms = []
-    for alpha, group in by_alpha.items():
+    for i, group in by_alpha.items():
+        alpha = e.row_basis[i]
         za = _param(z, alpha)
         ya = _param(y, alpha)
         if za < 0:
             raise ValueError(f"weight z({alpha}) must be nonnegative, got {za}")
         if ya == 0:
             raise ValueError(f"exponent y({alpha}) must be nonzero")
-        m_a = multiplicity(alpha, d)
-        c_val = math.fsum(
-            float(g.gamma) ** (-1.0 / ya) * (multiplicity(g.mu, d) / m_a) for g in group
-        ) / d
-        tr_val = math.fsum(
-            float(g.gamma) ** (1.0 - 1.0 / ya) * (irrep_dim(g.mu) * m_a / dn) for g in group
-        )
+        m_a = mult_a[i]
+        c_val = math.fsum(g ** (-1.0 / ya) * (mult_m[j] / m_a) for g, j in group) / d
+        tr_val = math.fsum(g ** (1.0 - 1.0 / ya) * (dim_m[j] * m_a / dn) for g, j in group)
         terms.append(za * c_val * tr_val * float(d) ** (n * (2.0 / ya - 1.0)))
     return math.fsum(terms) / d
 

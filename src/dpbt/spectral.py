@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, YoungDiagram, irrep_dim, partition_counts
+from .diagrams import DiagramBasis, YoungDiagram, dims_and_multiplicities, partition_counts
 from .telemat import IncidenceEdges
 
 __all__ = [
@@ -190,7 +190,7 @@ def dominant_eigenpair(
     if d is None or d >= n:
         return closed_form_full(basis)
     if d == 2:
-        x = [math.sin((2 * mu.rows[0] - n + 1) * math.pi / (n + 2)) for mu in basis]
+        x = [math.sin((2 * r - n + 1) * math.pi / (n + 2)) for r in basis.rows[:, 0].tolist()]
         total = math.fsum(x)
         perron = tuple(v / total for v in x)
         radius = closed_form_d2(n)[0]
@@ -207,7 +207,7 @@ def closed_form_full(basis: DiagramBasis) -> SpectralResult:
     n = basis.n
     if n < 1 or (basis.d is not None and basis.d < n):
         raise ValueError(f"need every diagram of n >= 1 boxes, got n={n}, d={basis.d}")
-    dims = [irrep_dim(mu) for mu in basis]
+    dims = dims_and_multiplicities(basis, None)[0]
     total = sum(dims)
     perron = tuple(x / total for x in dims)
     return SpectralResult(float(n), basis, perron, 0, float(n), float(n), "closed_dgeN")

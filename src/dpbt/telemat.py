@@ -87,27 +87,23 @@ def incidence_edges(n: int, d: int | None = None) -> IncidenceEdges:
         raise ValueError("port count must be >= 1")
     row_basis = enumerate_diagrams(n - 1, d)
     col_basis = enumerate_diagrams(n, d)
-    index = {mu.rows: j for j, mu in enumerate(col_basis)}
-    cap = n if d is None else d
-    parent: list[int] = []
-    child: list[int] = []
-    # a box in a lower row gives a lexicographically smaller child, so each
-    # parent's children come out in basis order
-    for i, alpha in enumerate(row_basis):
-        rows = alpha.rows
-        for k, r in enumerate(rows):
-            if k == 0 or r < rows[k - 1]:
-                parent.append(i)
-                child.append(index[rows[:k] + (r + 1,) + rows[k + 1 :]])
-        if len(rows) < cap:
-            parent.append(i)
-            child.append(index[rows + (1,)])
-    return IncidenceEdges(
-        row_basis,
-        col_basis,
-        np.array(parent, dtype=np.intp),
-        np.array(child, dtype=np.intp),
-    )
+    width = col_basis.rows.shape[1]
+    rows = np.zeros((len(row_basis), width), dtype=col_basis.rows.dtype)
+    rows[:, : row_basis.rows.shape[1]] = row_basis.rows
+    parent, child = [], []
+    # a box fits in row k when k = 0 or row k is shorter than row k-1 (a
+    # zero row below the last one starts a new row within the cap)
+    for k in range(width):
+        fits = np.flatnonzero(rows[:, k] < rows[:, k - 1] if k else np.ones(len(rows), bool))
+        grown = rows[fits]
+        grown[:, k] += 1
+        parent.append(fits)
+        child.append(col_basis.search(grown))
+    # a box in a lower row gives a lexicographically smaller child, so a
+    # stable sort by parent keeps each parent's children in basis order
+    parent, child = np.concatenate(parent), np.concatenate(child)
+    order = np.argsort(parent, kind="stable")
+    return IncidenceEdges(row_basis, col_basis, parent[order], child[order])
 
 
 def _gram(
@@ -232,9 +228,9 @@ def to_csv(m: LabeledIntMatrix) -> str:
     """CSV text with a header row/column of diagram labels and integer entries."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [nu.label() for nu in m.col_basis])
-    for mu, row in zip(m.row_basis, m.entries):
-        writer.writerow([mu.label()] + list(row))
+    writer.writerow([""] + list(m.col_basis.labels()))
+    for label, row in zip(m.row_basis.labels(), m.entries):
+        writer.writerow([label] + list(row))
     return buf.getvalue()
 
 
@@ -254,7 +250,7 @@ def parse_csv(
 
 def to_json_dict(m: LabeledIntMatrix) -> dict:
     """JSON-ready form: {kind, N, d, basis, entries} (split bases for R)."""
-    if m.is_square and m.row_basis.entries == m.col_basis.entries:
+    if m.row_basis == m.col_basis:
         basis = list(m.row_basis.labels())
     else:
         basis = {"rows": list(m.row_basis.labels()), "cols": list(m.col_basis.labels())}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dpbt
-from dpbt import telemat
+from dpbt import cli, telemat
 from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
 from dpbt.oracle import DEFAULT_CHECK_CELLS
@@ -321,15 +321,34 @@ class TestValidation:
         assert not target.exists()
 
     @pytest.mark.parametrize(
-        "verb,target",
-        [("fidelity", "missing/x.json"), ("matrix", ".")],
-        ids=["missing_directory", "directory"],
+        "argv,target",
+        [
+            (["fidelity", "-N", "3", "-d", "2"], "missing/x.json"),
+            (["matrix", "-N", "3", "-d", "2"], "."),
+            (["sweep", "--ports", "2:40", "--dims", "2,3,4"], "missing/x.csv"),
+            (["sweep", "--ports", "2:40", "--dims", "2,3,4"], "."),
+        ],
+        ids=["missing_directory", "directory", "sweep_missing_directory", "sweep_directory"],
     )
-    def test_unwritable_output_path(self, tmp_path, verb, target):
+    def test_unwritable_output_path(self, monkeypatch, tmp_path, argv, target):
+        def computed(*args, **kwargs):
+            raise AssertionError("the command computed before checking its -o path")
+
+        monkeypatch.setattr(cli, "sweep", computed)
+        monkeypatch.setattr(cli, "fidelity_row", computed)
         path = str(tmp_path / target)
-        code, out, err = invoke([verb, "-N", "3", "-d", "2", "-o", path])
+        code, out, err = invoke([*argv, "-o", path])
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_output_probe_leaves_no_trace_when_the_command_fails(self, tmp_path):
+        argv = ["fidelity", "-N", "100", "-d", "3", "--max-iter", "50", "-o"]
+        kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+        kept.write_text("earlier result\n")
+        assert invoke([*argv, str(kept)])[0] == 2
+        assert kept.read_text() == "earlier result\n"
+        assert invoke([*argv, str(new)])[0] == 2
+        assert not new.exists()
 
     def test_help_exits_zero(self):
         # argparse prints help straight to stdout; run() maps the exit to 0
