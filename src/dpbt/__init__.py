@@ -16,21 +16,17 @@ from .characters import (
     CycleType,
     character,
     character_matrix,
-    class_size,
     cycle_types,
-    induced_character,
 )
 from .diagrams import (
     EMPTY_DIAGRAM,
     DiagramBasis,
     YoungDiagram,
     add_box,
-    box_move_related,
     enumerate_diagrams,
     irrep_dim,
     multiplicity,
     partition_counts,
-    remove_box,
 )
 from .protocol import (
     FidelityReport,
@@ -57,11 +53,9 @@ from .spectral import (
 from .telemat import (
     IncidenceEdges,
     LabeledIntMatrix,
-    StructureReport,
     gram_H,
     incidence_edges,
     incidence_matrix,
     recursion_defect,
-    structure_report,
     teleportation_matrix,
 )

@@ -8,7 +8,6 @@ border-strip removal, with strips located through first-column hook lengths
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,8 +19,6 @@ __all__ = [
     "cycle_types",
     "character",
     "character_matrix",
-    "induced_character",
-    "class_size",
 ]
 
 
@@ -57,14 +54,6 @@ class CycleType:
         """Text form "1^k 2^x ..." listing only nonzero multiplicities."""
         c = self.counts
         return " ".join(f"{length}^{c[length]}" for length in sorted(c))
-
-    def drop_fixed_point(self) -> "CycleType":
-        """The class of S(N-1) obtained by deleting one 1-cycle."""
-        if self.fixed_points == 0:
-            raise ValueError("class has no fixed point to drop")
-        parts = list(self.parts)
-        parts.remove(1)
-        return CycleType(tuple(parts))
 
     def __str__(self) -> str:
         return self.label()
@@ -110,29 +99,6 @@ def _mn(rows: tuple[int, ...], parts: tuple[int, ...]) -> int:
     return total
 
 
-def class_size(cycle: CycleType) -> int:
-    """Number of permutations in the class: N! / prod(l^m * m!)."""
-    denom = 1
-    for length, mult in cycle.counts.items():
-        denom *= length**mult * math.factorial(mult)
-    return math.factorial(cycle.n) // denom
-
-
-def induced_character(alpha: YoungDiagram, cycle: CycleType) -> int:
-    """Character at `cycle` of the S(N) representation induced from alpha of N-1.
-
-    Vanishes on classes without fixed points; otherwise equals k times the
-    character of alpha on the class with one fixed point deleted.  At the
-    identity this gives N * dim(alpha).
-    """
-    if alpha.boxes != cycle.n - 1:
-        raise ValueError(f"alpha has {alpha.boxes} boxes, expected {cycle.n - 1}")
-    k = cycle.fixed_points
-    if k == 0:
-        return 0
-    return k * character(alpha, cycle.drop_fixed_point())
-
-
 @dataclass(frozen=True)
 class CharacterMatrix:
     """Square table chi_mu(C) over canonical diagrams (rows) and classes (columns)."""
@@ -141,9 +107,6 @@ class CharacterMatrix:
     basis: DiagramBasis
     classes: tuple[CycleType, ...]
     entries: tuple[tuple[int, ...], ...]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
 
 def character_matrix(n: int) -> CharacterMatrix:

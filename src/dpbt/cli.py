@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .characters import cycle_types
@@ -40,6 +39,7 @@ from .spectral import (
     dominant_eigenpair,
 )
 from .telemat import (
+    KINDS,
     gram_H,
     incidence_edges,
     incidence_matrix,
@@ -95,10 +95,10 @@ def build_parser() -> _Parser:
     def table_format(p: _Parser) -> None:
         p.add_argument("--format", choices=("json", "csv"), help="default json; csv for -o *.csv")
 
-    p_matrix = sub.add_parser("matrix", help="emit MF/R/G/H matrices")
+    p_matrix = sub.add_parser("matrix", help="emit MF/R/H matrices")
     common(p_matrix, solve=False)
     table_format(p_matrix)
-    p_matrix.add_argument("--kind", choices=("MF", "R", "G", "H"), default="MF")
+    p_matrix.add_argument("--kind", choices=KINDS, default="MF")
 
     p_spectrum = sub.add_parser("spectrum", help="spectral radius and Perron vector")
     common(p_spectrum)
@@ -214,7 +214,6 @@ def _cmd_matrix(args, out) -> int:
     build, rows, cols = {
         "MF": (teleportation_matrix, children, children),
         "R": (incidence_matrix, parents, children),
-        "G": (teleportation_matrix, children, children),  # G = R^T R is M_F
         "H": (gram_H, parents, parents),
     }[args.kind]
     if rows * cols > MAX_MATRIX_ENTRIES:
@@ -222,7 +221,7 @@ def _cmd_matrix(args, out) -> int:
             f"--kind {args.kind} at N={args.ports}, d={args.dim} has {rows * cols} entries, "
             f"above the dense output limit of {MAX_MATRIX_ENTRIES}"
         )
-    m = replace(build(args.ports, args.dim), kind=args.kind)
+    m = build(args.ports, args.dim)
     if _resolve_format(args) == "csv":
         _emit(to_csv(m), args.output, out)
     else:

@@ -31,8 +31,6 @@ __all__ = [
     "enumerate_diagrams",
     "partition_counts",
     "add_box",
-    "remove_box",
-    "box_move_related",
     "irrep_dim",
     "multiplicity",
     "dims_and_multiplicities",
@@ -67,29 +65,9 @@ class YoungDiagram:
     def height(self) -> int:
         return len(self.rows)
 
-    def conjugate_rows(self) -> tuple[int, ...]:
-        """Column lengths, i.e. the transposed partition."""
-        if not self.rows:
-            return ()
-        cols = [0] * self.rows[0]
-        for r in self.rows:
-            for j in range(r):
-                cols[j] += 1
-        return tuple(cols)
-
     def label(self) -> str:
         """Bracketed text form used in CSV/JSON output, e.g. "[3,1]"."""
         return _label(self.rows)
-
-    @classmethod
-    def from_label(cls, text: str) -> "YoungDiagram":
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"not a diagram label: {text!r}")
-        inner = body[1:-1].strip()
-        if not inner:
-            return cls(())
-        return cls(tuple(int(part) for part in inner.split(",")))
 
     def __str__(self) -> str:
         return self.label()
@@ -240,34 +218,6 @@ def add_box(alpha: YoungDiagram, d: int | None = None) -> frozenset[YoungDiagram
     return frozenset(
         YoungDiagram(g) for g in grown if d is None or len(g) <= d
     )
-
-
-def remove_box(mu: YoungDiagram) -> frozenset[YoungDiagram]:
-    """Diagrams obtained from mu by removing a single box.
-
-    The count equals the number of distinct row lengths of mu.
-    """
-    if mu.boxes == 0:
-        raise ValueError("cannot remove a box from the empty diagram")
-    rows = mu.rows
-    parents = set()
-    for i in range(len(rows)):
-        if i == len(rows) - 1 or rows[i] > rows[i + 1]:
-            shrunk = tuple(r - 1 if j == i else r for j, r in enumerate(rows))
-            parents.add(YoungDiagram(tuple(r for r in shrunk if r > 0)))
-    return frozenset(parents)
-
-
-def box_move_related(mu: YoungDiagram, nu: YoungDiagram) -> bool:
-    """True iff mu != nu and one is obtained from the other by moving one box.
-
-    Equivalent to the two diagrams sharing a single-box-removal parent.
-    """
-    if mu.boxes != nu.boxes:
-        raise ValueError(f"box counts differ: {mu.boxes} vs {nu.boxes}")
-    if mu == nu:
-        return False
-    return bool(remove_box(mu) & remove_box(nu))
 
 
 def _frobenius_weyl(rows: Sequence[int], d: int | None) -> tuple[int, int, int]:

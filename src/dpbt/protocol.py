@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -222,15 +222,11 @@ def sqrt_measurement_fidelity(e: IncidenceEdges) -> FidelityReport:
     return FidelityReport(n, d, "sqrt_entangled", total, "sqrt_measurement_sum")
 
 
-ParamMap = Mapping[YoungDiagram, float] | Callable[[YoungDiagram], float] | float | int
+ParamMap = Callable[[YoungDiagram], float] | float | int
 
 
 def _param(value: ParamMap, alpha: YoungDiagram) -> float:
-    if isinstance(value, Mapping):
-        return float(value[alpha])
-    if callable(value):
-        return float(value(alpha))
-    return float(value)
+    return float(value(alpha) if callable(value) else value)
 
 
 def general_povm_fidelity(e: IncidenceEdges, z: ParamMap, y: ParamMap) -> float:

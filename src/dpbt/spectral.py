@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, YoungDiagram, dims_and_multiplicities, partition_counts
+from .diagrams import DiagramBasis, dims_and_multiplicities, partition_counts
 from .telemat import IncidenceEdges
 
 __all__ = [
@@ -59,9 +59,6 @@ class SpectralResult:
     lo: float
     hi: float
     method: str  # "closed_dgeN" | "closed_d2" | "lanczos"
-
-    def perron_entry(self, mu: YoungDiagram) -> float:
-        return self.perron[self.basis.index(mu)]
 
 
 class PowerIterationError(RuntimeError):

@@ -17,24 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams
+from .diagrams import DiagramBasis, enumerate_diagrams
 
 __all__ = [
     "LabeledIntMatrix",
-    "StructureReport",
     "IncidenceEdges",
     "incidence_edges",
     "teleportation_matrix",
     "incidence_matrix",
     "gram_H",
     "recursion_defect",
-    "structure_report",
     "to_csv",
-    "parse_csv",
     "to_json_dict",
 ]
 
-KINDS = ("MF", "R", "G", "H")
+KINDS = ("MF", "R", "H")
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,6 @@ class LabeledIntMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
-
-    @property
-    def is_square(self) -> bool:
-        return self.shape[0] == self.shape[1]
-
-    def to_float(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
 
 @dataclass(frozen=True)
 class IncidenceEdges:
@@ -180,50 +169,6 @@ def recursion_defect(n: int, d: int | None = None) -> tuple[tuple[int, ...], ...
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    irreducible: bool
-    primitive: bool
-    centrosymmetric: bool
-    max_row_sum: int
-
-
-def structure_report(m: LabeledIntMatrix) -> StructureReport:
-    """Irreducibility (directed reachability), primitivity, centrosymmetry, 1-norm."""
-    if not m.is_square:
-        raise ValueError("structure report requires a square matrix")
-    e = m.entries
-    n = len(e)
-    irreducible = _strongly_connected(e)
-    primitive = irreducible and all(e[i][i] > 0 for i in range(n))
-    centrosymmetric = all(
-        e[i][j] == e[n - 1 - i][n - 1 - j] for i in range(n) for j in range(n)
-    )
-    max_row_sum = max(sum(abs(x) for x in row) for row in e)
-    return StructureReport(irreducible, primitive, centrosymmetric, max_row_sum)
-
-
-def _strongly_connected(e: tuple[tuple[int, ...], ...]) -> bool:
-    n = len(e)
-    if n == 1:
-        return e[0][0] != 0
-
-    def full_reach(adj: list[list[int]]) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
-    fwd = [[j for j in range(n) if e[i][j]] for i in range(n)]
-    bwd = [[j for j in range(n) if e[j][i]] for i in range(n)]
-    return full_reach(fwd) and full_reach(bwd)
-
-
 def to_csv(m: LabeledIntMatrix) -> str:
     """CSV text with a header row/column of diagram labels and integer entries."""
     buf = io.StringIO()
@@ -234,29 +179,19 @@ def to_csv(m: LabeledIntMatrix) -> str:
     return buf.getvalue()
 
 
-def parse_csv(
-    text: str,
-) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...], tuple[tuple[int, ...], ...]]:
-    """Inverse of to_csv: (row diagrams, column diagrams, integer entries)."""
-    records = [rec for rec in csv.reader(io.StringIO(text)) if rec]
-    cols = tuple(YoungDiagram.from_label(t) for t in records[0][1:])
-    row_labels = []
-    entries = []
-    for rec in records[1:]:
-        row_labels.append(YoungDiagram.from_label(rec[0]))
-        entries.append(tuple(int(x) for x in rec[1:]))
-    return tuple(row_labels), cols, tuple(entries)
-
-
 def to_json_dict(m: LabeledIntMatrix) -> dict:
-    """JSON-ready form: {kind, N, d, basis, entries} (split bases for R)."""
+    """JSON-ready form: {kind, N, d, basis, entries} (split bases for R).
+
+    N is the port count of the cell; H = R R^T lives on the diagrams of N-1,
+    one box fewer than N.
+    """
     if m.row_basis == m.col_basis:
         basis = list(m.row_basis.labels())
     else:
         basis = {"rows": list(m.row_basis.labels()), "cols": list(m.col_basis.labels())}
     return {
         "kind": m.kind,
-        "N": m.col_basis.n,
+        "N": m.col_basis.n + (m.kind == "H"),
         "d": m.col_basis.d,
         "basis": basis,
         "entries": [list(row) for row in m.entries],

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, round trips."""
 
+import csv
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
 from dpbt.oracle import DEFAULT_CHECK_CELLS
 from dpbt.protocol import protocol_eigenvalues
-from dpbt.telemat import gram_H, incidence_matrix, parse_csv, teleportation_matrix
+from dpbt.telemat import gram_H, incidence_matrix, teleportation_matrix
 
 
 def invoke(argv):
@@ -27,17 +28,23 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def read_csv(text):
+    """(row labels, column labels, integer entries) of a matrix CSV."""
+    header, *records = csv.reader(io.StringIO(text))
+    return [r[0] for r in records], header[1:], tuple(tuple(map(int, r[1:])) for r in records)
+
+
 class TestMatrixCommand:
     def test_csv_matches_gram(self):
         code, out, _ = invoke(
             ["matrix", "--ports", "4", "--dim", "4", "--kind", "MF", "--format", "csv"]
         )
         assert code == 0
-        rows, cols, entries = parse_csv(out)
+        rows, cols, entries = read_csv(out)
         r = incidence_matrix(4, 4)
         dense = np.array(r.entries, dtype=np.int64)
         assert entries == tuple(map(tuple, (dense.T @ dense).tolist()))
-        assert rows == r.col_basis.entries
+        assert rows == cols == list(r.col_basis.labels())
         assert len(out.strip().splitlines()) == 6  # header + 5 rows
 
     def test_json_payload(self):
@@ -49,22 +56,32 @@ class TestMatrixCommand:
         assert payload["entries"] == [[1, 1], [1, 2]]
 
     def test_roundtrip_all_kinds(self):
-        for kind in ("MF", "R", "G", "H"):
+        builders = {"MF": teleportation_matrix, "R": incidence_matrix, "H": gram_H}
+        for kind, build in builders.items():
             code, out, _ = invoke(
                 ["matrix", "--ports", "5", "--dim", "3", "--kind", kind, "--format", "csv"]
             )
             assert code == 0
-            builders = {
-                "MF": teleportation_matrix,
-                "R": incidence_matrix,
-                "G": teleportation_matrix,
-                "H": gram_H,
-            }
-            m = builders[kind](5, 3)
-            rows, cols, entries = parse_csv(out)
-            assert entries == m.entries
+            m = build(5, 3)
+            assert read_csv(out) == (
+                list(m.row_basis.labels()),
+                list(m.col_basis.labels()),
+                m.entries,
+            )
             code, out, _ = invoke(["matrix", "--ports", "5", "--dim", "3", "--kind", kind])
             assert code == 0 and json.loads(out)["kind"] == kind
+
+    def test_kind_g_is_rejected(self):
+        code, out, err = invoke(["matrix", "--ports", "4", "--dim", "3", "--kind", "G"])
+        assert code == 1 and out == ""
+        assert "invalid choice: 'G'" in err and err.splitlines()[-1].startswith("usage: dpbt")
+
+    def test_h_json_reports_the_requested_port_count(self):
+        code, out, _ = invoke(["matrix", "-N", "4", "-d", "3", "--kind", "H"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["N"] == 4
+        assert payload["basis"] == ["[3]", "[2,1]", "[1,1,1]"]
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "m.csv"
@@ -72,8 +89,7 @@ class TestMatrixCommand:
             ["matrix", "--ports", "3", "--dim", "2", "--format", "csv", "-o", str(target)]
         )
         assert code == 0 and out == ""
-        rows, cols, entries = parse_csv(target.read_text())
-        assert entries == ((1, 1), (1, 2))
+        assert read_csv(target.read_text()) == (["[3]", "[2,1]"], ["[3]", "[2,1]"], ((1, 1), (1, 2)))
 
     def test_refuses_dense_output_above_limit(self, tmp_path):
         # 3434 diagrams of 200 with height <= 3, so M_F has 3434^2 entries
@@ -190,7 +206,7 @@ class TestPovmCommand:
         ]
         assert all(math.isfinite(x) and x > 0 for x in values)
         dn = d**n
-        c = {YoungDiagram.from_label(k): Fraction(x) for k, x in payload["c_coeffs"].items()}
+        c = {YoungDiagram(tuple(json.loads(k))): Fraction(x) for k, x in payload["c_coeffs"].items()}
         trace = sum(c[mu] * irrep_dim(mu) * multiplicity(mu, d) for mu in c)
         assert abs(trace / dn - 1) < 1e-12
         # exact lam = gamma / d^N: its float form is subnormal at this cell
@@ -199,7 +215,7 @@ class TestPovmCommand:
         assert len(gamma) == len(payload["p_coeffs"])
         for entry in payload["p_coeffs"]:
             lam = gamma[(entry["alpha"], entry["mu"])] / dn
-            c_mu = c[YoungDiagram.from_label(entry["mu"])]
+            c_mu = c[YoungDiagram(tuple(json.loads(entry["mu"])))]
             assert abs(Fraction(entry["p"]) ** 2 * lam / c_mu - 1) < 1e-12
 
     def test_coefficient_beyond_double_range_fails_cleanly(self):

@@ -126,6 +126,50 @@ class TestOptimalFidelity:
         assert rep.iterations > 0
 
 
+
+ASYMPTOTIC_PORTS = [60, 80, 100, 120, 150]
+
+
+def limit_at_zero(xs, ys):
+    """Value at x = 0 of the polynomial through the points (x, y) (Lagrange)."""
+    return math.fsum(
+        y * math.prod(xj / (xj - xi) for xj in xs if xj != xi) for xi, y in zip(xs, ys)
+    )
+
+
+def asymptotic_constant(d):
+    """(N+d)^2 (1 - F_opt) at ASYMPTOTIC_PORTS, extrapolated to N -> oo by a
+    degree-4 polynomial in 1/(N+d)."""
+    xs = [1 / (n + d) for n in ASYMPTOTIC_PORTS]
+    ys = [
+        (n + d) ** 2 * (1 - optimal_fidelity(incidence_edges(n, d)).fidelity)
+        for n in ASYMPTOTIC_PORTS
+    ]
+    return limit_at_zero(xs, ys)
+
+
+class TestAsymptoticConstant:
+    """1 - F_opt = c_d / (N+d)^2 + O(1/N^3), checked without a dense reference.
+
+    At d = 2 the closed form is (N+2)^2 sin^2(pi/(N+2)), whose limit is pi^2;
+    this fit lands 4.3e-10 from it.  At d = 3 the limit 56 pi^2 / 9 is a
+    conjecture fitted to certified radii up to N = 1200 (c_d = lambda_1(S_d)/d
+    for the Dirichlet Laplacian on the simplex of sorted frequency vectors),
+    not a theorem.  Here the fit gives 61.4108768, 5.0e-6 above it: the
+    truncation of the fit at these N.  The radius brackets are at most
+    9.7e-13 relative wide, and the Lagrange weights (absolute sum 404) carry
+    them to at most 5.2e-6 in the limit.  The tolerance 5e-5 covers both
+    with a margin, and still flags an error of about 2e-11 in F_opt at
+    N = 120, where the weight is largest.
+    """
+
+    def test_qubit_limit_is_pi_squared(self):
+        assert abs(asymptotic_constant(2) - math.pi**2) < 1e-8
+
+    def test_qutrit_limit_matches_the_conjectured_closed_form(self):
+        assert abs(asymptotic_constant(3) - 56 * math.pi**2 / 9) < 5e-5
+
+
 class TestOptimalSolution:
     def test_two_ports_qubits(self):
         sol = optimal_solution(incidence_edges(2, 2))
@@ -260,12 +304,13 @@ class TestGeneralPovmFidelity:
         assert abs(quad - general_povm_fidelity(incidence_edges(n, d), z_spec, y_spec)) < 1e-12
 
     def test_mapping_parameters(self):
+        # a table of per-parent values goes in through its lookup
         n, d = 3, 2
         alphas = list(enumerate_diagrams(n - 1, d))
         z = {a: 1.0 for a in alphas}
         y = {a: 2.0 for a in alphas}
         assert abs(
-            general_povm_fidelity(incidence_edges(n, d), z, y)
+            general_povm_fidelity(incidence_edges(n, d), z.__getitem__, y.__getitem__)
             - sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
         ) < 1e-12
 

@@ -175,7 +175,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_d2_matches_jacobi_eigensolve(self, n):
         m = teleportation_matrix(n, 2)
-        w = np.linalg.eigvalsh(m.to_float())
+        w = np.linalg.eigvalsh(m.entries)
         assert np.allclose(sorted(w, reverse=True), closed_form_d2(n), atol=1e-10)
 
     def test_d2_count(self):
@@ -208,7 +208,7 @@ class TestAgreementAcrossRoutes:
     @pytest.mark.parametrize("n,d", [(30, 3), (20, 4), (12, 5)])
     def test_power_matches_eigvalsh(self, n, d):
         res = lanczos_perron(incidence_edges(n, d))
-        top = np.linalg.eigvalsh(teleportation_matrix(n, d).to_float())[-1]
+        top = np.linalg.eigvalsh(teleportation_matrix(n, d).entries)[-1]
         assert abs(res.radius - top) < 1e-9 * top
 
 
@@ -230,7 +230,7 @@ class TestDominantEigenpair:
     @pytest.mark.parametrize("n", range(2, 41))
     def test_d2_perron_matches_eigh(self, n):
         res = dominant_eigenpair(incidence_edges(n, 2))
-        w, v = np.linalg.eigh(teleportation_matrix(n, 2).to_float())
+        w, v = np.linalg.eigh(teleportation_matrix(n, 2).entries)
         top = np.abs(v[:, -1])  # the Perron vector is positive up to sign
         assert abs(res.radius - w[-1]) < 1e-12 * w[-1]
         assert np.max(np.abs(np.array(res.perron) - top / top.sum())) < 1e-12
@@ -273,7 +273,7 @@ class TestSpectrumViaCharacters:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_closed_form_matches_eigvalsh(self, n):
-        w = np.linalg.eigvalsh(teleportation_matrix(n).to_float())
+        w = np.linalg.eigvalsh(teleportation_matrix(n).entries)
         k = np.rint(w).astype(int)
         assert np.max(np.abs(w - k)) < 1e-9
         values, counts = np.unique(k, return_counts=True)

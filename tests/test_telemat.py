@@ -1,20 +1,20 @@
-"""Teleportation-matrix structure: Gram identities, recursion, predicates."""
+"""Teleportation-matrix structure: Gram identities, recursion, Perron preconditions."""
 
+import csv
+import io
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dpbt.diagrams import add_box, box_move_related, enumerate_diagrams, remove_box
+from dpbt.diagrams import add_box, enumerate_diagrams
 from dpbt.telemat import (
-    LabeledIntMatrix,
+    IncidenceEdges,
     gram_H,
     incidence_edges,
     incidence_matrix,
-    parse_csv,
     recursion_defect,
-    structure_report,
     teleportation_matrix,
     to_csv,
     to_json_dict,
@@ -38,15 +38,14 @@ class TestTeleportationMatrix:
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_matches_remove_box_reference(self, n, d):
-        # the definition: parent counts on the diagonal, box moves off it
-        basis = enumerate_diagrams(n, d)
-        reference = tuple(
-            tuple(
-                len(remove_box(mu)) if mu == nu else int(box_move_related(mu, nu))
-                for nu in basis
-            )
-            for mu in basis
-        )
+        # the definition: parent counts on the diagonal, box moves off it;
+        # two distinct diagrams are one box move apart iff they share a parent
+        def remove_box(rows):
+            last = [i for i in range(len(rows)) if i + 1 == len(rows) or rows[i] > rows[i + 1]]
+            return {tuple(r - (j == i) for j, r in enumerate(rows) if r - (j == i)) for i in last}
+
+        parents = [remove_box(mu.rows) for mu in enumerate_diagrams(n, d)]
+        reference = tuple(tuple(len(a & b) for b in parents) for a in parents)
         assert teleportation_matrix(n, d).entries == reference
 
     def test_full_matrix_row_sums(self):
@@ -229,51 +228,78 @@ class TestGramIdentities:
 class TestSpectralStructure:
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_positive_semidefinite(self, n, d):
-        w = np.linalg.eigvalsh(teleportation_matrix(n, d).to_float())
+        w = np.linalg.eigvalsh(teleportation_matrix(n, d).entries)
         assert w[0] >= -1e-10
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_g_and_h_share_nonzero_spectrum(self, n, d):
         wg = np.linalg.eigvalsh(gram_columns(n, d).astype(float))
-        wh = np.linalg.eigvalsh(gram_H(n, d).to_float())
+        wh = np.linalg.eigvalsh(gram_H(n, d).entries)
         nz_g = sorted(x for x in wg if x > 1e-9)
         nz_h = sorted(x for x in wh if x > 1e-9)
         assert len(nz_g) == len(nz_h)
         assert all(abs(a - b) < 1e-9 for a, b in zip(nz_g, nz_h))
 
 
+def connected(e):
+    """Whether the parent-child graph of the edge list is connected, by
+    union-find over its edges (parents first, then children)."""
+    root = list(range(len(e.row_basis) + len(e.col_basis)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for p, c in zip(e.parent.tolist(), (e.child + len(e.row_basis)).tolist()):
+        root[find(p)] = find(c)
+    return len({find(i) for i in range(len(root))}) == 1
+
+
+def centrosymmetric(n):
+    a = np.array(teleportation_matrix(n).entries)
+    return np.array_equal(a, a[::-1, ::-1])
+
+
 class TestStructureReport:
+    """The facts lanczos_perron relies on: M_F = R^T R is irreducible (the
+    parent-child graph is connected) with a positive diagonal (every diagram
+    has a parent), so its Perron vector is positive and its radius simple."""
+
+    @pytest.mark.parametrize("n,d", SMALL_GRID + [(100, 3), (40, 4)])
+    def test_perron_preconditions(self, n, d):
+        e = incidence_edges(n, d)
+        assert connected(e)
+        assert np.bincount(e.child, minlength=len(e.col_basis)).min() >= 1
+
     def test_mf4_irreducible_primitive(self):
-        rep = structure_report(teleportation_matrix(4))
-        assert rep.irreducible and rep.primitive
+        # primitive: some power of the dense matrix is strictly positive
+        a = np.array(teleportation_matrix(4).entries)
+        assert np.linalg.matrix_power(a, len(a) - 1).min() > 0
 
     def test_mf5_centrosymmetric(self):
-        assert structure_report(teleportation_matrix(5)).centrosymmetric
+        assert centrosymmetric(5)
 
     def test_full_matrices_centrosymmetric_small_n(self):
         # centrosymmetry of the full matrix depends on the basis order being
         # reversed by diagram conjugation, which decreasing lex achieves only
         # up to n = 5
-        for n in range(2, 6):
-            assert structure_report(teleportation_matrix(n)).centrosymmetric
-        assert not structure_report(teleportation_matrix(6)).centrosymmetric
+        assert all(centrosymmetric(n) for n in range(2, 6))
+        assert not centrosymmetric(6)
 
     def test_row_sum_bound(self):
         for n in range(2, 9):
             for d in range(2, 5):
-                rep = structure_report(teleportation_matrix(n, d))
-                assert rep.max_row_sum <= d * d
-                assert rep.irreducible and rep.primitive
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            structure_report(incidence_matrix(4, 4))
+                assert np.array(teleportation_matrix(n, d).entries).sum(axis=1).max() <= d * d
 
     def test_reducible_detected(self):
-        basis = enumerate_diagrams(2)
-        m = LabeledIntMatrix(basis, basis, ((1, 0), (0, 1)), "MF")
-        rep = structure_report(m)
-        assert not rep.irreducible and not rep.primitive
+        # (4, 2) without the edge [2,1] -> [3,1] splits into two components
+        e = incidence_edges(4, 2)
+        keep = (e.parent != 1) | (e.child != 1)
+        assert keep.sum() == len(e.parent) - 1
+        assert connected(e)
+        assert not connected(IncidenceEdges(e.row_basis, e.col_basis, e.parent[keep], e.child[keep]))
 
 
 class TestSerialization:
@@ -282,10 +308,10 @@ class TestSerialization:
     )
     def test_csv_roundtrip(self, build):
         m = build(5, 3)
-        rows, cols, entries = parse_csv(to_csv(m))
-        assert rows == m.row_basis.entries
-        assert cols == m.col_basis.entries
-        assert entries == m.entries
+        header, *records = csv.reader(io.StringIO(to_csv(m)))
+        assert header == ["", *m.col_basis.labels()]
+        assert [rec[0] for rec in records] == list(m.row_basis.labels())
+        assert [tuple(map(int, rec[1:])) for rec in records] == list(m.entries)
 
     def test_json_dict(self):
         m = teleportation_matrix(3, 2)
