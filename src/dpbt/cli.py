@@ -1,12 +1,12 @@
 """Command-line surface: matrices, spectra, fidelities, coefficients,
 verification and sweeps, emitted as deterministic JSON or CSV.
 
-Exit codes: 0 success, 1 validation error (usage on stderr; also a matrix above
-MAX_MATRIX_ENTRIES, a solver option out of range, or a .csv output path for a
-JSON-only verb), an -o path that cannot be opened (checked before computing;
-one error line, no usage) or stdout closed by its reader (no traceback), 2
-computation failure (no certified radius within --max-iter, cap exceeded,
-failed verification).
+Exit codes: 0 success, 1 validation error (the usage of the failing command
+on stderr; also a matrix above MAX_MATRIX_ENTRIES, a solver option out of
+range, or a .csv output path for a JSON-only verb), an -o path that cannot be
+opened (checked before computing; one error line, no usage) or stdout closed
+by its reader (no traceback), 2 computation failure (no certified radius
+within --max-iter, cap exceeded, failed verification).
 """
 
 from __future__ import annotations
@@ -64,7 +64,12 @@ MAX_MATRIX_ENTRIES = 10**7
 
 
 class UsageError(Exception):
-    pass
+    """Invalid command line; usage is the usage line of the parser at fault,
+    when that parser raised it."""
+
+    def __init__(self, message: str, usage: str | None = None):
+        super().__init__(message)
+        self.usage = usage
 
 
 class OutputError(Exception):
@@ -72,14 +77,17 @@ class OutputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    verbs: dict[str, _Parser]  # the sub-command parsers, on the top-level parser
+
     def error(self, message: str):  # route argparse failures to exit code 1
-        raise UsageError(message)
+        raise UsageError(message, self.format_usage())
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="dpbt", description=__doc__, add_help=True)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices
 
     def solver_options(p: _Parser) -> None:
         p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative bracket width, 1e-14 <= tol < 1")
@@ -356,8 +364,12 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
+    at_fault = parser
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        at_fault = parser.verbs[args.verb]  # later usage errors belong to the verb
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         _validate_options(args)
         if args.output is not None:
             _probe_output(args.output)
@@ -366,7 +378,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         return int(exc.code or 0)
     except UsageError as exc:
         err.write(f"error: {exc}\n")
-        err.write(parser.format_usage())
+        err.write(exc.usage or at_fault.format_usage())
         return 1
     except OutputError as exc:
         err.write(f"error: {exc}\n")

@@ -10,10 +10,11 @@ run_checks builds each operator of one (N, d) once, in a DenseCell that also
 holds the fast path's one edge list, and runs its 29 checks on that cell.
 
 Operators grow as d^(N+1), so constructions are capped at DEFAULT_CAP = 1024, which
-covers the ten DEFAULT_CHECK_CELLS.  Operators are plain numpy arrays, all kept
-complex even though every one of them is real in this basis; the Hermiticity
-checks stay honest that way.  Eigensolves go through LAPACK (numpy.linalg.eigh),
-which shares no code with the fast spectral path.
+covers the DEFAULT_CHECK_CELLS.  Operators are plain float64 numpy arrays:
+every one of them is real in this basis, so Hermiticity is symmetry.
+Eigensolves go through LAPACK (numpy.linalg.eigvalsh where only the spectrum
+is read, numpy.linalg.eigh for the one inverse square root), which shares no
+code with the fast spectral path.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ __all__ = [
 
 DEFAULT_CAP = 1024
 
-DEFAULT_CHECK_CELLS = ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (6, 2))
+DEFAULT_CHECK_CELLS = (
+    (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (6, 2), (5, 3), (7, 2)
+)
 
 # bound on trace, eigenvalue and fidelity residuals; operator identities use 1e-10, 1e-12
 _TOL = 1e-8
@@ -108,7 +111,7 @@ def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     if sorted(perm) != list(range(k)):
         raise ValueError(f"not a permutation of 0..{k - 1}: {perm}")
     _require_cap(d, k)
-    return np.eye(d**k, dtype=complex)[_perm_index(perm, d)]
+    return np.eye(d**k)[_perm_index(perm, d)]
 
 
 def _cycle_type_of(perm: tuple[int, ...]) -> CycleType:
@@ -154,10 +157,10 @@ def _young_projector(
     """young_projector, summing over table, the _perm_table of S_N."""
     n = mu.boxes
     if n == 0:
-        return np.ones((1, 1), dtype=complex)
+        return np.ones((1, 1))
     dim = d**n
     chi = {c: character(mu, c) for c in cycle_types(n)}
-    acc = np.zeros((dim, dim), dtype=complex)
+    acc = np.zeros((dim, dim))
     rows = np.arange(dim)
     for idx, ctype in table:
         acc[rows, idx] += chi[ctype]
@@ -179,7 +182,7 @@ def _trace_last(mat: np.ndarray, d: int) -> np.ndarray:
 
 def _ptilde_plus(d: int) -> np.ndarray:
     """Unnormalised maximally entangled projector sum_ij |ii><jj| on two factors."""
-    flat = np.eye(d, dtype=complex).ravel()
+    flat = np.eye(d).ravel()
     return np.outer(flat, flat)
 
 
@@ -188,24 +191,25 @@ def _embed_front(mat: np.ndarray, d: int) -> np.ndarray:
     return np.kron(mat, np.eye(d))
 
 
-def _eigh(mat: np.ndarray):
-    """LAPACK eigendecomposition (ascending) after validating Hermiticity and
-    realness."""
+def _symmetric(mat: np.ndarray) -> np.ndarray:
+    """mat, after validating that it is symmetric (real Hermitian)."""
     scale = max(1.0, float(np.abs(mat).max()))
-    herm = float(np.abs(mat - mat.conj().T).max())
-    if herm > 1e-9 * scale:
-        raise ArithmeticError(f"operator is not Hermitian (deviation {herm:.2e})")
-    imag = float(np.abs(mat.imag).max())
-    if imag > 1e-9 * scale:
-        raise ArithmeticError(f"operator has complex entries (max imag {imag:.2e})")
-    return np.linalg.eigh(mat.real)
+    asym = float(np.abs(mat - mat.T).max())
+    if asym > 1e-9 * scale:
+        raise ArithmeticError(f"operator is not Hermitian (deviation {asym:.2e})")
+    return mat
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues (ascending) of a validated symmetric operator."""
+    return np.linalg.eigvalsh(_symmetric(mat))
 
 
 def _pt_swaps(n: int, d: int) -> list[np.ndarray]:
     """Last-factor partial transposes of the swaps between each port a and the
     teleported factor; port state a is the a-th one over d^N."""
     _require_cap(d, n + 1)
-    eye = np.eye(d ** (n + 1), dtype=complex)
+    eye = np.eye(d ** (n + 1))
     return [
         partial_transpose_last(eye[_perm_index(transposition(a, n, n + 1), d)], d)
         for a in range(n)
@@ -297,7 +301,7 @@ def dense_cell(n: int, d: int) -> DenseCell:
 
 def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
     """Inverse square root on the support; eigenvalues below threshold drop out."""
-    w, v = _eigh(mat)
+    w, v = np.linalg.eigh(_symmetric(mat))
     inv = np.where(w > threshold, 1.0 / np.sqrt(np.maximum(w, threshold)), 0.0)
     return (v * inv) @ v.T
 
@@ -310,13 +314,13 @@ def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
     projector combination.
     """
     if povm_spec == "sqrt_measurement":
-        isqrt = _pseudo_inverse_sqrt(sum(cell.sigmas))
-        povms = [isqrt @ s @ isqrt for s in cell.sigmas]
+        wall = _pseudo_inverse_sqrt(sum(cell.sigmas))
     elif povm_spec == "optimal":
-        povms = [cell.povm @ s @ cell.povm for s in cell.sigmas]
+        wall = cell.povm
     else:
         raise ValueError(f"unknown povm_spec {povm_spec!r}")
-    total = math.fsum(float(np.trace(p @ s).real) for p, s in zip(povms, cell.sigmas))
+    # tr(W s W s) = sum of (W s) * (W s)^T entrywise: one product per port state
+    total = math.fsum(float(np.sum(ws * ws.T)) for ws in (wall @ s for s in cell.sigmas))
     return total / cell.d**2
 
 
@@ -328,9 +332,9 @@ def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
     """
     sol = cell.solution
     x_a = sum(sol.c_coeffs[mu] * cell.projectors[mu] for mu in sol.basis)
-    povm_sum = sum(cell.povm @ s @ cell.povm for s in cell.sigmas)
-    w, _ = _eigh(_embed_front(x_a, cell.d) - povm_sum)
-    return {"min_eig": float(w[0]), "trace_XA": float(np.trace(x_a).real)}
+    povm_sum = cell.povm @ sum(cell.sigmas) @ cell.povm
+    w = _eigvalsh(_embed_front(x_a, cell.d) - povm_sum)
+    return {"min_eig": float(w[0]), "trace_XA": float(np.trace(x_a))}
 
 
 def dual_witness_check(cell: DenseCell) -> dict[str, float]:
@@ -350,8 +354,8 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
         * f
         for (alpha, mu), f in cell.family.items()
     )
-    min_slack = min(float(_eigh(omega - s)[0][0]) for s in cell.sigmas)
-    w, _ = _eigh(_trace_last(omega, d))
+    min_slack = min(float(_eigvalsh(omega - s)[0]) for s in cell.sigmas)
+    w = _eigvalsh(_trace_last(omega, d))
     objective = d ** (n - 2) * float(np.abs(w).max())
     return {"min_slack": min_slack, "objective": objective}
 
@@ -395,6 +399,27 @@ def _norm_inf(mat: np.ndarray) -> float:
     return float(np.abs(mat).max()) if mat.size else 0.0
 
 
+def _composition_residual(n: int, d: int) -> float:
+    """Largest entry of V(s) (V(t) x) - V(s o t) x over every pair s, t of the
+    generators of S(N+1), x = (0, 1, ..., d^(N+1) - 1).
+
+    The generators are the adjacent transpositions and the (N+1)-cycle.  Two
+    permutation matrices map a vector with distinct entries alike exactly when
+    they are equal, and the products are exact, so the residual is 0.0 iff
+    V(s) V(t) = V(s o t) for every pair.
+    """
+    gens = [transposition(i, i + 1, n + 1) for i in range(n)]
+    gens.append(tuple(range(1, n + 1)) + (0,))
+    x = np.arange(float(d ** (n + 1)))
+    ops = {s: permutation_operator(s, d) for s in gens}
+    res = 0.0
+    for s in gens:
+        for t in gens:
+            st = tuple(s[t[i]] for i in range(n + 1))
+            res = max(res, _norm_inf(ops[s] @ (ops[t] @ x) - permutation_operator(st, d) @ x))
+    return res
+
+
 def run_checks(n: int, d: int) -> list[CheckResult]:
     """Full verification battery at one (N, d); every formula the fast modules
     rely on is recomputed by dense linear algebra and compared."""
@@ -404,16 +429,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     dim_a = d**n
     dim = d ** (n + 1)
 
-    # permutation operators compose like permutations
-    comp_res = 0.0
-    gens = [transposition(i, i + 1, n + 1) for i in range(n)]
-    gens.append(tuple(range(1, n + 1)) + (0,))
-    for s in gens:
-        for t in gens:
-            st = tuple(s[t[i]] for i in range(n + 1))
-            lhs = permutation_operator(s, d) @ permutation_operator(t, d)
-            comp_res = max(comp_res, _norm_inf(lhs - permutation_operator(st, d)))
-    checks.append(_check("perm_composition", comp_res, 1e-12))
+    checks.append(_check("perm_composition", _composition_residual(n, d), 1e-12))
 
     # Young projectors: resolution, idempotence, Hermiticity, traces, centrality
     projectors = {mu: cell.projectors[mu] for mu in full_basis}
@@ -421,10 +437,10 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("young_resolution", _norm_inf(resolution), 1e-10))
     idem = max(_norm_inf(p @ p - p) for p in projectors.values())
     checks.append(_check("young_idempotent", idem, 1e-10))
-    herm = max(_norm_inf(p - p.conj().T) for p in projectors.values())
+    herm = max(_norm_inf(p - p.T) for p in projectors.values())
     checks.append(_check("young_hermitian", herm, 1e-10))
     trace_res = max(
-        abs(float(np.trace(p).real) - irrep_dim(mu) * multiplicity(mu, d))
+        abs(float(np.trace(p)) - irrep_dim(mu) * multiplicity(mu, d))
         for mu, p in projectors.items()
     )
     checks.append(_check("young_trace", trace_res, _TOL))
@@ -439,8 +455,8 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
 
     # port operator: Hermitian, PSD, exact eigenvalue multiset with multiplicities
     eta = d**n * sum(cell.sigmas)
-    checks.append(_check("eta_hermitian", _norm_inf(eta - eta.conj().T), 1e-10))
-    eigs_eta, _ = _eigh(eta)
+    checks.append(_check("eta_hermitian", _norm_inf(eta - eta.T), 1e-10))
+    eigs_eta = _eigvalsh(eta)
     checks.append(_check("eta_psd", max(0.0, -float(eigs_eta[0])), 1e-10))
     eigen_labels = protocol_eigenvalues(cell.edges)
     expected = []
@@ -460,21 +476,18 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     gamma_of = {key: g for key, g in gammas.items() if key in fams}
     idem = max(_norm_inf(f @ f - f) for f in fams.values())
     checks.append(_check("f_idempotent", idem, 1e-10))
-    herm = max(_norm_inf(f - f.conj().T) for f in fams.values())
+    herm = max(_norm_inf(f - f.T) for f in fams.values())
     checks.append(_check("f_hermitian", herm, 1e-10))
     f_trace_res = max(
-        abs(float(np.trace(f).real) - irrep_dim(mu) * multiplicity(alpha, d))
+        abs(float(np.trace(f)) - irrep_dim(mu) * multiplicity(alpha, d))
         for (alpha, mu), f in fams.items()
     )
     checks.append(_check("f_trace", f_trace_res, _TOL))
     f_eig_res = max(_norm_inf(eta @ fams[key] - g * fams[key]) for key, g in gamma_of.items())
     checks.append(_check("f_eigen", f_eig_res, 1e-10))
-    ortho = 0.0
-    keys = list(fams)
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1 :]:
-            ortho = max(ortho, _norm_inf(fams[k1] @ fams[k2]))
-    checks.append(_check("f_orthogonal", ortho, 1e-10))
+    # symmetric projectors are mutually orthogonal iff their sum is a projector
+    total = sum(fams.values())
+    checks.append(_check("f_orthogonal", _norm_inf(total @ total - total), 1e-10))
 
     # basis-free inner-product identity: sandwiching an eigenprojector between
     # P_alpha (x) P+ rescales that projector by m_mu / (d m_alpha)
@@ -499,7 +512,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     # partial transpose is an involution and preserves traces
     pt = partial_transpose_last(eta, d)
     checks.append(_check("pt_involution", _norm_inf(partial_transpose_last(pt, d) - eta), 1e-12))
-    pt_trace = abs(float(np.trace(pt).real - np.trace(eta).real))
+    pt_trace = abs(float(np.trace(pt) - np.trace(eta)))
     checks.append(_check("pt_trace", pt_trace, 1e-12))
 
     # the fidelity triangle

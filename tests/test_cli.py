@@ -74,7 +74,9 @@ class TestMatrixCommand:
     def test_kind_g_is_rejected(self):
         code, out, err = invoke(["matrix", "--ports", "4", "--dim", "3", "--kind", "G"])
         assert code == 1 and out == ""
-        assert "invalid choice: 'G'" in err and err.splitlines()[-1].startswith("usage: dpbt")
+        error, usage = err.split("\n", 1)
+        assert "invalid choice: 'G'" in error and usage.startswith("usage: dpbt matrix")
+        assert "[--kind {MF,R,H}]" in usage
 
     def test_h_json_reports_the_requested_port_count(self):
         code, out, _ = invoke(["matrix", "-N", "4", "-d", "3", "--kind", "H"])
@@ -310,6 +312,28 @@ class TestValidation:
         ):
             code, _, err = invoke(argv)
             assert code == 1 and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "-N", "6", "-d", "3", "--kind", "G"],  # argparse
+            ["matrix", "-N", "3", "-d", "2", "--tol", "1e-9"],  # argparse, unrecognized
+            ["fidelity", "-N", "5", "-d", "3", "--tol", "2"],  # option validation
+            ["fidelity", "-N", "5", "-d", "3", "-o", "out.csv"],  # option validation
+            ["povm", "-N", "0", "-d", "3"],  # the command itself
+        ],
+    )
+    def test_usage_line_is_the_failing_verbs(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == ""
+        error, usage = err.split("\n", 1)
+        assert error.startswith("error: ")
+        assert usage.startswith(f"usage: dpbt {argv[0]} [-h] --ports PORTS --dim DIM")
+
+    def test_usage_line_without_a_verb_is_the_top_level_one(self):
+        for argv in ([], ["frobnicate"], ["--bogus"]):
+            code, _, err = invoke(argv)
+            assert code == 1 and err.splitlines()[1].startswith("usage: dpbt [-h] [--version]")
 
     @pytest.mark.parametrize("verb", ["spectrum", "fidelity", "povm", "sweep"])
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Dense-operator oracle: constructions and formula checks by direct algebra."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -78,6 +79,19 @@ class TestPermutationOperator:
         perm = (2, 0, 1)
         v = permutation_operator(perm, 3)
         assert np.allclose(v @ v.conj().T, np.eye(27))
+
+    def test_float64(self):
+        assert permutation_operator((1, 2, 0), 3).dtype == np.float64
+
+    @pytest.mark.parametrize("n,d", oracle.DEFAULT_CHECK_CELLS)
+    def test_composition_residual_is_exact(self, n, d):
+        assert oracle._composition_residual(n, d) == 0.0
+
+    def test_composition_residual_sees_a_wrong_operator(self, monkeypatch):
+        # V(s^-1) in place of V(s) composes in the opposite order
+        real = oracle.permutation_operator
+        monkeypatch.setattr(oracle, "permutation_operator", lambda perm, d: real(perm, d).T)
+        assert oracle._composition_residual(3, 2) >= 1
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -218,6 +232,16 @@ class TestFProjector:
             f_projector(YoungDiagram((1, 1)), YoungDiagram((1, 1, 1)), 2)
 
 
+class TestDenseCell:
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (2, 3), (3, 3)])
+    def test_operators_are_float64_and_symmetric(self, n, d):
+        cell = dense_cell(n, d)
+        ops = [*cell.projectors.values(), *cell.family.values(), *cell.sigmas, cell.povm]
+        for op in ops:
+            assert op.dtype == np.float64
+            assert np.abs(op - op.T).max() <= 1e-12
+
+
 class TestDirectFidelity:
     def test_sqrt_measurement_values(self):
         got = direct_fidelity(dense_cell(2, 2), "sqrt_measurement")
@@ -321,6 +345,23 @@ class TestRunChecks:
         assert len(results) == 29
         assert results["edge_pairs"].residual == 1 and not results["edge_pairs"].passed
         assert results["f_idempotent"].passed and results["dual_objective"].passed
+
+
+    def test_overlapping_family_fails_f_orthogonal(self, monkeypatch):
+        # adding one member into another keeps every member a symmetric
+        # projector, so only the check on the sum can see the overlap
+        real = oracle.dense_cell
+
+        def overlapping(n, d):
+            cell = real(n, d)
+            (_, f1), (k2, f2), *_ = cell.family.items()
+            return dataclasses.replace(cell, family={**cell.family, k2: f1 + f2})
+
+        monkeypatch.setattr(oracle, "dense_cell", overlapping)
+        results = {r.name: r for r in run_checks(3, 2)}
+        assert len(results) == 29
+        assert not results["f_orthogonal"].passed
+        assert results["f_idempotent"].passed and results["f_hermitian"].passed
 
 
 class TestCharacterSpectrum:
