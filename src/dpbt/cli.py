@@ -275,18 +275,21 @@ def _cmd_fidelity(args, out) -> int:
 def _cmd_povm(args, out) -> int:
     _validate_nd(args.ports, args.dim)
     sol = optimal_solution(incidence_edges(args.ports, args.dim), args.tol, args.max_iter)
+    e = sol.edges
+    alphas, mus = e.row_basis.labels(), e.col_basis.labels()
     payload = {
         "version": __version__,
         "N": sol.n,
         "d": sol.d,
         "method": sol.method,
-        "v": {mu.label(): sol.v[mu] for mu in sol.basis},
-        "o_coeffs": {mu.label(): sol.o_coeffs[mu] for mu in sol.basis},
-        "c_coeffs": {mu.label(): sol.c_coeffs[mu] for mu in sol.basis},
+        "v": dict(zip(mus, sol.v.tolist())),
+        "o_coeffs": dict(zip(mus, sol.o_coeffs.tolist())),
+        "c_coeffs": dict(zip(mus, sol.c_coeffs.tolist())),
+        # ascending (alpha, mu) rows: the edge order reversed
         "p_coeffs": [
-            {"alpha": alpha.label(), "mu": mu.label(), "p": p}
-            for (alpha, mu), p in sorted(
-                sol.p_coeffs.items(), key=lambda kv: (kv[0][0].rows, kv[0][1].rows)
+            {"alpha": alphas[i], "mu": mus[j], "p": p}
+            for i, j, p in zip(
+                e.parent[::-1].tolist(), e.child[::-1].tolist(), sol.p_coeffs[::-1].tolist()
             )
         ],
     }

@@ -4,13 +4,14 @@ Diagrams are integer partitions; they label the irreps of S(N) and index the
 rows and columns of every matrix built downstream.  A DiagramBasis holds its
 diagrams as one read-only integer array of rows, zero padded, and builds
 YoungDiagram objects only when they are asked for (labels come from the rows).
-Dimension and multiplicity arithmetic is exact and shares one kernel: for the
-k rows of a diagram and l_i = mu_i + k - 1 - i, one Vandermonde product
-V = prod_{i<j} (l_i - l_j) gives both the Frobenius formula for the S(N)
-dimension and the Weyl formula for the Schur-Weyl multiplicity, at O(k^2)
-integer operations per diagram.  The values overflow 64-bit integers near
-N = 30, so everything here stays in arbitrary-width Python integers.  Floats
-appear only in the spectral and protocol layers.
+Dimension and multiplicity arithmetic is exact and shares one kernel over a
+whole array of rows: for the k rows of a diagram and l_i = mu_i + k - 1 - i,
+one Vandermonde product V = prod_{i<j} (l_i - l_j) gives both the Frobenius
+formula for the S(N) dimension and the Weyl formula for the Schur-Weyl
+multiplicity.  It works column by column on the diagrams of each height, at
+O(k^2) array operations per height.  The values overflow 64-bit integers near
+N = 30, so the results are numpy object arrays of arbitrary-width Python
+integers.  Floats appear only in the spectral and protocol layers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, starmap
-from operator import add, sub
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "irrep_dim",
     "multiplicity",
     "dims_and_multiplicities",
-    "dim_mult_products",
 ]
 
 
@@ -128,7 +126,7 @@ class DiagramBasis:
     diagram.  d=None means no height cap.  `rows` holds the diagrams as a
     read-only array of the narrowest unsigned dtype that holds n, one
     zero-padded row each, min(n, d) columns wide; `entries` builds the
-    YoungDiagram objects on first use.
+    YoungDiagram objects and `numbers` the exact d_mu and m_mu on first use.
     """
 
     n: int
@@ -148,6 +146,14 @@ class DiagramBasis:
     @cached_property
     def entries(self) -> tuple[YoungDiagram, ...]:
         return tuple(YoungDiagram(tuple(r for r in row if r)) for row in self.rows.tolist())
+
+    @cached_property
+    def numbers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only dims_and_multiplicities(self, self.d)."""
+        out = dims_and_multiplicities(self, self.d)
+        for x in out:
+            x.flags.writeable = False
+        return out
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -220,65 +226,84 @@ def add_box(alpha: YoungDiagram, d: int | None = None) -> frozenset[YoungDiagram
     )
 
 
-def _frobenius_weyl(rows: Sequence[int], d: int | None) -> tuple[int, int, int]:
-    """Exact (a, b, c) with d_mu = a // c and m_mu = b // c for the positive
-    rows of mu, sharing one Vandermonde product.
+_comb = np.frompyfunc(math.comb, 2, 1)
 
-    With k rows, l_i = mu_i + k - 1 - i and V = prod_{i<j} (l_i - l_j):
-    c = prod_i l_i! / mu_i!, a = V prod_i C(mu_0 + ... + mu_i, mu_i) (so a / c
-    is the Frobenius formula N! V / prod_i l_i!), and b = V prod_i
-    C(mu_i + d - 1 - i, mu_i) (so b / c is the Weyl formula V prod_i
-    (mu_i + d - 1 - i)! / ((d - 1 - i)! l_i!): the pairs of rows within the
-    diagram give V over prod_{i<k} i!, the pairs with the empty rows k..d-1
-    the rest).  b = 0 when mu is taller than d, or d is None.  Every factor
-    is a binomial or a product of fewer than k terms, so nothing of size N!
-    is formed, and d_mu m_mu = a b // c^2 is one exact division.
+
+def _product(factors: np.ndarray, top: int) -> np.ndarray:
+    """Exact product along each row of a 2-D int64 array with entries in
+    0..top, as an object array of Python ints: as many columns at a time as
+    stay below 2^62 are multiplied in int64, then each group in Python ints."""
+    per = 62 // max(top, 1).bit_length()
+    out = factors[:, :per].prod(axis=1).astype(object)
+    for start in range(per, factors.shape[1], per):
+        out = out * factors[:, start : start + per].prod(axis=1)
+    return out
+
+
+def _frobenius_weyl(rows: np.ndarray, d: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact d_mu and m_mu (0 when mu is taller than d, or d is None) of the
+    diagrams given as zero-padded rows, as object arrays of Python ints in
+    row order.
+
+    The diagrams are taken by height k, over their k positive rows only.  Over
+    the pairs i < j < k, V = prod (mu_i - mu_j + j - i) is the Vandermonde
+    product of l_i = mu_i + k - 1 - i, and c = prod (mu_i + j - i) =
+    prod_i l_i! / mu_i!.  Then d_mu = V prod_i C(mu_0 + ... + mu_i, mu_i) / c
+    (the Frobenius formula N! V / prod_i l_i!), and m_mu =
+    V prod_i C(mu_i + d - 1 - i, mu_i) / c (the Weyl formula: the pairs of rows
+    within the diagram give V over prod_{i<k} i!, the pairs with the empty rows
+    k..d-1 the rest).  V and c are products of small integers, and nothing of
+    size N! or d! is formed.
     """
-    k = len(rows)
-    below = range(k - 1, -1, -1)  # k - 1 - i
-    shifted = list(map(add, rows, below))
-    v = math.prod(starmap(sub, combinations(shifted, 2)))
-    c = math.prod(map(math.perm, shifted, below))
-    a = v * math.prod(map(math.comb, accumulate(rows), rows))
-    if d is None or k > d:
-        return a, 0, c
-    return a, v * math.prod(map(math.comb, map(add, rows, range(d - 1, d - 1 - k, -1)), rows)), c
-
-
-def _basis_kernel(basis: DiagramBasis, d: int | None) -> Iterator[tuple[int, int, int]]:
-    """_frobenius_weyl of every diagram of the basis, in basis order."""
-    for row in basis.rows.tolist():
-        yield _frobenius_weyl(row[: len(row) - row.count(0)], d)
+    rows = np.asarray(rows, dtype=np.int64)
+    width = rows.shape[1]
+    top = int(rows[:, :1].max(initial=0)) + width  # bounds every factor
+    # the pairs i < j ordered by j, so those within height k come first
+    j, i = np.nonzero(np.arange(width)[:, None] > np.arange(width))
+    gap = j - i
+    dims = np.empty(len(rows), dtype=object)
+    mults = np.zeros(len(rows), dtype=object)
+    heights = np.count_nonzero(rows, axis=1)
+    by_height = np.argsort(heights, kind="stable")
+    ends = np.cumsum(np.bincount(heights)).tolist()
+    for k, (start, end) in enumerate(zip([0] + ends, ends)):
+        if start == end:
+            continue
+        at = by_height[start:end]
+        mu = rows[at, :k]
+        pairs = k * (k - 1) // 2
+        upper = mu[:, i[:pairs]]
+        v = _product(upper - mu[:, j[:pairs]] + gap[:pairs], top)
+        c = _product(upper + gap[:pairs], top)
+        dims[at] = v * _comb(mu.cumsum(axis=1)[:, 1:], mu[:, 1:]).prod(axis=1) // c
+        if d is not None and k <= d:
+            # Python ints, since d itself may exceed int64
+            mults[at] = v * _comb(mu + (d - 1 - np.arange(k, dtype=object)), mu).prod(axis=1) // c
+    return dims, mults
 
 
 def dims_and_multiplicities(
     basis: DiagramBasis, d: int | None
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact d_mu and m_mu (at local dimension d; all 0 for d=None) of every
-    diagram of the basis, in basis order."""
+    diagram of the basis, as object arrays of Python ints in basis order."""
     if d is not None and d < 1:
         raise ValueError("local dimension must be >= 1")
-    dims, mults = [], []
-    for a, b, c in _basis_kernel(basis, d):
-        dims.append(a // c)
-        mults.append(b // c)
-    return dims, mults
+    return _frobenius_weyl(basis.rows, d)
 
 
-def dim_mult_products(basis: DiagramBasis, d: int) -> list[int]:
-    """Exact d_mu m_mu of every diagram of the basis, in basis order."""
-    if d < 1:
-        raise ValueError("local dimension must be >= 1")
-    return [a * b // (c * c) for a, b, c in _basis_kernel(basis, d)]
+def _one_row(mu: YoungDiagram) -> np.ndarray:
+    return np.array([mu.rows], dtype=np.int64).reshape(1, mu.height)
 
 
+@lru_cache(maxsize=None)
 def irrep_dim(mu: YoungDiagram) -> int:
     """Dimension of the S(N) irrep labelled by mu, by the Frobenius formula
     N! prod_{i<j} (l_i - l_j) / prod_i l_i!."""
-    a, _, c = _frobenius_weyl(mu.rows, None)
-    return a // c
+    return _frobenius_weyl(_one_row(mu), None)[0][0]
 
 
+@lru_cache(maxsize=None)
 def multiplicity(mu: YoungDiagram, d: int) -> int:
     """Schur-Weyl multiplicity of mu in (C^d)^(boxes of mu).
 
@@ -288,5 +313,4 @@ def multiplicity(mu: YoungDiagram, d: int) -> int:
     """
     if d < 1:
         raise ValueError("local dimension must be >= 1")
-    _, b, c = _frobenius_weyl(mu.rows, d)
-    return b // c
+    return _frobenius_weyl(_one_row(mu), d)[1][0]

@@ -294,7 +294,10 @@ def dense_cell(n: int, d: int) -> DenseCell:
     }
     sigmas = [s / d**n for s in _pt_swaps(n, d)]
     solution = optimal_solution(edges)
-    coeffs = sorted(solution.p_coeffs.items(), key=lambda kv: (kv[0][0].rows, kv[0][1].rows))
+    alphas, mus = edges.row_basis.entries, edges.col_basis.entries
+    pairs = [(alphas[i], mus[j]) for i, j in zip(edges.parent.tolist(), edges.child.tolist())]
+    # summed by ascending (alpha, mu) rows: the edge order reversed
+    coeffs = zip(pairs[::-1], solution.p_coeffs[::-1].tolist())
     povm = sum(p * family[key] for key, p in coeffs if key in family)
     return DenseCell(n, d, edges, projectors, family, sigmas, solution, povm)
 
@@ -331,7 +334,7 @@ def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
     >= -tolerance) and the trace of X_A (must be d^N).
     """
     sol = cell.solution
-    x_a = sum(sol.c_coeffs[mu] * cell.projectors[mu] for mu in sol.basis)
+    x_a = sum(c * cell.projectors[mu] for mu, c in zip(sol.basis, sol.c_coeffs.tolist()))
     povm_sum = cell.povm @ sum(cell.sigmas) @ cell.povm
     w = _eigvalsh(_embed_front(x_a, cell.d) - povm_sum)
     return {"min_eig": float(w[0]), "trace_XA": float(np.trace(x_a))}
@@ -346,7 +349,7 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
     trace reproduces the optimum radius / d^2.
     """
     n, d = cell.n, cell.d
-    t = cell.solution.v
+    t = dict(zip(cell.solution.basis, cell.solution.v.tolist()))
     omega = sum(
         math.fsum(t[nu] for parent, nu in cell.family if parent == alpha)
         * multiplicity(mu, d)

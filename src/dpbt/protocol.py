@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .diagrams import DiagramBasis, YoungDiagram, dim_mult_products, dims_and_multiplicities
+from .diagrams import DiagramBasis, YoungDiagram
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
 from .telemat import IncidenceEdges, incidence_edges
 
@@ -54,16 +54,37 @@ def _check_nd(n: int, d: int | None) -> None:
         raise ValueError("local dimension must be >= 2")
 
 
-def _sqrt_ratio(num: int, den: int) -> float:
-    """sqrt(num / den) for positive integers of any size.
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
 
-    The ratio is shifted near 1 by an even power of two, divided with correct
-    rounding, rooted and shifted back; OverflowError only when the result
-    itself exceeds double range.
+# the least integer whose float rounds to inf: 2^1024 less half a unit in the last place
+_DOUBLE_LIMIT = (1 << 1024) - (1 << 970)
+
+
+def _sqrt_ratio(num: np.ndarray, den: np.ndarray | int) -> np.ndarray:
+    """sqrt(num / den) for object arrays of positive integers of any size (den
+    may be one int), as float64; inf where the result exceeds double range.
+
+    Each ratio is shifted near 1 by an even power of two, divided with correct
+    rounding, rooted and shifted back.  The shift is exact, so equal ratios
+    give the same bits whatever their numerators and denominators.
     """
-    half = (num.bit_length() - den.bit_length()) // 2
-    q = num / (den << 2 * half) if half > 0 else (num << -2 * half) / den
-    return math.ldexp(math.sqrt(q), half)
+    den = np.asarray(den, dtype=object)
+    half = (_bit_length(num) - _bit_length(den)).astype(np.int64) // 2
+    q = (num << np.maximum(-2 * half, 0)) / (den << np.maximum(2 * half, 0))
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(q.astype(np.float64)), half)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, correctly rounded, for object arrays of positive integers of
+    any size, as float64; inf where it exceeds double range."""
+    over = np.zeros(len(num), dtype=bool)
+    # below 1023 bits of difference num / den < 2^1023 always fits
+    big = np.flatnonzero(_bit_length(num) - _bit_length(den) >= 1023)
+    over[big] = num[big] >= den[big] * _DOUBLE_LIMIT
+    out = (np.where(over, 0, num) / den).astype(np.float64)
+    out[over] = np.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,43 +110,46 @@ class FidelityReport:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalSolution:
     """Optimal POVM and resource-state coefficients from the Perron vector.
 
-    v is l2-normalised with positive entries; p maps (alpha, mu) to the POVM
-    expansion coefficient, o gives the resource-operator coefficient per
-    diagram, and c the coefficients of the positive operator constraining the
-    POVM sum.  `method` names the route that produced the Perron vector.
+    Float64 arrays: v (l2-normalised, positive), the resource-operator
+    coefficients o and the coefficients c of the positive operator
+    constraining the POVM sum, in the order of the column basis; the POVM
+    expansion coefficients p_mu(alpha), in the order of the edges (alpha, mu)
+    of the cell's edge list `edges`.  `method` names the route that produced
+    the Perron vector.
     """
 
     n: int
     d: int
-    basis: DiagramBasis
-    v: dict[YoungDiagram, float]
-    p_coeffs: dict[tuple[YoungDiagram, YoungDiagram], float]
-    o_coeffs: dict[YoungDiagram, float]
-    c_coeffs: dict[YoungDiagram, float]
+    edges: IncidenceEdges
+    v: np.ndarray
+    p_coeffs: np.ndarray
+    o_coeffs: np.ndarray
+    c_coeffs: np.ndarray
     method: str
 
+    @property
+    def basis(self) -> DiagramBasis:
+        return self.edges.col_basis
 
-def _gammas(
-    e: IncidenceEdges, row: tuple[list[int], list[int]], col: tuple[list[int], list[int]]
-) -> list[Fraction]:
+
+Numbers = tuple[np.ndarray, np.ndarray]  # exact (dims, multiplicities) of a basis
+
+
+def _gammas(e: IncidenceEdges, row: Numbers, col: Numbers) -> list[Fraction]:
     """gamma = N m_mu d_alpha / (m_alpha d_mu) of every edge (alpha, mu) of e,
     in edge order, from the (dims, multiplicities) of its row and column bases."""
     (dim_a, mult_a), (dim_m, mult_m) = row, col
-    n = e.col_basis.n
-    return [
-        Fraction(n * mult_m[j] * dim_a[i], mult_a[i] * dim_m[j])
-        for i, j in zip(e.parent.tolist(), e.child.tolist())
-    ]
+    num = e.col_basis.n * mult_m[e.child] * dim_a[e.parent]
+    return list(map(Fraction, num.tolist(), (mult_a[e.parent] * dim_m[e.child]).tolist()))
 
 
-def _basis_numbers(e: IncidenceEdges) -> tuple[tuple[list[int], list[int]], ...]:
+def _basis_numbers(e: IncidenceEdges) -> tuple[Numbers, Numbers]:
     """(dims, multiplicities) of the row basis and of the column basis of e."""
-    d = e.col_basis.d
-    return dims_and_multiplicities(e.row_basis, d), dims_and_multiplicities(e.col_basis, d)
+    return e.row_basis.numbers, e.col_basis.numbers
 
 
 def protocol_eigenvalues(e: IncidenceEdges) -> list[ProtocolEigen]:
@@ -165,44 +189,38 @@ def optimal_solution(
     c_mu = o_mu^2,
     with v the l2-normalised Perron eigenvector.  Each is one correctly rounded
     operation on exact integers (v_mu^2 is an exact ratio), so it is finite
-    whenever it fits a double; otherwise ArithmeticError names it.
+    whenever it fits a double; otherwise ArithmeticError names the first that
+    does not: o and c over the basis, then p over the edges.
     """
     n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
     eigenpair = dominant_eigenpair(e, tol, max_iter)
-    basis = eigenpair.basis
-    norm = math.sqrt(math.fsum(x * x for x in eigenpair.perron))
-    ratios = [(x / norm).as_integer_ratio() for x in eigenpair.perron]
+    perron = np.array(eigenpair.perron)
+    v = perron / math.sqrt(math.fsum(perron * perron))
+    # v = mant 2^(exp - 53) exactly, so v^2 = mant^2 / 2^shift
+    frac, exp = np.frexp(v)
+    v2 = np.ldexp(frac, 53).astype(np.int64).astype(object) ** 2
+    shift = 2 * (53 - exp)
     (dim_a, mult_a), (dim_m, mult_m) = _basis_numbers(e)
-    alphas, mus = e.row_basis.entries, basis.entries
     dn = d**n
-    at = (None, 0)  # (alpha, mu) indices of the coefficient in the making
-    o_coeffs, c_coeffs, p_coeffs = {}, {}, {}
-    try:
-        for j, (mu, (a, b)) in enumerate(zip(mus, ratios)):
-            at = (None, j)
-            num, den = a * a * dn, b * b * dim_m[j] * mult_m[j]
-            o_coeffs[mu] = _sqrt_ratio(num, den)
-            c_coeffs[mu] = num / den
-        for i, j in zip(e.parent.tolist(), e.child.tolist()):
-            at = (i, j)
-            a, b = ratios[j]
-            p_coeffs[(alphas[i], mus[j])] = _sqrt_ratio(
-                a * a * dn * dn * mult_a[i],
-                b * b * n * dim_a[i] * mult_m[j] ** 2,
-            )
-    except OverflowError:
-        i, j = at
-        name = (
-            f"o_mu, c_mu at mu={mus[j]}"
-            if i is None
-            else f"p_mu(alpha) at alpha={alphas[i]}, mu={mus[j]}"
-        )
-        raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}") from None
-    v = {mu: x / norm for mu, x in zip(mus, eigenpair.perron)}
-    return OptimalSolution(
-        n, d, basis, v, p_coeffs, o_coeffs, c_coeffs, eigenpair.method
+    num = v2 * dn
+    den = (dim_m * mult_m) << shift
+    o_coeffs, c_coeffs = _sqrt_ratio(num, den), _ratio(num, den)
+    bad = np.isinf(o_coeffs) | np.isinf(c_coeffs)
+    if bad.any():
+        name = f"o_mu, c_mu at mu={e.col_basis[int(bad.argmax())]}"
+        raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}")
+    p_coeffs = _sqrt_ratio(
+        (dn * dn * mult_a)[e.parent] * v2[e.child],
+        (n * dim_a)[e.parent] * (mult_m * mult_m << shift)[e.child],
     )
+    bad = np.isinf(p_coeffs)
+    if bad.any():
+        k = int(bad.argmax())
+        alpha, mu = e.row_basis[int(e.parent[k])], e.col_basis[int(e.child[k])]
+        name = f"p_mu(alpha) at alpha={alpha}, mu={mu}"
+        raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}")
+    return OptimalSolution(n, d, e, v, p_coeffs, o_coeffs, c_coeffs, eigenpair.method)
 
 
 def sqrt_measurement_fidelity(e: IncidenceEdges) -> FidelityReport:
@@ -215,8 +233,8 @@ def sqrt_measurement_fidelity(e: IncidenceEdges) -> FidelityReport:
     """
     n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
-    dn = d**n
-    w = np.array([_sqrt_ratio(dm, dn) for dm in dim_mult_products(e.col_basis, d)])
+    dims, mults = e.col_basis.numbers
+    w = _sqrt_ratio(dims * mults, d**n)
     rw = np.bincount(e.parent, weights=w[e.child], minlength=len(e.row_basis))
     total = math.fsum(rw * rw) / d**2
     return FidelityReport(n, d, "sqrt_entangled", total, "sqrt_measurement_sum")

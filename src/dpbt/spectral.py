@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, dims_and_multiplicities, partition_counts
+from .diagrams import DiagramBasis, partition_counts
 from .telemat import IncidenceEdges
 
 __all__ = [
@@ -204,9 +204,8 @@ def closed_form_full(basis: DiagramBasis) -> SpectralResult:
     n = basis.n
     if n < 1 or (basis.d is not None and basis.d < n):
         raise ValueError(f"need every diagram of n >= 1 boxes, got n={n}, d={basis.d}")
-    dims = dims_and_multiplicities(basis, None)[0]
-    total = sum(dims)
-    perron = tuple(x / total for x in dims)
+    dims = basis.numbers[0]
+    perron = tuple((dims / dims.sum()).tolist())
     return SpectralResult(float(n), basis, perron, 0, float(n), float(n), "closed_dgeN")
 
 

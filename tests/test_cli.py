@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from dpbt import cli, telemat
 from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
 from dpbt.oracle import DEFAULT_CHECK_CELLS
-from dpbt.protocol import protocol_eigenvalues
+from dpbt.protocol import optimal_solution, protocol_eigenvalues
 from dpbt.telemat import gram_H, incidence_matrix, teleportation_matrix
 
 
@@ -226,6 +227,36 @@ class TestPovmCommand:
         assert err.startswith("computation failed: p_mu(alpha) at alpha=[1049]")
         assert "N=1050, d=2" in err and "Traceback" not in err
 
+    def test_first_coefficient_beyond_double_range_is_named(self):
+        # p_[1045]([1044]) fits a double; the next edge of [1044] is the first that does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["povm", "--ports", "1045", "--dim", "2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "computation failed: p_mu(alpha) at alpha=[1044], mu=[1044,1] "
+            "exceeds double range at N=1045, d=2\n"
+        )
+
+    @pytest.mark.parametrize("n,d", [(6, 3), (40, 4)])
+    def test_p_coeffs_sorted_by_diagram_rows(self, n, d):
+        payload = json.loads(invoke(["povm", "--ports", str(n), "--dim", str(d)])[1])
+        pairs = [(entry["alpha"], entry["mu"]) for entry in payload["p_coeffs"]]
+
+        def rows(pair):
+            return tuple(tuple(json.loads(label)) for label in pair)
+
+        # the order of a sort of the (alpha, mu) pairs by their rows
+        assert pairs == sorted(pairs, key=rows)
+        sol = optimal_solution(telemat.incidence_edges(n, d))
+        e = sol.edges
+        by_pair = {
+            (e.row_basis[i].label(), e.col_basis[j].label()): p
+            for i, j, p in zip(e.parent.tolist(), e.child.tolist(), sol.p_coeffs.tolist())
+        }
+        assert len(by_pair) == len(pairs)
+        assert [entry["p"] for entry in payload["p_coeffs"]] == [by_pair[pair] for pair in pairs]
+
 
 class TestVerifyCommand:
     def test_single_cell_passes(self):
@@ -235,8 +266,8 @@ class TestVerifyCommand:
         assert payload["all_passed"] is True
         assert all(r["passed"] for r in payload["checks"])
 
-    def test_default_cells_pass(self):
-        code, out, _ = invoke(["verify", "--oracle"])
+    def test_default_cells_pass(self, verify_oracle):
+        code, out, _ = verify_oracle
         assert code == 0
         checks = json.loads(out)["checks"]
         assert [(r["N"], r["d"]) for r in checks[::29]] == list(DEFAULT_CHECK_CELLS)
