@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -83,6 +84,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self.format_usage())
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every run
 def build_parser() -> _Parser:
     parser = _Parser(prog="dpbt", description=__doc__, add_help=True)
     parser.add_argument("--version", action="version", version=__version__)

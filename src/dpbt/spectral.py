@@ -9,6 +9,10 @@ returns an enclosure [lo, hi] of the radius whose relative width is at most
 tol.  The full spectrum of the uncapped matrix is the closed form
 `closed_form_spectrum`, counted from partition numbers; the dense oracle
 proves it from the character table.
+
+The solver keeps its Lanczos basis while it fits LANCZOS_BASIS_BYTES (32 MiB),
+so it can add up to that much memory to a solve; past the budget the rest of
+the basis is regenerated, one product per vector.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ DEFAULT_MAX_ITER = 1_000_000
 # 122 at 1e-15), and a bracket much narrower than this is out of reach in double
 # precision: at tol 1e-16, (100, 3) spent 10^6 products at rounding level.
 LANCZOS_FLOOR = 1e-14
+# Bytes of Lanczos vectors q_0, q_1, ... kept for the Ritz vector; the rest are
+# regenerated by running the recurrence again.  (300, 3) keeps all of its 309
+# vectors of 7651 entries (19 MB); (1000, 3) keeps the first 50 of 994.
+LANCZOS_BASIS_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -83,9 +91,13 @@ def lanczos_perron(
        reorthogonalisation) until the top Ritz pair (theta, s) of the k x k
        tridiagonal has |beta_k s_k| < tol theta, checked
        every max(5, k // 8) steps;
-    2. the Ritz vector x = sum_j s_j q_j, regenerated by running the same
-       recurrence again, so memory stays O(size) (Parlett, The Symmetric
-       Eigenvalue Problem, ch. 13);
+    2. the Ritz vector x = sum_j s_j q_j from the q_j kept in stage 1, as
+       many as fit LANCZOS_BASIS_BYTES; the q_j past that are regenerated
+       from the last two kept ones by running the same recurrence again
+       with the stored coefficients (Parlett, The Symmetric Eigenvalue
+       Problem, ch. 13), one product each.  Memory is O(size) plus at most
+       the budget; radius, bracket and Perron vector are bit-identical for
+       any budget, and only the product count changes;
     3. positive power steps from w = |x| / sum |x| until w > 0 and the
        Collatz-Wielandt ratios r = M_F w / w have max r - min r <= tol max r
        (Meyer, Matrix Analysis, 8.3).  M_F is symmetric, nonnegative and
@@ -122,8 +134,10 @@ def lanczos_perron(
         u = np.bincount(e.parent, weights=w[e.child], minlength=rows)
         return np.bincount(e.child, weights=u[e.parent], minlength=size)
 
-    # 1. Lanczos: keep only the tridiagonal (alphas, betas)
+    # 1. Lanczos: the tridiagonal (alphas, betas) and the basis while it fits
     start = np.full(size, 1.0 / math.sqrt(size))
+    keep = LANCZOS_BASIS_BYTES // start.nbytes
+    basis = [start]
     q_prev, q, b = np.zeros(size), start, 0.0
     alphas: list[float] = []
     betas: list[float] = []
@@ -134,12 +148,15 @@ def lanczos_perron(
             last = (q, mq)
         a = float(q @ mq)
         v = mq - a * q - b * q_prev
-        b = float(np.linalg.norm(v))
+        b = math.sqrt(v @ v)
         alphas.append(a)
         amax = max(amax, a)
         k = len(alphas)
         if k == check or b < tol * amax:  # theta >= max alpha: converged
-            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            t = np.zeros((k, k))
+            t.flat[:: k + 1] = alphas
+            t.flat[1 :: k + 1] = betas
+            t.flat[k :: k + 1] = betas
             theta, s = np.linalg.eigh(t)
             theta, s = theta[-1], s[:, -1]
             if abs(b * s[-1]) < tol * theta:
@@ -147,11 +164,17 @@ def lanczos_perron(
             check = k + max(5, k // 8)
         betas.append(b)
         q_prev, q = q, v / b
+        if len(basis) < keep:
+            basis.append(q)
 
-    # 2. Ritz vector, regenerating q_1..q_k with the stored coefficients
+    # 2. Ritz vector: the kept q_j, then the rest regenerated from the last two
+    m = len(basis)
     x = s[0] * start
-    q_prev, q, b = np.zeros(size), start, 0.0
-    for j in range(k - 1):
+    for j in range(1, m):
+        x += s[j] * basis[j]
+    q_prev, b = (basis[-2], betas[m - 2]) if m > 1 else (np.zeros(size), 0.0)
+    q = basis[-1]
+    for j in range(m - 1, k - 1):
         v = matvec(q) - alphas[j] * q - b * q_prev
         b = betas[j]
         q_prev, q = q, v / b

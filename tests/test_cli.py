@@ -425,6 +425,28 @@ class TestValidation:
         # argparse prints help straight to stdout; run() maps the exit to 0
         assert run(["--help"]) == 0
 
+    def test_runs_in_one_process_match_separate_processes(self, monkeypatch, capsys):
+        # the parser is built once per process; a run that fails or exits
+        # through argparse must leave it as the next run needs it
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        src = Path(dpbt.__file__).resolve().parents[1]
+        path = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        sequence = [
+            ["fidelity", "-N", "12", "-d", "3"],
+            ["matrix", "-N", "6", "-d", "3", "--kind", "G"],
+            ["--version"],
+            ["fidelity", "-N", "12", "-d", "3"],
+        ]
+        for argv in sequence:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "dpbt", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestOneEdgeBuildPerCell:
     """Each command evaluates a cell on one edge list: solver, fidelities and
