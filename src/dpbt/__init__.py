@@ -56,6 +56,5 @@ from .telemat import (
     gram_H,
     incidence_edges,
     incidence_matrix,
-    recursion_defect,
     teleportation_matrix,
 )

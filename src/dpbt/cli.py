@@ -2,11 +2,14 @@
 verification and sweeps, emitted as deterministic JSON or CSV.
 
 Exit codes: 0 success, 1 validation error (the usage of the failing command
-on stderr; also a matrix above MAX_MATRIX_ENTRIES, a solver option out of
-range, or a .csv output path for a JSON-only verb), an -o path that cannot be
-opened (checked before computing; one error line, no usage) or stdout closed
-by its reader (no traceback), 2 computation failure (no certified radius
-within --max-iter, cap exceeded, failed verification).
+on stderr; also a cell above MAX_CELL_DIAGRAMS or MAX_CELL_BITS, a matrix above
+MAX_MATRIX_ENTRIES, a solver option out of range, or a .csv output path for
+a JSON-only verb), an -o path that cannot be opened (checked before
+computing; one error line, no usage) or stdout closed by its reader (no
+traceback), 2 computation failure (no certified radius within --max-iter,
+cap exceeded, failed verification).
+
+JSON output is byte for byte json.dumps(payload, indent=2).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import csv
 import functools
 import io
 import json
+import math
+import operator
 import os
 import sys
 
@@ -62,6 +67,18 @@ SWEEP_COLUMNS = (
 )
 
 MAX_MATRIX_ENTRIES = 10**7
+# The cell limit, from peak RSS measured per diagram of N - 1 plus N (numbers
+# in CHANGES.md).  Each diagram costs a fixed part (edges, float arrays, the
+# povm payload: 2.0-3.1 KB for `povm`, 0.3-0.9 KB for `fidelity`) plus its
+# exact d_mu and m_mu, Python ints of up to N log2 d bits each, which dominate
+# at d = 2 and 3 (`povm` peaks at 2.7 times that width per diagram).  So the
+# diagram count and the count times ceil(N log2 d) are both bounded: the
+# integers then stay within about 0.7 GB (`povm` at (44720,2), the largest N
+# allowed at d = 2, peaked at 703 MB), and by linear extrapolation, unmeasured
+# at the limit, the fixed part of `povm` within about 6 GB.  (500,4) has
+# 1.78M diagrams and 1.78e9 bits.
+MAX_CELL_DIAGRAMS = 2 * 10**6
+MAX_CELL_BITS = 2 * 10**9
 
 
 class UsageError(Exception):
@@ -154,14 +171,50 @@ def _validate_options(args) -> None:
         raise UsageError(f"{args.verb} writes JSON only; --output {args.output} ends in .csv")
 
 
-def _validate_nd(n: int, d: int) -> None:
+def _validate_nd(n: int, d: int) -> tuple[int, int]:
+    """Check N and d, and refuse a cell above MAX_CELL_DIAGRAMS or
+    MAX_CELL_BITS before anything is listed; return the diagram counts of
+    N - 1 and N."""
     if n < 1:
         raise UsageError(f"--ports must be >= 1, got {n}")
     if d < 2:
         raise UsageError(f"--dim must be >= 2, got {d}")
+    parents, children = _cell_counts(n, d)
+    diagrams = parents + children
+    if diagrams > MAX_CELL_DIAGRAMS:
+        raise UsageError(
+            f"N={n}, d={d} has at least {diagrams} diagrams of N-1 and N, "
+            f"above the cell limit of {MAX_CELL_DIAGRAMS}"
+        )
+    width = math.ceil(n * math.log2(d))  # bits of the largest exact d_mu or m_mu
+    if diagrams * width > MAX_CELL_BITS:
+        raise UsageError(
+            f"N={n}, d={d} has {diagrams} diagrams of N-1 and N with exact d_mu, m_mu "
+            f"of up to {width} bits: {diagrams * width} bits, above the cell limit of "
+            f"{MAX_CELL_BITS} bits"
+        )
+    return parents, children
 
 
-def _parse_range(text: str) -> list[int]:
+def _cell_counts(n: int, d: int) -> tuple[int, int]:
+    """Diagram counts of N - 1 and N boxes with height <= d, exact while their
+    sum is at most MAX_CELL_DIAGRAMS, else lower bounds above it.
+
+    Counts grow with the height cap, so the closed forms at caps 2 and 3 bound
+    N before any coin change runs, and the coin change then doubles the cap
+    only while the sum stays within the limit: bounded time for any (N, d).
+    """
+    if d == 2:  # partitions of m into at most 2 parts: m // 2 + 1
+        return (n - 1) // 2 + 1, n // 2 + 1
+    counts = (((n + 2) ** 2 + 6) // 12, ((n + 3) ** 2 + 6) // 12)  # at most 3 parts: round((m + 3)² / 12)
+    cap = 3
+    while sum(counts) <= MAX_CELL_DIAGRAMS and cap < min(n, d):
+        cap = min(2 * cap, n, d)
+        counts = tuple(partition_counts(n, cap)[-2:])
+    return counts
+
+
+def _parse_range(text: str) -> range:
     if ":" in text:
         lo, hi = text.split(":", 1)
         try:
@@ -170,11 +223,12 @@ def _parse_range(text: str) -> list[int]:
             raise UsageError(f"bad range {text!r}; expected a:b") from None
         if a > b:
             raise UsageError(f"empty range {text!r}")
-        return list(range(a, b + 1))
+        return range(a, b + 1)
     try:
-        return [int(text)]
+        n = int(text)
     except ValueError:
         raise UsageError(f"bad ports value {text!r}") from None
+    return range(n, n + 1)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -215,12 +269,79 @@ def _emit(text: str, path: str | None, out) -> None:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+    """json.dumps(payload, indent=2), byte for byte, with the leaves of each
+    container encoded by C-level loops (the indenting encoder is pure Python).
+    Keys must be str."""
+    return _encode(payload, "\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, nl: str) -> str:
+    """value as json.dumps(value, indent=2) writes it after the line break and
+    indent nl."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        items = _leaves(value)
+        if items is None:
+            items = _table(value, inner)
+        if items is None:
+            items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        values = list(value.values())
+        items = _leaves(values)
+        if items is None:
+            items = [_encode(v, inner) for v in values]
+        pairs = map(": ".join, zip(map(_encode_str, value), items))
+        return "{" + inner + ("," + inner).join(pairs) + nl + "}"
+    return json.dumps(value)
+
+
+def _leaves(values) -> list[str] | None:
+    """The JSON of each value, or None if one is a container.
+
+    The types are classified once: exact float (all finite), int or str
+    values take one C-level map; others (bool, None, NaN, numpy scalars)
+    take json.dumps one at a time.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(_encode_str, values))
+    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        return None
+    return list(map(json.dumps, values))
+
+
+def _table(rows, nl: str) -> list[str] | None:
+    """Dicts of leaves that share one key tuple, encoded column by column
+    into one % template per row; None for any other list."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    key_tuples = set(map(tuple, rows))
+    if len(key_tuples) != 1:
+        return None
+    (keys,) = key_tuples
+    columns = [_leaves(list(map(operator.itemgetter(k), rows))) for k in keys]
+    if not keys or any(column is None for column in columns):
+        return None
+    inner = nl + "  "
+    fields = ",".join(inner + _encode_str(k).replace("%", "%%") + ": %s" for k in keys)
+    return list(map(("{" + fields + nl + "}").__mod__, zip(*columns)))
 
 
 def _cmd_matrix(args, out) -> int:
-    _validate_nd(args.ports, args.dim)
-    parents, children = partition_counts(args.ports, args.dim)[-2:]  # diagrams of N-1, N
+    parents, children = _validate_nd(args.ports, args.dim)  # diagrams of N-1, N
     build, rows, cols = {
         "MF": (teleportation_matrix, children, children),
         "R": (incidence_matrix, parents, children),
@@ -336,10 +457,11 @@ def _cmd_verify(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     n_values = _parse_range(args.ports)
     d_values = _parse_dims(args.dims)
-    if min(n_values) < 1:
+    if n_values[0] < 1:
         raise UsageError("--ports values must be >= 1")
     if min(d_values) < 2:
         raise UsageError("--dims values must be >= 2")
+    _validate_nd(n_values[-1], max(d_values))  # the largest cell, before the first
     rows = sweep(n_values, d_values, tol=args.tol, max_iter=args.max_iter)
     if _resolve_format(args) == "csv":
         buf = io.StringIO()

@@ -26,7 +26,6 @@ __all__ = [
     "teleportation_matrix",
     "incidence_matrix",
     "gram_H",
-    "recursion_defect",
     "to_csv",
     "to_json_dict",
 ]
@@ -141,32 +140,6 @@ def gram_H(n: int, d: int | None = None) -> LabeledIntMatrix:
     """Gram matrix of the rows of the incidence matrix: R R^T, exact."""
     e = incidence_edges(n, d)
     return _gram(e.row_basis, e.child, e.parent, len(e.col_basis), "H")
-
-
-def recursion_defect(n: int, d: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """H(n,d) minus the diagonal correction minus the teleportation matrix of n-1.
-
-    A parent of height < d keeps its add-a-new-row child under the height cap
-    and picks up one extra unit on the Gram diagonal; a parent of height d
-    loses exactly that child.  The correction is therefore the identity on the
-    rows of height < d, and the difference must vanish identically.
-    """
-    if n < 2:
-        raise ValueError("recursion needs n >= 2")
-    h = gram_H(n, d)
-    mf = teleportation_matrix(n - 1, d)
-    if h.row_basis.entries != mf.row_basis.entries:
-        raise AssertionError("basis mismatch between H and the stepped-down matrix")
-    out = []
-    for i, alpha in enumerate(h.row_basis):
-        row = []
-        for j in range(len(h.row_basis)):
-            v = h.entries[i][j] - mf.entries[i][j]
-            if i == j and (d is None or alpha.height < d):
-                v -= 1
-            row.append(v)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def to_csv(m: LabeledIntMatrix) -> str:

@@ -31,7 +31,6 @@ from dpbt.spectral import closed_form_spectrum, lanczos_perron
 from dpbt.telemat import (
     incidence_edges,
     incidence_matrix,
-    recursion_defect,
     teleportation_matrix,
     to_csv,
 )
@@ -83,7 +82,7 @@ def test_criterion_3_qubit_closed_form():
     report(3, "qubit cosine closed form matched by the Lanczos solver for N=2..50")
 
 
-def test_criterion_4_gram_and_recursion():
+def test_criterion_4_gram_and_recursion(recursion_defect):
     """Gram identity, recursion identity, and the printed incidence example."""
     for n in range(2, 9):
         for d in range(2, n + 1):

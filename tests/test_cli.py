@@ -7,17 +7,20 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpbt
 from dpbt import cli, telemat
 from dpbt.cli import run
-from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity
+from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity, partition_counts
 from dpbt.oracle import DEFAULT_CHECK_CELLS
 from dpbt.protocol import optimal_solution, protocol_eigenvalues
 from dpbt.telemat import gram_H, incidence_matrix, teleportation_matrix
@@ -496,3 +499,172 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert b"Traceback" not in err
+
+
+# JSON values for the writer: keys with `%` and non-ASCII text, every leaf
+# type the payloads hold (numpy scalars, non-finite floats), homogeneous lists
+# and tables (lists of dicts sharing one key tuple), then arbitrary nesting
+json_keys = st.text(max_size=4) | st.sampled_from(["%", "%s", "100%%", "%(p)s", "[]", "[2,1]"])
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | finite_floats | st.text()
+    | st.floats().map(np.float64)
+)
+json_columns = st.sampled_from([st.integers(), finite_floats, st.floats(), st.text(), json_leaves])
+json_tables = st.lists(st.tuples(json_keys, json_columns), max_size=4, unique_by=lambda kc: kc[0]).flatmap(
+    lambda columns: st.lists(st.fixed_dictionaries(dict(columns)), max_size=5)
+)
+json_homogeneous = st.lists(st.integers()) | st.lists(finite_floats) | st.lists(st.text()) | st.lists(st.floats())
+json_values = st.recursive(
+    json_leaves | json_homogeneous | json_tables,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """cli._json is json.dumps(payload, indent=2) byte for byte."""
+
+    @settings(deadline=None)
+    @given(json_values)
+    def test_matches_indenting_encoder(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # a failed sweep cell next to normal rows: the key tuples differ
+            {
+                "rows": [
+                    {"N": 2, "d": 3, "f_lower": 0.5, "method": "closed_dgeN", "iterations": 0},
+                    {"N": 4, "d": 3, "error": "PowerIterationError: no certified radius"},
+                    {"N": 5, "d": 3, "f_lower": 0.25, "method": "lanczos", "iterations": 90},
+                ]
+            },
+            # a failed oracle check with an infinite residual
+            {
+                "checks": [
+                    {"name": "primal", "N": 3, "d": 3, "residual": 0.0, "tolerance": 1e-8, "passed": True},
+                    {"name": "dual", "N": 3, "d": 3, "residual": math.inf, "tolerance": 1e-8, "passed": False},
+                    {"name": "eta", "N": 3, "d": 3, "residual": -math.inf, "tolerance": 1e-8, "passed": False},
+                    {"name": "nan", "N": 3, "d": 3, "residual": math.nan, "tolerance": 1e-8, "passed": False},
+                ],
+                "all_passed": False,
+            },
+            {"p_coeffs": [{"alpha": "[]", "mu": "[1]", "p": 1.0}], "v": {"[1]": 1.0}},
+            {"empty": {}, "none": [], "nested": [[], {}, [[]]], "table_of_empties": [{}, {}]},
+            # dicts sharing one key tuple, but not all leaves
+            {"rows": [{"x": [1.5], "y": 1}, {"x": {}, "y": 2}, {"x": {"z": None}, "y": 3}]},
+        ],
+    )
+    def test_explicit_payloads(self, payload):
+        assert cli._json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "-N", "6", "-d", "3"],
+            ["matrix", "-N", "6", "-d", "3", "--kind", "R"],
+            ["matrix", "-N", "6", "-d", "3", "--kind", "H"],
+            ["spectrum", "-N", "6", "-d", "6"],
+            ["spectrum", "-N", "9", "-d", "3"],
+            ["spectrum", "-N", "7", "-d", "2"],
+            ["fidelity", "-N", "9", "-d", "3"],
+            ["povm", "-N", "1", "-d", "3"],  # the empty diagram "[]" labels the parent
+            ["povm", "-N", "9", "-d", "3"],
+            ["povm", "-N", "5", "-d", "2"],
+            ["verify", "--oracle", "-N", "2", "-d", "2"],
+            ["sweep", "--ports", "1:8", "--dims", "2,3"],
+            ["sweep", "--ports", "3:8", "--dims", "2,3", "--max-iter", "1"],  # error rows
+        ],
+        ids="_".join,
+    )
+    def test_every_verb_prints_indented_json(self, monkeypatch, argv):
+        payloads, write = [], cli._json
+
+        def checked(payload):
+            payloads.append(payload)
+            return write(payload)
+
+        monkeypatch.setattr(cli, "_json", checked)
+        code, out, _ = invoke(argv)
+        assert code == 0 and len(payloads) == 1
+        assert out == json.dumps(payloads[0], indent=2) + "\n"
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        if "--max-iter" in argv:
+            assert any("error" in row for row in payloads[0]["rows"])
+
+
+class TestCellLimit:
+    """A cell above MAX_CELL_DIAGRAMS diagrams of N - 1 and N, or above
+    MAX_CELL_BITS bits of exact d_mu and m_mu, is refused before anything is
+    listed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "-N", "1000000", "-d", "1000000"],
+            ["fidelity", "-N", "1000", "-d", "4"],
+            ["povm", "-N", "1000", "-d", "4"],
+            ["spectrum", "-N", "2000", "-d", "5"],
+            ["spectrum", "-N", "61", "-d", "61"],
+            ["povm", "-N", "5000000", "-d", "2"],
+            ["sweep", "--ports", "2:1000000000000", "--dims", "2,3"],
+            ["sweep", "--ports", "2:1000", "--dims", "3,4"],
+            ["matrix", "-N", "1000000", "-d", "1000000"],
+            ["verify", "--oracle", "-N", "1000000", "-d", "1000000"],
+        ],
+        ids="_".join,
+    )
+    def test_refused_within_a_second(self, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "diagrams of N-1 and N, above the cell limit of 2000000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "-N", "1999999", "-d", "2"],
+            ["povm", "-N", "44721", "-d", "2"],
+            ["fidelity", "-N", "3460", "-d", "3"],
+            ["spectrum", "-N", "1962", "-d", "3"],
+            ["sweep", "--ports", "2:2000", "--dims", "2,3"],
+            ["matrix", "-N", "100000", "-d", "2"],
+        ],
+        ids="_".join,
+    )
+    def test_wide_exact_integers_refused_within_a_second(self, argv):
+        # few enough diagrams, but their exact d_mu, m_mu of up to N log2 d
+        # bits each would not fit
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "bits, above the cell limit of 2000000000 bits" in err
+
+    def test_limit_falls_between_the_named_cells(self):
+        assert cli.MAX_CELL_DIAGRAMS == 2 * 10**6
+        assert cli.MAX_CELL_BITS == 2 * 10**9
+        assert sum(cli._validate_nd(500, 4)) == 1783362  # (500,4) stays allowed
+        with pytest.raises(cli.UsageError, match="has at least 14077140 diagrams"):
+            cli._validate_nd(1000, 4)
+        # the largest N allowed at d = 2 and 3, where the bit bound binds
+        assert sum(cli._validate_nd(44720, 2)) == 44721
+        with pytest.raises(cli.UsageError, match="44722 diagrams .* 44721 bits: 2000012562 bits"):
+            cli._validate_nd(44721, 2)
+        assert sum(cli._validate_nd(1961, 3)) == 642555
+        with pytest.raises(cli.UsageError, match="up to 3110 bits"):
+            cli._validate_nd(1962, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 17, 40, 61, 120, 400, 2000, 5000])
+    def test_counts_are_exact_within_the_limit(self, n):
+        for d in (2, 3, 4, 5, 6, 8, 13, n, n + 1):
+            counts = cli._cell_counts(n, d)
+            if sum(counts) <= cli.MAX_CELL_DIAGRAMS:
+                assert list(counts) == partition_counts(n, d)[-2:], (n, d)
+            elif n <= 120:  # above the limit: a lower bound
+                assert sum(counts) <= sum(partition_counts(n, d)[-2:]), (n, d)

@@ -14,7 +14,6 @@ from dpbt.telemat import (
     gram_H,
     incidence_edges,
     incidence_matrix,
-    recursion_defect,
     teleportation_matrix,
     to_csv,
     to_json_dict,
@@ -172,11 +171,11 @@ class TestGramIdentities:
         assert h.entries[1][1] - mf.entries[1][1] == 0
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
-    def test_recursion_defect_zero(self, n, d):
+    def test_recursion_defect_zero(self, recursion_defect, n, d):
         defect = recursion_defect(n, d)
         assert all(x == 0 for row in defect for x in row)
 
-    def test_recursion_defect_trivial_cases(self):
+    def test_recursion_defect_trivial_cases(self, recursion_defect):
         assert recursion_defect(2, 2) == ((0,),)
         assert all(x == 0 for row in recursion_defect(5, 2) for x in row)
 
