@@ -29,7 +29,6 @@ from .diagrams import (
     partition_counts,
 )
 from .protocol import (
-    FidelityReport,
     OptimalSolution,
     ProtocolEigen,
     fidelity_row,
@@ -52,7 +51,6 @@ from .spectral import (
 )
 from .telemat import (
     IncidenceEdges,
-    LabeledIntMatrix,
     gram_H,
     incidence_edges,
     incidence_matrix,

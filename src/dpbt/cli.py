@@ -44,15 +44,7 @@ from .spectral import (
     closed_form_spectrum,
     dominant_eigenpair,
 )
-from .telemat import (
-    KINDS,
-    gram_H,
-    incidence_edges,
-    incidence_matrix,
-    teleportation_matrix,
-    to_csv,
-    to_json_dict,
-)
+from .telemat import gram_H, incidence_edges, incidence_matrix, teleportation_matrix
 
 SWEEP_COLUMNS = (
     "N",
@@ -67,6 +59,13 @@ SWEEP_COLUMNS = (
 )
 
 MAX_MATRIX_ENTRIES = 10**7
+# each `matrix --kind`: its build and the sides of its rows and columns, side 0
+# the diagrams of N-1 (the rows of R), side 1 those of N
+_MATRICES = {
+    "MF": (teleportation_matrix, 1, 1),
+    "R": (incidence_matrix, 0, 1),
+    "H": (gram_H, 0, 0),
+}
 # The cell limit, from peak RSS measured per diagram of N - 1 plus N (numbers
 # in CHANGES.md).  Each diagram costs a fixed part (edges, float arrays, the
 # povm payload: 2.0-3.1 KB for `povm`, 0.3-0.9 KB for `fidelity`) plus its
@@ -125,7 +124,7 @@ def build_parser() -> _Parser:
     p_matrix = sub.add_parser("matrix", help="emit MF/R/H matrices")
     common(p_matrix, solve=False)
     table_format(p_matrix)
-    p_matrix.add_argument("--kind", choices=KINDS, default="MF")
+    p_matrix.add_argument("--kind", choices=tuple(_MATRICES), default="MF")
 
     p_spectrum = sub.add_parser("spectrum", help="spectral radius and Perron vector")
     common(p_spectrum)
@@ -341,22 +340,34 @@ def _table(rows, nl: str) -> list[str] | None:
 
 
 def _cmd_matrix(args, out) -> int:
-    parents, children = _validate_nd(args.ports, args.dim)  # diagrams of N-1, N
-    build, rows, cols = {
-        "MF": (teleportation_matrix, children, children),
-        "R": (incidence_matrix, parents, children),
-        "H": (gram_H, parents, parents),
-    }[args.kind]
-    if rows * cols > MAX_MATRIX_ENTRIES:
+    counts = _validate_nd(args.ports, args.dim)  # diagrams of N-1, N
+    build, row_side, col_side = _MATRICES[args.kind]
+    size = counts[row_side] * counts[col_side]
+    if size > MAX_MATRIX_ENTRIES:
         raise UsageError(
-            f"--kind {args.kind} at N={args.ports}, d={args.dim} has {rows * cols} entries, "
+            f"--kind {args.kind} at N={args.ports}, d={args.dim} has {size} entries, "
             f"above the dense output limit of {MAX_MATRIX_ENTRIES}"
         )
-    m = build(args.ports, args.dim)
+    e = incidence_edges(args.ports, args.dim)
+    labels = (e.row_basis.labels(), e.col_basis.labels())
+    rows, cols = list(labels[row_side]), list(labels[col_side])
+    entries = build(e).tolist()
     if _resolve_format(args) == "csv":
-        _emit(to_csv(m), args.output, out)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["", *cols])
+        writer.writerows([label, *row] for label, row in zip(rows, entries))
+        _emit(buf.getvalue(), args.output, out)
     else:
-        payload = {"version": __version__, **to_json_dict(m)}
+        # N is the port count of the cell, also for H on the diagrams of N-1
+        payload = {
+            "version": __version__,
+            "kind": args.kind,
+            "N": args.ports,
+            "d": args.dim,
+            "basis": rows if row_side == col_side else {"rows": rows, "cols": cols},
+            "entries": entries,
+        }
         _emit(_json(payload), args.output, out)
     return 0
 
@@ -402,9 +413,9 @@ def _cmd_povm(args, out) -> int:
     alphas, mus = e.row_basis.labels(), e.col_basis.labels()
     payload = {
         "version": __version__,
-        "N": sol.n,
-        "d": sol.d,
-        "method": sol.method,
+        "N": args.ports,
+        "d": args.dim,
+        "method": sol.eigenpair.method,
         "v": dict(zip(mus, sol.v.tolist())),
         "o_coeffs": dict(zip(mus, sol.o_coeffs.tolist())),
         "c_coeffs": dict(zip(mus, sol.c_coeffs.tolist())),

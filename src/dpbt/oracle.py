@@ -37,7 +37,6 @@ from .diagrams import (
 from .protocol import (
     OptimalSolution,
     general_povm_fidelity,
-    optimal_fidelity,
     optimal_solution,
     protocol_eigenvalues,
     sqrt_measurement_fidelity,
@@ -519,14 +518,14 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("pt_trace", pt_trace, 1e-12))
 
     # the fidelity triangle
-    f_sqrt_formula = sqrt_measurement_fidelity(cell.edges).fidelity
+    f_sqrt_formula = sqrt_measurement_fidelity(cell.edges)
     f_sqrt_direct = direct_fidelity(cell, "sqrt_measurement")
     checks.append(_check("fidelity_sqrt_direct", abs(f_sqrt_direct - f_sqrt_formula), _TOL))
     f_family = general_povm_fidelity(cell.edges, 1, 2)
     checks.append(_check("fidelity_povm_family", abs(f_family - f_sqrt_formula), 1e-12))
-    opt = optimal_fidelity(cell.edges)
+    f_opt = cell.solution.eigenpair.radius / d**2
     f_opt_direct = direct_fidelity(cell, "optimal")
-    checks.append(_check("fidelity_optimal_direct", abs(f_opt_direct - opt.fidelity), _TOL))
+    checks.append(_check("fidelity_optimal_direct", abs(f_opt_direct - f_opt), _TOL))
 
     primal = primal_constraint_check(cell)
     checks.append(_check("primal_min_eig", max(0.0, -primal["min_eig"]), _TOL))
@@ -534,7 +533,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
 
     dual = dual_witness_check(cell)
     checks.append(_check("dual_min_slack", max(0.0, -dual["min_slack"]), _TOL))
-    checks.append(_check("dual_objective", abs(dual["objective"] - opt.fidelity), _TOL))
+    checks.append(_check("dual_objective", abs(dual["objective"] - f_opt), _TOL))
     checks.append(_check("duality_gap", abs(f_opt_direct - dual["objective"]), _TOL))
 
     # exact character-table multiplicities of the full matrix at N vs the closed form

@@ -29,12 +29,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .diagrams import DiagramBasis, YoungDiagram
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, SpectralResult, dominant_eigenpair
 from .telemat import IncidenceEdges, incidence_edges
 
 __all__ = [
     "ProtocolEigen",
-    "FidelityReport",
     "OptimalSolution",
     "protocol_eigenvalues",
     "optimal_fidelity",
@@ -99,17 +98,6 @@ class ProtocolEigen:
     gamma: Fraction
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    n: int
-    d: int
-    resource: str  # "optimal" | "sqrt_entangled" | "lower_bound"
-    fidelity: float
-    method: str
-    radius: float | None = None
-    iterations: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class OptimalSolution:
     """Optimal POVM and resource-state coefficients from the Perron vector.
@@ -118,38 +106,27 @@ class OptimalSolution:
     coefficients o and the coefficients c of the positive operator
     constraining the POVM sum, in the order of the column basis; the POVM
     expansion coefficients p_mu(alpha), in the order of the edges (alpha, mu)
-    of the cell's edge list `edges`.  `method` names the route that produced
-    the Perron vector.
+    of the cell's edge list `edges`.  `eigenpair` is the solve that produced
+    the Perron vector: its method, radius, bracket and product count.
     """
 
-    n: int
-    d: int
     edges: IncidenceEdges
+    eigenpair: SpectralResult
     v: np.ndarray
     p_coeffs: np.ndarray
     o_coeffs: np.ndarray
     c_coeffs: np.ndarray
-    method: str
 
     @property
     def basis(self) -> DiagramBasis:
         return self.edges.col_basis
 
 
-Numbers = tuple[np.ndarray, np.ndarray]  # exact (dims, multiplicities) of a basis
-
-
-def _gammas(e: IncidenceEdges, row: Numbers, col: Numbers) -> list[Fraction]:
+def _gammas(e: IncidenceEdges) -> tuple[np.ndarray, np.ndarray]:
     """gamma = N m_mu d_alpha / (m_alpha d_mu) of every edge (alpha, mu) of e,
-    in edge order, from the (dims, multiplicities) of its row and column bases."""
-    (dim_a, mult_a), (dim_m, mult_m) = row, col
-    num = e.col_basis.n * mult_m[e.child] * dim_a[e.parent]
-    return list(map(Fraction, num.tolist(), (mult_a[e.parent] * dim_m[e.child]).tolist()))
-
-
-def _basis_numbers(e: IncidenceEdges) -> tuple[Numbers, Numbers]:
-    """(dims, multiplicities) of the row basis and of the column basis of e."""
-    return e.row_basis.numbers, e.col_basis.numbers
+    in edge order, as exact integer object arrays (numerator, denominator)."""
+    (dim_a, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
+    return e.col_basis.n * mult_m[e.child] * dim_a[e.parent], mult_a[e.parent] * dim_m[e.child]
 
 
 def protocol_eigenvalues(e: IncidenceEdges) -> list[ProtocolEigen]:
@@ -157,7 +134,8 @@ def protocol_eigenvalues(e: IncidenceEdges) -> list[ProtocolEigen]:
     e, in edge order."""
     _check_nd(e.col_basis.n, e.col_basis.d)
     alphas, mus = e.row_basis.entries, e.col_basis.entries
-    gammas = _gammas(e, *_basis_numbers(e))
+    num, den = _gammas(e)
+    gammas = map(Fraction, num.tolist(), den.tolist())
     return [
         ProtocolEigen(alphas[i], mus[j], gamma)
         for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), gammas)
@@ -168,13 +146,12 @@ def optimal_fidelity(
     e: IncidenceEdges,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> FidelityReport:
+) -> float:
     """Best achievable fidelity at the cell of the edge list e: the spectral
     radius of its teleportation matrix from dominant_eigenpair, over d^2."""
-    n, d = e.col_basis.n, e.col_basis.d
-    _check_nd(n, d)
-    r = dominant_eigenpair(e, tol, max_iter)
-    return FidelityReport(n, d, "optimal", r.radius / d**2, r.method, r.radius, r.iterations)
+    d = e.col_basis.d
+    _check_nd(e.col_basis.n, d)
+    return dominant_eigenpair(e, tol, max_iter).radius / d**2
 
 
 def optimal_solution(
@@ -201,7 +178,7 @@ def optimal_solution(
     frac, exp = np.frexp(v)
     v2 = np.ldexp(frac, 53).astype(np.int64).astype(object) ** 2
     shift = 2 * (53 - exp)
-    (dim_a, mult_a), (dim_m, mult_m) = _basis_numbers(e)
+    (dim_a, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
     dn = d**n
     num = v2 * dn
     den = (dim_m * mult_m) << shift
@@ -220,10 +197,10 @@ def optimal_solution(
         alpha, mu = e.row_basis[int(e.parent[k])], e.col_basis[int(e.child[k])]
         name = f"p_mu(alpha) at alpha={alpha}, mu={mu}"
         raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}")
-    return OptimalSolution(n, d, e, v, p_coeffs, o_coeffs, c_coeffs, eigenpair.method)
+    return OptimalSolution(e, eigenpair, v, p_coeffs, o_coeffs, c_coeffs)
 
 
-def sqrt_measurement_fidelity(e: IncidenceEdges) -> FidelityReport:
+def sqrt_measurement_fidelity(e: IncidenceEdges) -> float:
     """Fidelity of the maximally entangled resource with square-root measurement.
 
     The Rayleigh quotient ||R w||^2 / d^2 of the teleportation matrix R^T R
@@ -236,8 +213,7 @@ def sqrt_measurement_fidelity(e: IncidenceEdges) -> FidelityReport:
     dims, mults = e.col_basis.numbers
     w = _sqrt_ratio(dims * mults, d**n)
     rw = np.bincount(e.parent, weights=w[e.child], minlength=len(e.row_basis))
-    total = math.fsum(rw * rw) / d**2
-    return FidelityReport(n, d, "sqrt_entangled", total, "sqrt_measurement_sum")
+    return math.fsum(rw * rw) / d**2
 
 
 ParamMap = Callable[[YoungDiagram], float] | float | int
@@ -261,11 +237,12 @@ def general_povm_fidelity(e: IncidenceEdges, z: ParamMap, y: ParamMap) -> float:
     """
     n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
-    row, col = _basis_numbers(e)
-    (_, mult_a), (dim_m, mult_m) = row, col
+    (_, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
+    num, den = _gammas(e)
     by_alpha: dict[int, list[tuple[float, int]]] = {}
-    for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), _gammas(e, row, col)):
-        by_alpha.setdefault(i, []).append((float(gamma), j))
+    # each gamma is the correctly rounded quotient of its exact integers
+    for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), (num / den).tolist()):
+        by_alpha.setdefault(i, []).append((gamma, j))
     dn = d**n
     terms = []
     for i, group in by_alpha.items():
@@ -283,11 +260,10 @@ def general_povm_fidelity(e: IncidenceEdges, z: ParamMap, y: ParamMap) -> float:
     return math.fsum(terms) / d
 
 
-def lower_bound_fidelity(n: int, d: int) -> FidelityReport:
+def lower_bound_fidelity(n: int, d: int) -> float:
     """Fidelity lower bound of the non-optimised entangled resource: N/(d^2+N-1)."""
     _check_nd(n, d)
-    value = float(Fraction(n, d * d + n - 1))
-    return FidelityReport(n, d, "lower_bound", value, "closed_form")
+    return n / (d * d + n - 1)
 
 
 def fidelity_row(
@@ -301,13 +277,13 @@ def fidelity_row(
     lower = lower_bound_fidelity(n, d)
     e = incidence_edges(n, d)
     entangled = sqrt_measurement_fidelity(e)
-    optimal = optimal_fidelity(e, tol, max_iter)
+    optimal = dominant_eigenpair(e, tol, max_iter)
     return {
         "N": n,
         "d": d,
-        "f_lower": lower.fidelity,
-        "f_sqrt_ent": entangled.fidelity,
-        "f_opt": optimal.fidelity,
+        "f_lower": lower,
+        "f_sqrt_ent": entangled,
+        "f_opt": optimal.radius / d**2,
         "method": optimal.method,
         "radius": optimal.radius,
         "iterations": optimal.iterations,

@@ -6,13 +6,13 @@ box.  Restricting to heights <= d gives the principal submatrix governing
 local dimension d.  Every matrix here derives from one representation, the
 parent-child edge list of the 0/1 incidence matrix R: the Gram matrix of its
 columns is the teleportation matrix, and the Gram matrix of its rows obeys a
-recursion that steps N down by one.  All entries are exact integers.
+recursion that steps N down by one.  The dense views of an edge list (R,
+M_F = R^T R and H = R R^T) are exact int64 arrays, each one scatter over the
+edges: no integer matmul, which skips BLAS.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,39 +20,13 @@ import numpy as np
 from .diagrams import DiagramBasis, enumerate_diagrams
 
 __all__ = [
-    "LabeledIntMatrix",
     "IncidenceEdges",
     "incidence_edges",
     "teleportation_matrix",
     "incidence_matrix",
     "gram_H",
-    "to_csv",
-    "to_json_dict",
 ]
 
-KINDS = ("MF", "R", "H")
-
-
-@dataclass(frozen=True)
-class LabeledIntMatrix:
-    """Exact-integer matrix whose rows and columns are indexed by diagram bases."""
-
-    row_basis: DiagramBasis
-    col_basis: DiagramBasis
-    entries: tuple[tuple[int, ...], ...]
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
-        if len(self.entries) != len(self.row_basis):
-            raise ValueError("entry rows do not match the row basis")
-        if any(len(row) != len(self.col_basis) for row in self.entries):
-            raise ValueError("entry columns do not match the column basis")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_basis), len(self.col_basis))
 
 @dataclass(frozen=True)
 class IncidenceEdges:
@@ -94,78 +68,46 @@ def incidence_edges(n: int, d: int | None = None) -> IncidenceEdges:
     return IncidenceEdges(row_basis, col_basis, parent[order], child[order])
 
 
-def _gram(
-    basis: DiagramBasis, key: np.ndarray, member: np.ndarray, groups: int, kind: str
-) -> LabeledIntMatrix:
-    """Exact Gram matrix over `basis`: edges sharing a key form a group, and
-    each group adds 1 to every (a, b) pair of its members."""
-    members: list[list[int]] = [[] for _ in range(groups)]
-    for k, i in zip(key.tolist(), member.tolist()):
-        members[k].append(i)
-    m = len(basis)
-    g = [[0] * m for _ in range(m)]
-    for group in members:
-        for a in group:
-            for b in group:
-                g[a][b] += 1
-    return LabeledIntMatrix(basis, basis, tuple(map(tuple, g)), kind)
+def _gram(key: np.ndarray, member: np.ndarray, size: int) -> np.ndarray:
+    """Exact int64 Gram matrix over `size` members: the edges sharing a key
+    form a group, and each group adds 1 to every (a, b) pair of its members.
+
+    One scatter over all pairs of edges within a group: an edge's partners
+    are the edges of its key's run in key order.
+    """
+    order = np.argsort(key, kind="stable")
+    key, member = key[order], member[order]
+    counts = np.bincount(key)
+    starts = np.cumsum(counts) - counts
+    group = counts[key]  # the group size of each edge, its partner count
+    edge = np.repeat(np.arange(len(key)), group)
+    offset = np.arange(len(edge)) - np.repeat(np.cumsum(group) - group, group)
+    partner = starts[key[edge]] + offset
+    flat = np.bincount(member[edge] * size + member[partner], minlength=size * size)
+    return flat.astype(np.int64, copy=False).reshape(size, size)
 
 
-def teleportation_matrix(n: int, d: int | None = None) -> LabeledIntMatrix:
-    """Teleportation matrix over the diagrams of n with height <= d: R^T R.
+def teleportation_matrix(e: IncidenceEdges) -> np.ndarray:
+    """Teleportation matrix M_F = R^T R over the column basis of e, exact int64.
 
     Diagonal at mu counts all parents of mu (removing a box never increases
     height, so no extra filter applies); off-diagonal entries are 1 for pairs
-    sharing a parent, which two distinct diagrams do at most once.  d=None
-    (or d >= n) gives the full matrix.
+    sharing a parent, which two distinct diagrams do at most once.  An
+    uncapped edge list (or d >= n) gives the full matrix.
     """
-    e = incidence_edges(n, d)
-    return _gram(e.col_basis, e.parent, e.child, len(e.row_basis), "MF")
+    return _gram(e.parent, e.child, len(e.col_basis))
 
 
-def incidence_matrix(n: int, d: int | None = None) -> LabeledIntMatrix:
-    """0/1 parent-child matrix: rows are diagrams of n-1, columns diagrams of n.
-
-    Entry 1 iff the column diagram grows from the row diagram by one box and
-    fits the height cap.
-    """
-    e = incidence_edges(n, d)
-    rows = [[0] * len(e.col_basis) for _ in e.row_basis]
-    for p, c in zip(e.parent.tolist(), e.child.tolist()):
-        rows[p][c] = 1
-    return LabeledIntMatrix(e.row_basis, e.col_basis, tuple(map(tuple, rows)), "R")
+def incidence_matrix(e: IncidenceEdges) -> np.ndarray:
+    """0/1 parent-child matrix R of e, exact int64: rows are the diagrams of
+    n-1, columns the diagrams of n; entry 1 iff the column diagram grows
+    from the row diagram by one box and fits the height cap."""
+    r = np.zeros((len(e.row_basis), len(e.col_basis)), dtype=np.int64)
+    r[e.parent, e.child] = 1
+    return r
 
 
-def gram_H(n: int, d: int | None = None) -> LabeledIntMatrix:
-    """Gram matrix of the rows of the incidence matrix: R R^T, exact."""
-    e = incidence_edges(n, d)
-    return _gram(e.row_basis, e.child, e.parent, len(e.col_basis), "H")
-
-
-def to_csv(m: LabeledIntMatrix) -> str:
-    """CSV text with a header row/column of diagram labels and integer entries."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(m.col_basis.labels()))
-    for label, row in zip(m.row_basis.labels(), m.entries):
-        writer.writerow([label] + list(row))
-    return buf.getvalue()
-
-
-def to_json_dict(m: LabeledIntMatrix) -> dict:
-    """JSON-ready form: {kind, N, d, basis, entries} (split bases for R).
-
-    N is the port count of the cell; H = R R^T lives on the diagrams of N-1,
-    one box fewer than N.
-    """
-    if m.row_basis == m.col_basis:
-        basis = list(m.row_basis.labels())
-    else:
-        basis = {"rows": list(m.row_basis.labels()), "cols": list(m.col_basis.labels())}
-    return {
-        "kind": m.kind,
-        "N": m.col_basis.n + (m.kind == "H"),
-        "d": m.col_basis.d,
-        "basis": basis,
-        "entries": [list(row) for row in m.entries],
-    }
+def gram_H(e: IncidenceEdges) -> np.ndarray:
+    """Gram matrix of the rows of the incidence matrix: H = R R^T over the row
+    basis of e, exact int64."""
+    return _gram(e.child, e.parent, len(e.row_basis))

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from dpbt.cli import run
-from dpbt.telemat import gram_H, teleportation_matrix
+from dpbt.telemat import gram_H, incidence_edges, teleportation_matrix
 
 
 @pytest.fixture(scope="session")
@@ -27,15 +27,15 @@ def _recursion_defect(n: int, d: int | None = None) -> tuple[tuple[int, ...], ..
     """
     if n < 2:
         raise ValueError("recursion needs n >= 2")
-    h = gram_H(n, d)
-    mf = teleportation_matrix(n - 1, d)
-    if h.row_basis.entries != mf.row_basis.entries:
+    e, below = incidence_edges(n, d), incidence_edges(n - 1, d)
+    if e.row_basis.entries != below.col_basis.entries:
         raise AssertionError("basis mismatch between H and the stepped-down matrix")
+    h, mf = gram_H(e).tolist(), teleportation_matrix(below).tolist()
     out = []
-    for i, alpha in enumerate(h.row_basis):
+    for i, alpha in enumerate(e.row_basis):
         row = []
-        for j in range(len(h.row_basis)):
-            v = h.entries[i][j] - mf.entries[i][j]
+        for j in range(len(e.row_basis)):
+            v = h[i][j] - mf[i][j]
             if i == j and (d is None or alpha.height < d):
                 v -= 1
             row.append(v)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines; every tolerance is pinned here.
 """
 
+import io
 import math
 import time
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from dpbt.characters import cycle_types
+from dpbt.cli import run
 from dpbt.diagrams import irrep_dim, multiplicity
 from dpbt.oracle import (
     character_spectrum,
@@ -28,12 +30,7 @@ from dpbt.protocol import (
     sqrt_measurement_fidelity,
 )
 from dpbt.spectral import closed_form_spectrum, lanczos_perron
-from dpbt.telemat import (
-    incidence_edges,
-    incidence_matrix,
-    teleportation_matrix,
-    to_csv,
-)
+from dpbt.telemat import incidence_edges, incidence_matrix, teleportation_matrix
 
 ORACLE_CELLS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
 
@@ -78,7 +75,7 @@ def test_criterion_3_qubit_closed_form():
         want = 4 * math.cos(math.pi / (n + 2)) ** 2
         assert abs(res.radius - want) < 1e-9, f"d=2 radius off at N={n}"
         fid = optimal_fidelity(incidence_edges(n, 2))
-        assert abs(fid.fidelity - math.cos(math.pi / (n + 2)) ** 2) < 1e-9
+        assert abs(fid - math.cos(math.pi / (n + 2)) ** 2) < 1e-9
     report(3, "qubit cosine closed form matched by the Lanczos solver for N=2..50")
 
 
@@ -86,23 +83,26 @@ def test_criterion_4_gram_and_recursion(recursion_defect):
     """Gram identity, recursion identity, and the printed incidence example."""
     for n in range(2, 9):
         for d in range(2, n + 1):
-            r = np.array(incidence_matrix(n, d).entries, dtype=np.int64)
-            assert (r.T @ r).tolist() == list(map(list, teleportation_matrix(n, d).entries)), (
+            e = incidence_edges(n, d)
+            r = incidence_matrix(e)
+            assert (r.T @ r).tolist() == teleportation_matrix(e).tolist(), (
                 f"Gram identity failed at ({n},{d})"
             )
             defect = recursion_defect(n, d)
             assert all(x == 0 for row in defect for x in row), (
                 f"recursion defect nonzero at ({n},{d})"
             )
-    r44 = incidence_matrix(4, 4)
-    assert r44.entries == ((1, 1, 0, 0, 0), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1))
+    r44 = incidence_matrix(incidence_edges(4, 4))
+    assert r44.tolist() == [[1, 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]]
     expected_csv = (
         ',[4],"[3,1]","[2,2]","[2,1,1]","[1,1,1,1]"\n'
         "[3],1,1,0,0,0\n"
         '"[2,1]",0,1,1,1,0\n'
         '"[1,1,1]",0,0,0,1,1\n'
     )
-    assert to_csv(r44) == expected_csv
+    out = io.StringIO()
+    assert run(["matrix", "-N", "4", "-d", "4", "--kind", "R", "--format", "csv"], out=out) == 0
+    assert out.getvalue() == expected_csv
     report(4, "Gram and recursion identities for 2<=d<=N<=8; incidence example byte-exact")
 
 
@@ -121,7 +121,7 @@ def test_criterion_5_oracle_strong_duality():
         gap = max(abs(a - b) for a, b in zip(actual, sorted(expected, reverse=True)))
         assert gap < 1e-8, f"eta eigenvalues off at ({n},{d}): {gap}"
 
-        radius_fid = optimal_fidelity(incidence_edges(n, d)).fidelity
+        radius_fid = optimal_fidelity(incidence_edges(n, d))
         cell = dense_cell(n, d)
         primal_fid = direct_fidelity(cell, "optimal")
         assert abs(primal_fid - radius_fid) < 1e-8, f"primal fidelity off at ({n},{d})"
@@ -142,7 +142,7 @@ def test_criterion_6_square_root_measurement_recovery():
     """The z=1, y=2 member of the POVM family is the square-root measurement."""
     for n, d in ORACLE_CELLS:
         family = general_povm_fidelity(incidence_edges(n, d), 1, 2)
-        formula = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
+        formula = sqrt_measurement_fidelity(incidence_edges(n, d))
         assert abs(family - formula) < 1e-12, f"family vs formula at ({n},{d})"
         direct = direct_fidelity(dense_cell(n, d), "sqrt_measurement")
         assert abs(family - direct) < 1e-8, f"family vs dense oracle at ({n},{d})"
@@ -157,9 +157,9 @@ def test_criterion_7_ordering_and_bounds():
     for d in range(2, 7):
         previous = 0.0
         for n in range(1, 21):
-            lower = lower_bound_fidelity(n, d).fidelity
-            entangled = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
-            optimal = optimal_fidelity(incidence_edges(n, d), tol=1e-13).fidelity
+            lower = lower_bound_fidelity(n, d)
+            entangled = sqrt_measurement_fidelity(incidence_edges(n, d))
+            optimal = optimal_fidelity(incidence_edges(n, d), tol=1e-13)
             assert n / (d * d + n - 1) == pytest.approx(lower, abs=1e-15)
             assert lower <= entangled + 1e-10, f"lower>sqrt at ({n},{d})"
             assert entangled <= optimal + 1e-10, f"sqrt>opt at ({n},{d})"

@@ -273,7 +273,7 @@ class TestExactKernel:
         check_kernel(enumerate_diagrams(3, d), d)
         sol = optimal_solution(incidence_edges(3, d))
         assert time.perf_counter() - start < 2.0  # 0.01 s; a table sized by d takes minutes
-        assert sol.method == "closed_dgeN" and np.isfinite(sol.p_coeffs).all()
+        assert sol.eigenpair.method == "closed_dgeN" and np.isfinite(sol.p_coeffs).all()
 
     def test_local_dimension_beyond_int64(self):
         d = 10**20

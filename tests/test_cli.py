@@ -23,7 +23,7 @@ from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity, partition_counts
 from dpbt.oracle import DEFAULT_CHECK_CELLS
 from dpbt.protocol import optimal_solution, protocol_eigenvalues
-from dpbt.telemat import gram_H, incidence_matrix, teleportation_matrix
+from dpbt.telemat import gram_H, incidence_edges, incidence_matrix, teleportation_matrix
 
 
 def invoke(argv):
@@ -45,10 +45,10 @@ class TestMatrixCommand:
         )
         assert code == 0
         rows, cols, entries = read_csv(out)
-        r = incidence_matrix(4, 4)
-        dense = np.array(r.entries, dtype=np.int64)
+        e = incidence_edges(4, 4)
+        dense = incidence_matrix(e)
         assert entries == tuple(map(tuple, (dense.T @ dense).tolist()))
-        assert rows == cols == list(r.col_basis.labels())
+        assert rows == cols == list(e.col_basis.labels())
         assert len(out.strip().splitlines()) == 6  # header + 5 rows
 
     def test_json_payload(self):
@@ -60,17 +60,21 @@ class TestMatrixCommand:
         assert payload["entries"] == [[1, 1], [1, 2]]
 
     def test_roundtrip_all_kinds(self):
-        builders = {"MF": teleportation_matrix, "R": incidence_matrix, "H": gram_H}
-        for kind, build in builders.items():
+        e = incidence_edges(5, 3)
+        views = {
+            "MF": (teleportation_matrix, e.col_basis, e.col_basis),
+            "R": (incidence_matrix, e.row_basis, e.col_basis),
+            "H": (gram_H, e.row_basis, e.row_basis),
+        }
+        for kind, (build, rows, cols) in views.items():
             code, out, _ = invoke(
                 ["matrix", "--ports", "5", "--dim", "3", "--kind", kind, "--format", "csv"]
             )
             assert code == 0
-            m = build(5, 3)
             assert read_csv(out) == (
-                list(m.row_basis.labels()),
-                list(m.col_basis.labels()),
-                m.entries,
+                list(rows.labels()),
+                list(cols.labels()),
+                tuple(map(tuple, build(e).tolist())),
             )
             code, out, _ = invoke(["matrix", "--ports", "5", "--dim", "3", "--kind", kind])
             assert code == 0 and json.loads(out)["kind"] == kind
@@ -578,6 +582,11 @@ class TestJsonWriter:
             ["verify", "--oracle", "-N", "2", "-d", "2"],
             ["sweep", "--ports", "1:8", "--dims", "2,3"],
             ["sweep", "--ports", "3:8", "--dims", "2,3", "--max-iter", "1"],  # error rows
+            # larger real payloads: 6775 p_coeffs rows, 297 x 297 entries, 117 sweep rows
+            ["povm", "-N", "60", "-d", "4"],
+            ["matrix", "-N", "30", "-d", "4"],
+            ["matrix", "-N", "30", "-d", "4", "--kind", "R"],
+            ["sweep", "--ports", "2:40", "--dims", "2,3,4"],
         ],
         ids="_".join,
     )
@@ -595,6 +604,14 @@ class TestJsonWriter:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         if "--max-iter" in argv:
             assert any("error" in row for row in payloads[0]["rows"])
+
+    def test_matrix_csv_matches_its_json(self):
+        # the CSV form of a larger matrix carries the labels and entries of its JSON form
+        code, out, _ = invoke(["matrix", "-N", "30", "-d", "4", "--format", "csv"])
+        assert code == 0
+        payload = json.loads(invoke(["matrix", "-N", "30", "-d", "4"])[1])
+        basis, entries = payload["basis"], tuple(map(tuple, payload["entries"]))
+        assert read_csv(out) == (basis, basis, entries) and len(basis) == 297
 
 
 class TestCellLimit:

@@ -247,7 +247,7 @@ class TestDirectFidelity:
         got = direct_fidelity(dense_cell(2, 2), "sqrt_measurement")
         assert abs(got - (math.sqrt(3) + 1) ** 2 / 16) < 1e-8
         got32 = direct_fidelity(dense_cell(3, 2), "sqrt_measurement")
-        assert abs(got32 - sqrt_measurement_fidelity(incidence_edges(3, 2)).fidelity) < 1e-8
+        assert abs(got32 - sqrt_measurement_fidelity(incidence_edges(3, 2))) < 1e-8
 
     def test_optimal_values(self):
         assert abs(direct_fidelity(dense_cell(2, 2), "optimal") - 0.5) < 1e-8
@@ -289,7 +289,7 @@ class TestSdpChecks:
             cell = dense_cell(n, d)
             primal = direct_fidelity(cell, "optimal")
             dual = dual_witness_check(cell)["objective"]
-            radius = optimal_fidelity(incidence_edges(n, d)).fidelity
+            radius = optimal_fidelity(incidence_edges(n, d))
             assert abs(primal - radius) < 1e-8
             assert abs(dual - radius) < 1e-8
 
@@ -334,8 +334,9 @@ class TestRunChecks:
             "_f_operator": sum(len(add_box(alpha, d)) for alpha in parents),
             "optimal_solution": 1,
             "incidence_edges": 1,
-            # optimal_solution for the coefficients, optimal_fidelity for the check
-            "dominant_eigenpair": 2,
+            # one solve per cell: optimal_solution's, which the optimality
+            # checks read too
+            "dominant_eigenpair": 1,
         }
 
     def test_edge_list_disagreement_is_a_failed_check(self, monkeypatch):

@@ -16,6 +16,7 @@ from dpbt.diagrams import (
 )
 from dpbt.protocol import (
     _sqrt_ratio,
+    fidelity_row,
     general_povm_fidelity,
     lower_bound_fidelity,
     optimal_fidelity,
@@ -95,21 +96,21 @@ class TestProtocolEigenvalues:
 
 class TestOptimalFidelity:
     def test_examples(self):
-        assert optimal_fidelity(incidence_edges(2, 2)).fidelity == 0.5
-        assert abs(optimal_fidelity(incidence_edges(3, 4)).fidelity - 3 / 16) < 1e-15
-        assert abs(optimal_fidelity(incidence_edges(3, 3)).fidelity - 1 / 3) < 1e-15
-        assert abs(optimal_fidelity(incidence_edges(3, 2)).fidelity - GOLDEN) < 1e-12
+        assert optimal_fidelity(incidence_edges(2, 2)) == 0.5
+        assert abs(optimal_fidelity(incidence_edges(3, 4)) - 3 / 16) < 1e-15
+        assert abs(optimal_fidelity(incidence_edges(3, 3)) - 1 / 3) < 1e-15
+        assert abs(optimal_fidelity(incidence_edges(3, 2)) - GOLDEN) < 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_qubit_closed_form(self, n):
-        rep = optimal_fidelity(incidence_edges(n, 2))
-        assert abs(rep.fidelity - math.cos(math.pi / (n + 2)) ** 2) < 1e-12
+        f = optimal_fidelity(incidence_edges(n, 2))
+        assert abs(f - math.cos(math.pi / (n + 2)) ** 2) < 1e-12
 
     def test_method_dispatch(self):
-        assert optimal_fidelity(incidence_edges(3, 4)).method == "closed_dgeN"
-        assert optimal_fidelity(incidence_edges(5, 2)).method == "closed_d2"
-        assert optimal_fidelity(incidence_edges(5, 3)).method == "lanczos"
-        assert optimal_fidelity(incidence_edges(2, 2)).method == "closed_dgeN"
+        assert fidelity_row(3, 4)["method"] == "closed_dgeN"
+        assert fidelity_row(5, 2)["method"] == "closed_d2"
+        assert fidelity_row(5, 3)["method"] == "lanczos"
+        assert fidelity_row(2, 2)["method"] == "closed_dgeN"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,13 +120,13 @@ class TestOptimalFidelity:
 
     def test_degenerate_single_port(self):
         for d in (2, 3, 4):
-            assert abs(optimal_fidelity(incidence_edges(1, d)).fidelity - 1 / d**2) < 1e-15
+            assert abs(optimal_fidelity(incidence_edges(1, d)) - 1 / d**2) < 1e-15
 
     def test_radius_report(self):
-        rep = optimal_fidelity(incidence_edges(6, 3))
-        assert rep.radius is not None
-        assert abs(rep.fidelity - rep.radius / 9) < 1e-15
-        assert rep.iterations > 0
+        row = fidelity_row(6, 3)
+        assert row["f_opt"] == optimal_fidelity(incidence_edges(6, 3))
+        assert abs(row["f_opt"] - row["radius"] / 9) < 1e-15
+        assert row["iterations"] > 0
 
 
 
@@ -144,7 +145,7 @@ def asymptotic_constant(d):
     degree-4 polynomial in 1/(N+d)."""
     xs = [1 / (n + d) for n in ASYMPTOTIC_PORTS]
     ys = [
-        (n + d) ** 2 * (1 - optimal_fidelity(incidence_edges(n, d)).fidelity)
+        (n + d) ** 2 * (1 - optimal_fidelity(incidence_edges(n, d)))
         for n in ASYMPTOTIC_PORTS
     ]
     return limit_at_zero(xs, ys)
@@ -212,7 +213,7 @@ class TestOptimalSolution:
             math.fsum(v[mu] for mu in add_box(alpha, d) if mu in sol.basis) ** 2
             for alpha in enumerate_diagrams(n - 1, d)
         )
-        assert abs(total / d**2 - optimal_fidelity(incidence_edges(n, d)).fidelity) < 1e-10
+        assert abs(total / d**2 - optimal_fidelity(incidence_edges(n, d))) < 1e-10
 
     def test_positive_entries(self):
         for n, d in [(4, 2), (5, 3), (4, 4)]:
@@ -244,19 +245,20 @@ class TestSqrtRatio:
 class TestSqrtMeasurementFidelity:
     def test_examples(self):
         assert abs(
-            sqrt_measurement_fidelity(incidence_edges(2, 2)).fidelity
+            sqrt_measurement_fidelity(incidence_edges(2, 2))
             - (math.sqrt(3) + 1) ** 2 / 16
         ) < 1e-14
-        f32 = sqrt_measurement_fidelity(incidence_edges(3, 2)).fidelity
+        f32 = sqrt_measurement_fidelity(incidence_edges(3, 2))
         assert f32 == pytest.approx(0.625, abs=1e-14)
         for d in (2, 3, 4):
-            f1 = sqrt_measurement_fidelity(incidence_edges(1, d)).fidelity
+            f1 = sqrt_measurement_fidelity(incidence_edges(1, d))
             assert abs(f1 - 1 / d**2) < 1e-14
 
     def test_resource_tag(self):
-        rep = sqrt_measurement_fidelity(incidence_edges(4, 3))
-        assert rep.resource == "sqrt_entangled"
-        assert 0 < rep.fidelity <= 1
+        # a fidelity row tags this value as the square-root-measurement one
+        f = sqrt_measurement_fidelity(incidence_edges(4, 3))
+        assert fidelity_row(4, 3)["f_sqrt_ent"] == f
+        assert 0 < f <= 1
 
 
 class TestGeneralPovmFidelity:
@@ -264,14 +266,14 @@ class TestGeneralPovmFidelity:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_z1_y2_reproduces_sqrt_measurement(self, n, d):
         got = general_povm_fidelity(incidence_edges(n, d), 1, 2)
-        want = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
+        want = sqrt_measurement_fidelity(incidence_edges(n, d))
         assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("n", [1023, 1030, 2000])
     def test_finite_where_d_to_the_n_overflows(self, n):
         # d^(n+1) exceeds double range here, and so do the terms scaled by it
         got = general_povm_fidelity(incidence_edges(n, 2), 1, 2)
-        want = sqrt_measurement_fidelity(incidence_edges(n, 2)).fidelity
+        want = sqrt_measurement_fidelity(incidence_edges(n, 2))
         assert abs(got - want) <= 1e-12 * want
 
     def test_two_ports_value(self):
@@ -322,29 +324,29 @@ class TestGeneralPovmFidelity:
         y = {a: 2.0 for a in alphas}
         assert abs(
             general_povm_fidelity(incidence_edges(n, d), z.__getitem__, y.__getitem__)
-            - sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
+            - sqrt_measurement_fidelity(incidence_edges(n, d))
         ) < 1e-12
 
 
 class TestLowerBound:
     def test_examples(self):
-        assert lower_bound_fidelity(2, 2).fidelity == 0.4
+        assert lower_bound_fidelity(2, 2) == 0.4
         for d in (2, 3, 5):
-            assert lower_bound_fidelity(1, d).fidelity == pytest.approx(1 / d**2)
+            assert lower_bound_fidelity(1, d) == pytest.approx(1 / d**2)
 
     def test_monotone_to_one(self):
-        values = [lower_bound_fidelity(n, 3).fidelity for n in range(1, 200, 10)]
+        values = [lower_bound_fidelity(n, 3) for n in range(1, 200, 10)]
         assert all(b > a for a, b in zip(values, values[1:]))
-        assert lower_bound_fidelity(10_000, 3).fidelity > 0.999
+        assert lower_bound_fidelity(10_000, 3) > 0.999
 
 
 class TestOrderingAndConsistency:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fidelity_chain(self, d):
         for n in range(1, 13):
-            low = lower_bound_fidelity(n, d).fidelity
-            ent = sqrt_measurement_fidelity(incidence_edges(n, d)).fidelity
-            opt = optimal_fidelity(incidence_edges(n, d)).fidelity
+            low = lower_bound_fidelity(n, d)
+            ent = sqrt_measurement_fidelity(incidence_edges(n, d))
+            opt = optimal_fidelity(incidence_edges(n, d))
             assert low <= ent + 1e-10
             assert ent <= opt + 1e-10
             assert opt <= 1 + 1e-10
@@ -353,7 +355,7 @@ class TestOrderingAndConsistency:
     def test_monotone_in_ports(self, d):
         prev = 0.0
         for n in range(1, 13):
-            cur = optimal_fidelity(incidence_edges(n, d), tol=1e-13).fidelity
+            cur = optimal_fidelity(incidence_edges(n, d), tol=1e-13)
             assert cur >= prev - 1e-10
             prev = cur
 
@@ -361,7 +363,7 @@ class TestOrderingAndConsistency:
         from dpbt.spectral import lanczos_perron
 
         for n, d in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
-            closed = optimal_fidelity(incidence_edges(n, d)).fidelity
+            closed = optimal_fidelity(incidence_edges(n, d))
             assert closed == n / d**2
             iterated = lanczos_perron(incidence_edges(n, d)).radius / d**2
             assert abs(iterated - closed) < 1e-10

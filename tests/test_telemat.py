@@ -2,12 +2,14 @@
 
 import csv
 import io
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dpbt.cli import run
 from dpbt.diagrams import add_box, enumerate_diagrams
 from dpbt.telemat import (
     IncidenceEdges,
@@ -15,25 +17,28 @@ from dpbt.telemat import (
     incidence_edges,
     incidence_matrix,
     teleportation_matrix,
-    to_csv,
-    to_json_dict,
 )
 
 SMALL_GRID = [(n, d) for n in range(2, 9) for d in range(2, n + 1)]
 
 
+def dense(build, n, d=None):
+    """Nested lists of one dense view of the cell (n, d)."""
+    return build(incidence_edges(n, d)).tolist()
+
+
 def gram_columns(n, d=None):
     """R^T R computed by numpy from the dense incidence matrix."""
-    r = np.array(incidence_matrix(n, d).entries, dtype=np.int64)
+    r = incidence_matrix(incidence_edges(n, d))
     return r.T @ r
 
 
 class TestTeleportationMatrix:
     def test_examples(self):
-        assert teleportation_matrix(2, 2).entries == ((1, 1), (1, 1))
-        assert teleportation_matrix(3, 2).entries == ((1, 1), (1, 2))
-        assert teleportation_matrix(4, 2).entries == ((1, 1, 0), (1, 2, 1), (0, 1, 1))
-        assert teleportation_matrix(1, 5).entries == ((1,),)
+        assert dense(teleportation_matrix, 2, 2) == [[1, 1], [1, 1]]
+        assert dense(teleportation_matrix, 3, 2) == [[1, 1], [1, 2]]
+        assert dense(teleportation_matrix, 4, 2) == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+        assert dense(teleportation_matrix, 1, 5) == [[1]]
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_matches_remove_box_reference(self, n, d):
@@ -44,16 +49,16 @@ class TestTeleportationMatrix:
             return {tuple(r - (j == i) for j, r in enumerate(rows) if r - (j == i)) for i in last}
 
         parents = [remove_box(mu.rows) for mu in enumerate_diagrams(n, d)]
-        reference = tuple(tuple(len(a & b) for b in parents) for a in parents)
-        assert teleportation_matrix(n, d).entries == reference
+        reference = [[len(a & b) for b in parents] for a in parents]
+        assert dense(teleportation_matrix, n, d) == reference
 
     def test_full_matrix_row_sums(self):
-        m = teleportation_matrix(4, 4)
-        assert all(sum(row) <= 16 for row in m.entries)
+        m = dense(teleportation_matrix, 4, 4)
+        assert all(sum(row) <= 16 for row in m)
 
     def test_symmetric_nonnegative(self):
         for n, d in SMALL_GRID:
-            e = teleportation_matrix(n, d).entries
+            e = dense(teleportation_matrix, n, d)
             assert all(x >= 0 for row in e for x in row)
             assert all(
                 e[i][j] == e[j][i] for i in range(len(e)) for j in range(len(e))
@@ -61,8 +66,8 @@ class TestTeleportationMatrix:
 
     def test_unbounded_equals_d_ge_n(self):
         for n in range(1, 8):
-            assert teleportation_matrix(n).entries == teleportation_matrix(n, n).entries
-            assert teleportation_matrix(n).entries == teleportation_matrix(n, n + 3).entries
+            assert dense(teleportation_matrix, n) == dense(teleportation_matrix, n, n)
+            assert dense(teleportation_matrix, n) == dense(teleportation_matrix, n, n + 3)
 
 
 def add_box_edges(n, d=None):
@@ -94,28 +99,29 @@ class TestIncidenceEdges:
 
 class TestIncidenceMatrix:
     def test_printed_example(self):
-        assert incidence_matrix(4, 4).entries == (
-            (1, 1, 0, 0, 0),
-            (0, 1, 1, 1, 0),
-            (0, 0, 0, 1, 1),
-        )
+        assert dense(incidence_matrix, 4, 4) == [
+            [1, 1, 0, 0, 0],
+            [0, 1, 1, 1, 0],
+            [0, 0, 0, 1, 1],
+        ]
 
     def test_small_examples(self):
-        assert incidence_matrix(2, 2).entries == ((1, 1),)
-        assert incidence_matrix(3, 2).entries == ((1, 1), (0, 1))
+        assert dense(incidence_matrix, 2, 2) == [[1, 1]]
+        assert dense(incidence_matrix, 3, 2) == [[1, 1], [0, 1]]
 
     def test_column_sums_count_parents(self):
         for n, d in SMALL_GRID:
-            r = incidence_matrix(n, d)
-            for j, mu in enumerate(r.col_basis):
-                col_sum = sum(r.entries[i][j] for i in range(len(r.row_basis)))
-                parents_in = sum(1 for alpha in r.row_basis if mu in add_box(alpha, d))
+            e = incidence_edges(n, d)
+            r = incidence_matrix(e).tolist()
+            for j, mu in enumerate(e.col_basis):
+                col_sum = sum(r[i][j] for i in range(len(e.row_basis)))
+                parents_in = sum(1 for alpha in e.row_basis if mu in add_box(alpha, d))
                 assert col_sum == parents_in
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_maximal_rank(self, n, d):
-        r = incidence_matrix(n, d)
-        assert exact_rank(r.entries) == len(r.row_basis)
+        e = incidence_edges(n, d)
+        assert exact_rank(incidence_matrix(e).tolist()) == len(e.row_basis)
 
 
 def exact_rank(entries):
@@ -139,36 +145,44 @@ def exact_rank(entries):
 
 
 class TestGramIdentities:
+    @pytest.mark.parametrize(
+        "n,d", SMALL_GRID + [(n, None) for n in range(1, 11)] + [(1, 2), (1, 3)]
+    )
+    def test_scatter_matches_int64_products(self, n, d):
+        # the scatters over shared parents (M_F) and shared children (H)
+        # against numpy's int64 products of the dense incidence matrix
+        e = incidence_edges(n, d)
+        r, mf, h = incidence_matrix(e), teleportation_matrix(e), gram_H(e)
+        assert r.dtype == mf.dtype == h.dtype == np.int64
+        assert np.array_equal(mf, r.T @ r)
+        assert np.array_equal(h, r @ r.T)
+
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_g_equals_teleportation_matrix(self, n, d):
-        assert gram_columns(n, d).tolist() == list(
-            map(list, teleportation_matrix(n, d).entries)
-        )
+        assert gram_columns(n, d).tolist() == dense(teleportation_matrix, n, d)
 
     def test_g_equals_unbounded(self):
         for n in range(2, 8):
-            assert gram_columns(n).tolist() == list(
-                map(list, teleportation_matrix(n).entries)
-            )
+            assert gram_columns(n).tolist() == dense(teleportation_matrix, n)
 
     def test_h_full_is_identity_plus_stepdown(self):
         for n in range(2, 8):
-            h = gram_H(n, n)
-            mf = teleportation_matrix(n - 1, n)
-            size = len(h.row_basis)
-            expect = tuple(
-                tuple(mf.entries[i][j] + (1 if i == j else 0) for j in range(size))
+            h = dense(gram_H, n, n)
+            mf = dense(teleportation_matrix, n - 1, n)
+            size = len(h)
+            expect = [
+                [mf[i][j] + (1 if i == j else 0) for j in range(size)]
                 for i in range(size)
-            )
-            assert h.entries == expect
+            ]
+            assert h == expect
 
     def test_h_example_4_2(self):
         # one parent of height < 2, so a single diagonal correction on row [3]
-        h = gram_H(4, 2)
-        assert h.entries == ((2, 1), (1, 2))
-        mf = teleportation_matrix(3, 2)
-        assert h.entries[0][0] - mf.entries[0][0] == 1
-        assert h.entries[1][1] - mf.entries[1][1] == 0
+        h = dense(gram_H, 4, 2)
+        assert h == [[2, 1], [1, 2]]
+        mf = dense(teleportation_matrix, 3, 2)
+        assert h[0][0] - mf[0][0] == 1
+        assert h[1][1] - mf[1][1] == 0
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_recursion_defect_zero(self, recursion_defect, n, d):
@@ -183,7 +197,7 @@ class TestGramIdentities:
     def test_quadratic_form_identity(self, n, d):
         # sum over parents of (sum of child entries)^2 equals v^T M v, exactly
         basis = enumerate_diagrams(n, d)
-        m = teleportation_matrix(n, d)
+        m = dense(teleportation_matrix, n, d)
         rng = random.Random(20240 + 10 * n + d)
         trials = max(1, 100 // len(SMALL_GRID) * 4)
         for _ in range(trials):
@@ -196,7 +210,7 @@ class TestGramIdentities:
                 )
                 lhs += inner * inner
             rhs = sum(
-                v[i] * m.entries[i][j] * v[j]
+                v[i] * m[i][j] * v[j]
                 for i in range(len(basis))
                 for j in range(len(basis))
             )
@@ -205,7 +219,7 @@ class TestGramIdentities:
     def test_quadratic_form_identity_100_vectors(self):
         n, d = 6, 3
         basis = enumerate_diagrams(n, d)
-        m = teleportation_matrix(n, d)
+        m = dense(teleportation_matrix, n, d)
         rng = random.Random(7)
         for _ in range(100):
             v = [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in basis]
@@ -217,7 +231,7 @@ class TestGramIdentities:
                 )
                 lhs += inner * inner
             rhs = sum(
-                v[i] * m.entries[i][j] * v[j]
+                v[i] * m[i][j] * v[j]
                 for i in range(len(basis))
                 for j in range(len(basis))
             )
@@ -227,13 +241,13 @@ class TestGramIdentities:
 class TestSpectralStructure:
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_positive_semidefinite(self, n, d):
-        w = np.linalg.eigvalsh(teleportation_matrix(n, d).entries)
+        w = np.linalg.eigvalsh(teleportation_matrix(incidence_edges(n, d)))
         assert w[0] >= -1e-10
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_g_and_h_share_nonzero_spectrum(self, n, d):
         wg = np.linalg.eigvalsh(gram_columns(n, d).astype(float))
-        wh = np.linalg.eigvalsh(gram_H(n, d).entries)
+        wh = np.linalg.eigvalsh(gram_H(incidence_edges(n, d)))
         nz_g = sorted(x for x in wg if x > 1e-9)
         nz_h = sorted(x for x in wh if x > 1e-9)
         assert len(nz_g) == len(nz_h)
@@ -257,7 +271,7 @@ def connected(e):
 
 
 def centrosymmetric(n):
-    a = np.array(teleportation_matrix(n).entries)
+    a = teleportation_matrix(incidence_edges(n))
     return np.array_equal(a, a[::-1, ::-1])
 
 
@@ -274,7 +288,7 @@ class TestStructureReport:
 
     def test_mf4_irreducible_primitive(self):
         # primitive: some power of the dense matrix is strictly positive
-        a = np.array(teleportation_matrix(4).entries)
+        a = teleportation_matrix(incidence_edges(4))
         assert np.linalg.matrix_power(a, len(a) - 1).min() > 0
 
     def test_mf5_centrosymmetric(self):
@@ -290,7 +304,7 @@ class TestStructureReport:
     def test_row_sum_bound(self):
         for n in range(2, 9):
             for d in range(2, 5):
-                assert np.array(teleportation_matrix(n, d).entries).sum(axis=1).max() <= d * d
+                assert teleportation_matrix(incidence_edges(n, d)).sum(axis=1).max() <= d * d
 
     def test_reducible_detected(self):
         # (4, 2) without the edge [2,1] -> [3,1] splits into two components
@@ -302,19 +316,33 @@ class TestStructureReport:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "build", [teleportation_matrix, incidence_matrix, gram_H]
-    )
+    """The CLI's CSV and JSON forms of the dense views."""
+
+    @staticmethod
+    def emit(argv):
+        out = io.StringIO()
+        assert run(["matrix", *argv], out=out) == 0
+        return out.getvalue()
+
+    # the kind and the (row, column) bases of each dense view
+    VIEWS = {
+        teleportation_matrix: ("MF", "col_basis", "col_basis"),
+        incidence_matrix: ("R", "row_basis", "col_basis"),
+        gram_H: ("H", "row_basis", "row_basis"),
+    }
+
+    @pytest.mark.parametrize("build", list(VIEWS))
     def test_csv_roundtrip(self, build):
-        m = build(5, 3)
-        header, *records = csv.reader(io.StringIO(to_csv(m)))
-        assert header == ["", *m.col_basis.labels()]
-        assert [rec[0] for rec in records] == list(m.row_basis.labels())
-        assert [tuple(map(int, rec[1:])) for rec in records] == list(m.entries)
+        kind, rows, cols = self.VIEWS[build]
+        e = incidence_edges(5, 3)
+        text = self.emit(["-N", "5", "-d", "3", "--kind", kind, "--format", "csv"])
+        header, *records = csv.reader(io.StringIO(text))
+        assert header == ["", *getattr(e, cols).labels()]
+        assert [rec[0] for rec in records] == list(getattr(e, rows).labels())
+        assert [list(map(int, rec[1:])) for rec in records] == build(e).tolist()
 
     def test_json_dict(self):
-        m = teleportation_matrix(3, 2)
-        payload = to_json_dict(m)
+        payload = json.loads(self.emit(["-N", "3", "-d", "2"]))
         assert payload["kind"] == "MF"
         assert payload["N"] == 3
         assert payload["d"] == 2
@@ -322,6 +350,6 @@ class TestSerialization:
         assert payload["entries"] == [[1, 1], [1, 2]]
 
     def test_json_dict_rectangular(self):
-        payload = to_json_dict(incidence_matrix(3, 2))
+        payload = json.loads(self.emit(["-N", "3", "-d", "2", "--kind", "R"]))
         assert payload["basis"]["rows"] == ["[2]", "[1,1]"]
         assert payload["basis"]["cols"] == ["[3]", "[2,1]"]
