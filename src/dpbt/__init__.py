@@ -30,7 +30,6 @@ from .diagrams import (
 )
 from .protocol import (
     OptimalSolution,
-    ProtocolEigen,
     fidelity_row,
     general_povm_fidelity,
     lower_bound_fidelity,

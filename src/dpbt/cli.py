@@ -2,11 +2,11 @@
 verification and sweeps, emitted as deterministic JSON or CSV.
 
 Exit codes: 0 success, 1 validation error (the usage of the failing command
-on stderr; also a cell above MAX_CELL_DIAGRAMS or MAX_CELL_BITS, a matrix above
-MAX_MATRIX_ENTRIES, a solver option out of range, or a .csv output path for
-a JSON-only verb), an -o path that cannot be opened (checked before
-computing; one error line, no usage) or stdout closed by its reader (no
-traceback), 2 computation failure (no certified radius within --max-iter,
+on stderr; also d above MAX_DIM, a cell above MAX_CELL_DIAGRAMS or
+MAX_CELL_BITS, a matrix above MAX_MATRIX_ENTRIES, a solver option out of
+range, or a .csv output path for a JSON-only verb), an -o path that cannot
+be opened (checked before computing; one error line, no usage) or stdout
+closed by its reader (no traceback), 2 computation failure (no certified radius within --max-iter,
 cap exceeded, failed verification).
 
 JSON output is byte for byte json.dumps(payload, indent=2).
@@ -78,6 +78,10 @@ _MATRICES = {
 # 1.78M diagrams and 1.78e9 bits.
 MAX_CELL_DIAGRAMS = 2 * 10**6
 MAX_CELL_BITS = 2 * 10**9
+# d <= 2^511 keeps d^2 <= 2^1022, so every fidelity, at least
+# N / (d^2 + N - 1) >= 2^-1022, is a normal double; above it d^2 leaves double
+# range or the fidelities turn subnormal, and their printed digits inexact.
+MAX_DIM = 2**511
 
 
 class UsageError(Exception):
@@ -171,13 +175,15 @@ def _validate_options(args) -> None:
 
 
 def _validate_nd(n: int, d: int) -> tuple[int, int]:
-    """Check N and d, and refuse a cell above MAX_CELL_DIAGRAMS or
-    MAX_CELL_BITS before anything is listed; return the diagram counts of
-    N - 1 and N."""
+    """Check N and d, and refuse d above MAX_DIM or a cell above
+    MAX_CELL_DIAGRAMS or MAX_CELL_BITS before anything is listed; return the
+    diagram counts of N - 1 and N."""
     if n < 1:
         raise UsageError(f"--ports must be >= 1, got {n}")
     if d < 2:
         raise UsageError(f"--dim must be >= 2, got {d}")
+    if d > MAX_DIM:
+        raise UsageError(f"local dimension d={d} is above the largest supported, 2**511")
     parents, children = _cell_counts(n, d)
     diagrams = parents + children
     if diagrams > MAX_CELL_DIAGRAMS:
@@ -384,7 +390,7 @@ def _cmd_spectrum(args, out) -> int:
         "method": res.method,
         "iterations": res.iterations,
         "bracket": [res.lo, res.hi],
-        "perron": dict(zip(res.basis.labels(), res.perron)),
+        "perron": dict(zip(res.basis.labels(), res.perron.tolist())),
     }
     if d == 2:
         payload["eigenvalues"] = closed_form_d2(n)

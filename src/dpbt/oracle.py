@@ -54,8 +54,6 @@ __all__ = [
     "transposition",
     "young_projector",
     "partial_transpose_last",
-    "eta_operator",
-    "f_projector",
     "dense_cell",
     "direct_fidelity",
     "primal_constraint_check",
@@ -215,32 +213,14 @@ def _pt_swaps(n: int, d: int) -> list[np.ndarray]:
     ]
 
 
-def eta_operator(n: int, d: int) -> np.ndarray:
-    """Sum over ports of the last-factor partial transpose of the swap between
-    port a and the teleported factor; Hermitian, d^N times the port state sum."""
-    return sum(_pt_swaps(n, d))
-
-
-def f_projector(alpha: YoungDiagram, mu: YoungDiagram, d: int) -> np.ndarray:
-    """Port-operator eigenprojector labelled by parent alpha and child mu.
+def _f_operator(alpha: YoungDiagram, mu: YoungDiagram, projectors: dict, d: int) -> np.ndarray:
+    """Port-operator eigenprojector F_mu(alpha) of parent alpha and child mu,
+    reading P_alpha and P_mu from projectors.
 
     (1/gamma) P_mu [sum_a V(a,N) (P_alpha x Ptilde+) V(a,N)] P_mu, acting on
     N+1 factors; idempotent with trace d_mu * m_alpha and eigenvalue gamma
     under the port operator.
     """
-    n = mu.boxes
-    if alpha.boxes != n - 1 or mu not in add_box(alpha):
-        raise ValueError(f"{mu.label()} does not grow from {alpha.label()} by one box")
-    _require_cap(d, n + 1)
-    if multiplicity(alpha, d) == 0 or multiplicity(mu, d) == 0:
-        raise ValueError(
-            f"zero multiplicity at d={d} for {alpha.label()} -> {mu.label()}"
-        )
-    return _f_operator(alpha, mu, {nu: young_projector(nu, d) for nu in (alpha, mu)}, d)
-
-
-def _f_operator(alpha: YoungDiagram, mu: YoungDiagram, projectors: dict, d: int) -> np.ndarray:
-    """f_projector, reading P_alpha and P_mu from projectors."""
     n = mu.boxes
     gamma = n * multiplicity(mu, d) * irrep_dim(alpha) / (multiplicity(alpha, d) * irrep_dim(mu))
     core = np.kron(projectors[alpha], _ptilde_plus(d))
@@ -259,18 +239,21 @@ class DenseCell:
     built once.
 
     edges: the fast path's edge list, incidence_edges(N, d), which every
-    protocol call of the checks takes.  projectors: the Young projector of
+    protocol call of the checks takes; pairs: its edges as (alpha, mu)
+    diagram pairs, in edge order.  projectors: the Young projector of
     every diagram of N (the vanishing ones too) and of every diagram of N-1
     with height <= d.  family: F_mu(alpha) for each pair
     of the add_box(alpha, d) walk, parents in basis order and children by
     descending rows.  sigmas: the port states.  solution: the optimal POVM
     coefficients and the Perron vector v.  povm: the optimal POVM element
-    sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.
+    sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.  The port
+    operator is d^N times the sum of the port states.
     """
 
     n: int
     d: int
     edges: IncidenceEdges
+    pairs: list[tuple[YoungDiagram, YoungDiagram]]
     projectors: dict[YoungDiagram, np.ndarray]
     family: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray]
     sigmas: list[np.ndarray]
@@ -298,7 +281,7 @@ def dense_cell(n: int, d: int) -> DenseCell:
     # summed by ascending (alpha, mu) rows: the edge order reversed
     coeffs = zip(pairs[::-1], solution.p_coeffs[::-1].tolist())
     povm = sum(p * family[key] for key, p in coeffs if key in family)
-    return DenseCell(n, d, edges, projectors, family, sigmas, solution, povm)
+    return DenseCell(n, d, edges, pairs, projectors, family, sigmas, solution, povm)
 
 
 def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
@@ -460,10 +443,11 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("eta_hermitian", _norm_inf(eta - eta.T), 1e-10))
     eigs_eta = _eigvalsh(eta)
     checks.append(_check("eta_psd", max(0.0, -float(eigs_eta[0])), 1e-10))
-    eigen_labels = protocol_eigenvalues(cell.edges)
-    expected = []
-    for e in eigen_labels:
-        expected.extend([float(e.gamma)] * (irrep_dim(e.mu) * multiplicity(e.alpha, d)))
+    num, den = protocol_eigenvalues(cell.edges)
+    gammas = (num / den).tolist()  # correctly rounded, as float(Fraction(num, den))
+    (_, mult_a), (dim_m, _) = cell.edges.row_basis.numbers, cell.edges.col_basis.numbers
+    ranks = (dim_m[cell.edges.child] * mult_a[cell.edges.parent]).tolist()  # d_mu m_alpha
+    expected = np.repeat(gammas, ranks).tolist()
     expected.extend([0.0] * (dim - len(expected)))
     expected.sort(reverse=True)
     actual = sorted((float(x) for x in eigs_eta), reverse=True)
@@ -473,7 +457,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     # eigenprojector family on the oracle's walk; the gamma checks take the pairs
     # that the fast edge list has too, and edge_pairs counts the others
     fams = cell.family
-    gammas = {(e.alpha, e.mu): float(e.gamma) for e in eigen_labels}
+    gammas = dict(zip(cell.pairs, gammas))
     checks.append(_check("edge_pairs", len(fams.keys() ^ gammas.keys()), 0.5))
     gamma_of = {key: g for key, g in gammas.items() if key in fams}
     idem = max(_norm_inf(f @ f - f) for f in fams.values())

@@ -14,26 +14,25 @@ and drives (N, d) sweeps.
 A cell is one edge list, telemat.incidence_edges(n, d), which the caller builds
 once.  Every per-cell function here takes it and reads N and d from its column
 basis (an uncapped list is a ValueError), and hands the same list to the
-solver; every sum over parent-child pairs (alpha, mu) runs over it.
-Eigenvalues are exact rationals, and coefficients are roots of exact integer
-ratios, so d^N never becomes a float.
+solver; every sum over parent-child pairs (alpha, mu) runs over it, and
+every per-edge quantity is an array in edge order.  Eigenvalues are exact
+integer (numerator, denominator) arrays, and coefficients are roots of exact
+integer ratios, so d^N never becomes a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .diagrams import DiagramBasis, YoungDiagram
+from .diagrams import DiagramBasis
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, SpectralResult, dominant_eigenpair
 from .telemat import IncidenceEdges, incidence_edges
 
 __all__ = [
-    "ProtocolEigen",
     "OptimalSolution",
     "protocol_eigenvalues",
     "optimal_fidelity",
@@ -86,18 +85,6 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ProtocolEigen:
-    """One port-operator eigenvalue, labelled by (parent alpha, child mu).
-
-    gamma = N * m_mu * d_alpha / (m_alpha * d_mu) as an exact rational.
-    """
-
-    alpha: YoungDiagram
-    mu: YoungDiagram
-    gamma: Fraction
-
-
 @dataclass(frozen=True, eq=False)
 class OptimalSolution:
     """Optimal POVM and resource-state coefficients from the Perron vector.
@@ -122,24 +109,13 @@ class OptimalSolution:
         return self.edges.col_basis
 
 
-def _gammas(e: IncidenceEdges) -> tuple[np.ndarray, np.ndarray]:
-    """gamma = N m_mu d_alpha / (m_alpha d_mu) of every edge (alpha, mu) of e,
-    in edge order, as exact integer object arrays (numerator, denominator)."""
+def protocol_eigenvalues(e: IncidenceEdges) -> tuple[np.ndarray, np.ndarray]:
+    """The port-operator eigenvalue gamma = N m_mu d_alpha / (m_alpha d_mu) of
+    every edge (alpha, mu) of e, in edge order, as exact integer object arrays
+    (numerator, denominator); num / den is each gamma correctly rounded."""
+    _check_nd(e.col_basis.n, e.col_basis.d)
     (dim_a, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
     return e.col_basis.n * mult_m[e.child] * dim_a[e.parent], mult_a[e.parent] * dim_m[e.child]
-
-
-def protocol_eigenvalues(e: IncidenceEdges) -> list[ProtocolEigen]:
-    """All (alpha, mu) port-operator eigenvalues of the cell of the edge list
-    e, in edge order."""
-    _check_nd(e.col_basis.n, e.col_basis.d)
-    alphas, mus = e.row_basis.entries, e.col_basis.entries
-    num, den = _gammas(e)
-    gammas = map(Fraction, num.tolist(), den.tolist())
-    return [
-        ProtocolEigen(alphas[i], mus[j], gamma)
-        for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), gammas)
-    ]
 
 
 def optimal_fidelity(
@@ -172,7 +148,7 @@ def optimal_solution(
     n, d = e.col_basis.n, e.col_basis.d
     _check_nd(n, d)
     eigenpair = dominant_eigenpair(e, tol, max_iter)
-    perron = np.array(eigenpair.perron)
+    perron = eigenpair.perron
     v = perron / math.sqrt(math.fsum(perron * perron))
     # v = mant 2^(exp - 53) exactly, so v^2 = mant^2 / 2^shift
     frac, exp = np.frexp(v)
@@ -216,16 +192,25 @@ def sqrt_measurement_fidelity(e: IncidenceEdges) -> float:
     return math.fsum(rw * rw) / d**2
 
 
-ParamMap = Callable[[YoungDiagram], float] | float | int
+def _pow(base: list[float], exponent: np.ndarray) -> np.ndarray:
+    """base ** exponent elementwise by Python's float pow, which has libm's bits
+    (numpy's SIMD power kernels can differ by an ulp) and raises OverflowError
+    past double range."""
+    return np.array(list(map(pow, base, exponent.tolist())), dtype=np.float64)
 
 
-def _param(value: ParamMap, alpha: YoungDiagram) -> float:
-    return float(value(alpha) if callable(value) else value)
+def _fsum_runs(terms: np.ndarray, stops: list[int]) -> np.ndarray:
+    """math.fsum of each run of terms, the runs ending at the ascending stops."""
+    t = terms.tolist()
+    return np.array([math.fsum(t[a:b]) for a, b in zip([0, *stops], stops)], dtype=np.float64)
 
 
-def general_povm_fidelity(e: IncidenceEdges, z: ParamMap, y: ParamMap) -> float:
+def general_povm_fidelity(
+    e: IncidenceEdges, z: float | np.ndarray, y: float | np.ndarray
+) -> float:
     """Fidelity of the POVM family with per-parent weight z and exponent y, at
-    the cell of the edge list e.
+    the cell of the edge list e; z and y are numbers or float arrays over
+    e.row_basis.
 
     For each parent alpha the family contributes
     z(alpha) * c(alpha, y) * tr[rho(alpha)^(1 - 1/y)] with
@@ -234,30 +219,34 @@ def general_povm_fidelity(e: IncidenceEdges, z: ParamMap, y: ParamMap) -> float:
     divided by d^(n+1).  z = 1, y = 2 reproduces the square-root measurement.
     With lam = gamma/d^n, each parent's term carries d^(n (2/y - 1)), which is
     1 at y = 2, times the exact integer ratios m_mu/m_alpha and d_mu m_alpha/d^n.
+    Each sum over mu is one math.fsum over the parent's run of the edge list;
+    a power or product beyond double range is an ArithmeticError.
     """
     n, d = e.col_basis.n, e.col_basis.d
-    _check_nd(n, d)
-    (_, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
-    num, den = _gammas(e)
-    by_alpha: dict[int, list[tuple[float, int]]] = {}
-    # each gamma is the correctly rounded quotient of its exact integers
-    for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), (num / den).tolist()):
-        by_alpha.setdefault(i, []).append((gamma, j))
-    dn = d**n
-    terms = []
-    for i, group in by_alpha.items():
+    num, den = protocol_eigenvalues(e)
+    rows = len(e.row_basis)
+    z = np.broadcast_to(np.asarray(z, dtype=np.float64), rows)
+    y = np.broadcast_to(np.asarray(y, dtype=np.float64), rows)
+    bad = (z < 0) | (y == 0)
+    if bad.any():
+        i = int(bad.argmax())
         alpha = e.row_basis[i]
-        za = _param(z, alpha)
-        ya = _param(y, alpha)
-        if za < 0:
-            raise ValueError(f"weight z({alpha}) must be nonnegative, got {za}")
-        if ya == 0:
-            raise ValueError(f"exponent y({alpha}) must be nonzero")
-        m_a = mult_a[i]
-        c_val = math.fsum(g ** (-1.0 / ya) * (mult_m[j] / m_a) for g, j in group) / d
-        tr_val = math.fsum(g ** (1.0 - 1.0 / ya) * (dim_m[j] * m_a / dn) for g, j in group)
-        terms.append(za * c_val * tr_val * float(d) ** (n * (2.0 / ya - 1.0)))
-    return math.fsum(terms) / d
+        if z[i] < 0:
+            raise ValueError(f"weight z({alpha}) must be nonnegative, got {float(z[i])}")
+        raise ValueError(f"exponent y({alpha}) must be nonzero")
+    (_, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
+    gamma = (num / den).tolist()  # each the correctly rounded quotient
+    gamma_c = _pow(gamma, (-1.0 / y)[e.parent])
+    gamma_tr = _pow(gamma, (1.0 - 1.0 / y)[e.parent])
+    scale = _pow([float(d)] * rows, n * (2.0 / y - 1.0))
+    stops = np.cumsum(np.bincount(e.parent, minlength=rows)).tolist()
+    with np.errstate(over="raise"):
+        c_terms = gamma_c * (mult_m[e.child] / mult_a[e.parent]).astype(np.float64)
+        tr_terms = gamma_tr * (dim_m[e.child] * mult_a[e.parent] / d**n).astype(np.float64)
+        c_val = _fsum_runs(c_terms, stops) / float(d)
+        tr_val = _fsum_runs(tr_terms, stops)
+        terms = z * c_val * tr_val * scale
+    return math.fsum(terms.tolist()) / d
 
 
 def lower_bound_fidelity(n: int, d: int) -> float:

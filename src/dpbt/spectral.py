@@ -49,20 +49,21 @@ LANCZOS_FLOOR = 1e-14
 LANCZOS_BASIS_BYTES = 32 * 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralResult:
     """Spectral radius with its enclosure and diagram-indexed Perron vector.
 
-    The Perron vector is sum-normalised with strictly positive entries.  Up
-    to rounding, lo <= true radius <= hi: lo is the Rayleigh quotient of the
-    Perron vector and equals `radius`, hi is its largest Collatz-Wielandt
-    ratio (M_F w)_mu / w_mu; the closed forms have lo = hi = radius.
+    The Perron vector is a float64 array in the order of `basis`,
+    sum-normalised with strictly positive entries.  Up to rounding,
+    lo <= true radius <= hi: lo is the Rayleigh quotient of the Perron vector
+    and equals `radius`, hi is its largest Collatz-Wielandt ratio
+    (M_F w)_mu / w_mu; the closed forms have lo = hi = radius.
     `iterations` counts the products by M_F (0 for closed forms).
     """
 
     radius: float
     basis: DiagramBasis
-    perron: tuple[float, ...]
+    perron: np.ndarray
     iterations: int
     lo: float
     hi: float
@@ -118,8 +119,7 @@ def lanczos_perron(
 
     def result(w: np.ndarray, v: np.ndarray) -> SpectralResult:
         lo, hi = float(w @ v / (w @ w)), float(np.max(v / w))
-        perron = tuple((w / w.sum()).tolist())
-        return SpectralResult(lo, e.col_basis, perron, products, lo, hi, "lanczos")
+        return SpectralResult(lo, e.col_basis, w / w.sum(), products, lo, hi, "lanczos")
 
     def matvec(w: np.ndarray) -> np.ndarray:
         nonlocal products
@@ -211,8 +211,7 @@ def dominant_eigenpair(
         return closed_form_full(basis)
     if d == 2:
         x = [math.sin((2 * r - n + 1) * math.pi / (n + 2)) for r in basis.rows[:, 0].tolist()]
-        total = math.fsum(x)
-        perron = tuple(v / total for v in x)
+        perron = np.array(x) / math.fsum(x)
         radius = closed_form_d2(n)[0]
         return SpectralResult(radius, basis, perron, 0, radius, radius, "closed_d2")
     return lanczos_perron(e, tol, max_iter)
@@ -228,7 +227,7 @@ def closed_form_full(basis: DiagramBasis) -> SpectralResult:
     if n < 1 or (basis.d is not None and basis.d < n):
         raise ValueError(f"need every diagram of n >= 1 boxes, got n={n}, d={basis.d}")
     dims = basis.numbers[0]
-    perron = tuple((dims / dims.sum()).tolist())
+    perron = (dims / dims.sum()).astype(np.float64)
     return SpectralResult(float(n), basis, perron, 0, float(n), float(n), "closed_dgeN")
 
 

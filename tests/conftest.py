@@ -1,10 +1,12 @@
 """Fixtures shared by the test modules."""
 
 import io
+from fractions import Fraction
 
 import pytest
 
 from dpbt.cli import run
+from dpbt.protocol import protocol_eigenvalues
 from dpbt.telemat import gram_H, incidence_edges, teleportation_matrix
 
 
@@ -48,3 +50,22 @@ def recursion_defect():
     """The recursion defect as a function of (n, d), shared by the telemat
     and acceptance tests."""
     return _recursion_defect
+
+
+def _gamma_table(n: int, d: int) -> dict:
+    """{(alpha, mu): gamma} over the edges of incidence_edges(n, d), each
+    port-operator eigenvalue an exact Fraction."""
+    e = incidence_edges(n, d)
+    num, den = protocol_eigenvalues(e)
+    alphas, mus = e.row_basis.entries, e.col_basis.entries
+    return {
+        (alphas[i], mus[j]): Fraction(p, q)
+        for i, j, p, q in zip(e.parent.tolist(), e.child.tolist(), num.tolist(), den.tolist())
+    }
+
+
+@pytest.fixture(scope="session")
+def gamma_table():
+    """The port-operator eigenvalues keyed by diagram pair, as a function of
+    (n, d), shared by the protocol, oracle, CLI and acceptance tests."""
+    return _gamma_table

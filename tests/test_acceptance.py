@@ -19,14 +19,12 @@ from dpbt.oracle import (
     dense_cell,
     direct_fidelity,
     dual_witness_check,
-    eta_operator,
     primal_constraint_check,
 )
 from dpbt.protocol import (
     general_povm_fidelity,
     lower_bound_fidelity,
     optimal_fidelity,
-    protocol_eigenvalues,
     sqrt_measurement_fidelity,
 )
 from dpbt.spectral import closed_form_spectrum, lanczos_perron
@@ -106,23 +104,23 @@ def test_criterion_4_gram_and_recursion(recursion_defect):
     report(4, "Gram and recursion identities for 2<=d<=N<=8; incidence example byte-exact")
 
 
-def test_criterion_5_oracle_strong_duality():
+def test_criterion_5_oracle_strong_duality(gamma_table):
     """Dense-oracle eigenvalues, primal fidelity, constraints, and dual witness."""
     start = time.time()
     for n, d in ORACLE_CELLS:
         dim = d ** (n + 1)
-        eta = eta_operator(n, d)
+        cell = dense_cell(n, d)
+        eta = d**n * sum(cell.sigmas)
         w = np.linalg.eigvalsh(eta.real)
         expected = []
-        for e in protocol_eigenvalues(incidence_edges(n, d)):
-            expected += [float(e.gamma)] * (irrep_dim(e.mu) * multiplicity(e.alpha, d))
+        for (alpha, mu), gamma in gamma_table(n, d).items():
+            expected += [float(gamma)] * (irrep_dim(mu) * multiplicity(alpha, d))
         expected += [0.0] * (dim - len(expected))
         actual = sorted((float(x) for x in w), reverse=True)
         gap = max(abs(a - b) for a, b in zip(actual, sorted(expected, reverse=True)))
         assert gap < 1e-8, f"eta eigenvalues off at ({n},{d}): {gap}"
 
         radius_fid = optimal_fidelity(incidence_edges(n, d))
-        cell = dense_cell(n, d)
         primal_fid = direct_fidelity(cell, "optimal")
         assert abs(primal_fid - radius_fid) < 1e-8, f"primal fidelity off at ({n},{d})"
 

@@ -22,7 +22,7 @@ from dpbt import cli, telemat
 from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, irrep_dim, multiplicity, partition_counts
 from dpbt.oracle import DEFAULT_CHECK_CELLS
-from dpbt.protocol import optimal_solution, protocol_eigenvalues
+from dpbt.protocol import optimal_solution
 from dpbt.telemat import gram_H, incidence_edges, incidence_matrix, teleportation_matrix
 
 
@@ -203,7 +203,7 @@ class TestPovmCommand:
         code, out, _ = invoke(["povm", "--ports", "5", "--dim", "2"])
         assert code == 0 and json.loads(out)["method"] == "closed_d2"
 
-    def test_large_qubit_cell_is_finite(self):
+    def test_large_qubit_cell_is_finite(self, gamma_table):
         # 2^1030 exceeds a double, yet every coefficient here fits one
         n, d = 1030, 2
         code, out, err = invoke(["povm", "--ports", str(n), "--dim", str(d)])
@@ -220,8 +220,7 @@ class TestPovmCommand:
         trace = sum(c[mu] * irrep_dim(mu) * multiplicity(mu, d) for mu in c)
         assert abs(trace / dn - 1) < 1e-12
         # exact lam = gamma / d^N: its float form is subnormal at this cell
-        eigs = protocol_eigenvalues(telemat.incidence_edges(n, d))
-        gamma = {(e.alpha.label(), e.mu.label()): e.gamma for e in eigs}
+        gamma = {(alpha.label(), mu.label()): g for (alpha, mu), g in gamma_table(n, d).items()}
         assert len(gamma) == len(payload["p_coeffs"])
         for entry in payload["p_coeffs"]:
             lam = gamma[(entry["alpha"], entry["mu"])] / dn
@@ -685,3 +684,36 @@ class TestCellLimit:
                 assert list(counts) == partition_counts(n, d)[-2:], (n, d)
             elif n <= 120:  # above the limit: a lower bound
                 assert sum(counts) <= sum(partition_counts(n, d)[-2:]), (n, d)
+
+
+class TestDimensionLimit:
+    """d above MAX_DIM = 2^511 is refused before anything is listed: there d^2
+    leaves double range, or the fidelities turn subnormal."""
+
+    def test_largest_dimension_prints_normal_fidelities(self):
+        assert cli.MAX_DIM == 2**511
+        code, out, err = invoke(["fidelity", "-N", "1", "-d", str(2**511)])
+        assert code == 0, err
+        assert '"f_opt": 2.2250738585072014e-308' in out
+        payload = json.loads(out)
+        # N / (d^2 + N - 1) = 2^-1022, the least normal double, at all three
+        assert payload["f_lower"] == payload["f_sqrt_ent"] == payload["f_opt"] == 2.0**-1022
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "-N", "1", "-d", str(2**511 + 1)],
+            ["fidelity", "-N", "3", "-d", str(2**512)],
+            ["sweep", "--ports", "2:3", "--dims", f"2,{2**512}"],
+            ["povm", "-N", "1", "-d", str(2**512)],
+            ["verify", "--oracle", "-N", "1", "-d", str(2**512)],
+        ],
+        ids=["fidelity-1-above", "fidelity-3-2^512", "sweep-2^512", "povm-2^512", "verify-2^512"],
+    )
+    def test_refused_with_usage(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == ""
+        message, usage = err.splitlines()[:2]
+        assert message.startswith("error: local dimension d=")
+        assert message.endswith("is above the largest supported, 2**511")
+        assert usage.startswith(f"usage: dpbt {argv[0]}")

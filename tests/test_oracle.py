@@ -23,18 +23,22 @@ from dpbt.oracle import (
     dense_cell,
     direct_fidelity,
     dual_witness_check,
-    eta_operator,
-    f_projector,
     partial_transpose_last,
     permutation_operator,
     primal_constraint_check,
     run_checks,
     young_projector,
 )
-from dpbt.protocol import optimal_fidelity, protocol_eigenvalues, sqrt_measurement_fidelity
+from dpbt.protocol import optimal_fidelity, sqrt_measurement_fidelity
 from dpbt.telemat import incidence_edges
 
 GOLDEN = math.cos(math.pi / 5) ** 2
+
+
+def port_operator(n, d):
+    """The port operator of the dense cell (N, d): d^N times the sum of its
+    port states, as run_checks builds it."""
+    return d**n * sum(dense_cell(n, d).sigmas)
 
 
 def digit_permutation_matrix(perm, d):
@@ -134,7 +138,7 @@ class TestYoungProjector:
 
 class TestPartialTranspose:
     def test_involution_and_trace(self):
-        eta = eta_operator(3, 2)
+        eta = port_operator(3, 2)
         pt = partial_transpose_last(eta, 2)
         back = partial_transpose_last(pt, 2)
         assert np.allclose(back, eta, atol=1e-15)
@@ -151,7 +155,7 @@ class TestPartialTranspose:
 
 class TestEtaOperator:
     def test_two_ports_qubits(self):
-        eta = eta_operator(2, 2)
+        eta = port_operator(2, 2)
         assert eta.shape == (8, 8)
         assert abs(np.trace(eta).real - 8) < 1e-12
         eigs = np.linalg.eigvalsh(eta.real)
@@ -160,41 +164,41 @@ class TestEtaOperator:
         assert np.allclose(top[4:], 0, atol=1e-10)
 
     def test_single_port(self):
-        eta = eta_operator(1, 2)
+        eta = port_operator(1, 2)
         eigs = sorted(np.linalg.eigvalsh(eta.real), reverse=True)
         assert np.allclose(eigs, [2, 0, 0, 0], atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
     def test_psd_and_hermitian(self, n, d):
-        eta = eta_operator(n, d)
+        eta = port_operator(n, d)
         assert np.allclose(eta, eta.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(eta.real).min() > -1e-10
 
-    def test_eigenvalues_match_gamma_with_multiplicity(self):
+    def test_eigenvalues_match_gamma_with_multiplicity(self, gamma_table):
         n, d = 3, 2
-        eta = eta_operator(n, d)
+        eta = port_operator(n, d)
         expected = []
-        for e in protocol_eigenvalues(incidence_edges(n, d)):
-            expected += [float(e.gamma)] * (irrep_dim(e.mu) * multiplicity(e.alpha, d))
+        for (alpha, mu), gamma in gamma_table(n, d).items():
+            expected += [float(gamma)] * (irrep_dim(mu) * multiplicity(alpha, d))
         expected += [0.0] * (2**4 - len(expected))
         actual = sorted(np.linalg.eigvalsh(eta.real), reverse=True)
         assert np.allclose(actual, sorted(expected, reverse=True), atol=1e-8)
 
 
 class TestFProjector:
+    """The eigenprojector family F_mu(alpha) of a dense cell."""
+
     def test_two_ports_symmetric(self):
         alpha, mu = YoungDiagram((1,)), YoungDiagram((2,))
-        f = f_projector(alpha, mu, 2)
+        f = dense_cell(2, 2).family[(alpha, mu)]
         assert abs(np.trace(f).real - 2) < 1e-10  # d_mu * m_alpha = 1 * 2
-        eta = eta_operator(2, 2)
+        eta = port_operator(2, 2)
         assert np.allclose(eta @ f, 3 * f, atol=1e-10)
 
-    def test_family_orthogonal_projectors(self):
+    def test_family_orthogonal_projectors(self, gamma_table):
         n, d = 3, 2
-        fams = {
-            (e.alpha, e.mu): f_projector(e.alpha, e.mu, d)
-            for e in protocol_eigenvalues(incidence_edges(n, d))
-        }
+        fams = dense_cell(n, d).family
+        assert fams.keys() == gamma_table(n, d).keys()
         keys = list(fams)
         for i, k1 in enumerate(keys):
             f1 = fams[k1]
@@ -202,34 +206,28 @@ class TestFProjector:
             for k2 in keys[i + 1 :]:
                 assert np.allclose(f1 @ fams[k2], 0, atol=1e-10)
 
-    def test_reconstruction(self):
+    def test_reconstruction(self, gamma_table):
         for n, d in [(2, 2), (3, 2), (2, 3)]:
-            eta = eta_operator(n, d)
+            cell = dense_cell(n, d)
+            eta = d**n * sum(cell.sigmas)
             recon = np.zeros_like(eta)
-            for e in protocol_eigenvalues(incidence_edges(n, d)):
-                recon += float(e.gamma) * f_projector(e.alpha, e.mu, d)
+            for key, gamma in gamma_table(n, d).items():
+                recon += float(gamma) * cell.family[key]
             assert np.abs(recon - eta).max() < 1e-9
 
     def test_inner_product_identity(self):
         # sandwiching by P_alpha (x) P+ rescales the projector by m_mu/(d m_alpha)
         n, d = 2, 2
-        for e in protocol_eigenvalues(incidence_edges(n, d)):
-            f = f_projector(e.alpha, e.mu, d)
-            p_alpha = young_projector(e.alpha, d)
+        for (alpha, mu), f in dense_cell(n, d).family.items():
+            p_alpha = young_projector(alpha, d)
             p_plus = np.zeros((4, 4))
             for i in range(2):
                 for j in range(2):
                     p_plus[i * 2 + i, j * 2 + j] = 0.5
             wall = np.kron(p_alpha, p_plus)
             lhs = wall @ f @ wall
-            ratio = multiplicity(e.mu, d) / (d * multiplicity(e.alpha, d))
+            ratio = multiplicity(mu, d) / (d * multiplicity(alpha, d))
             assert np.abs(lhs - ratio * wall).max() < 1e-10
-
-    def test_invalid_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            f_projector(YoungDiagram((2,)), YoungDiagram((2, 2)), 2)
-        with pytest.raises(ValueError, match="multiplicity"):
-            f_projector(YoungDiagram((1, 1)), YoungDiagram((1, 1, 1)), 2)
 
 
 class TestDenseCell:
@@ -340,8 +338,17 @@ class TestRunChecks:
         }
 
     def test_edge_list_disagreement_is_a_failed_check(self, monkeypatch):
-        real = oracle.protocol_eigenvalues
-        monkeypatch.setattr(oracle, "protocol_eigenvalues", lambda e: real(e)[1:])
+        # the fast edge list loses its first edge, and the cell's pairs with it,
+        # so pairs and gammas stay aligned and the walk has one pair more
+        real = oracle.dense_cell
+
+        def short(n, d):
+            cell = real(n, d)
+            e = cell.edges
+            edges = dataclasses.replace(e, parent=e.parent[1:], child=e.child[1:])
+            return dataclasses.replace(cell, edges=edges, pairs=cell.pairs[1:])
+
+        monkeypatch.setattr(oracle, "dense_cell", short)
         results = {r.name: r for r in run_checks(3, 2)}
         assert len(results) == 29
         assert results["edge_pairs"].residual == 1 and not results["edge_pairs"].passed

@@ -29,6 +29,8 @@ from dpbt.telemat import incidence_edges
 
 GOLDEN = math.cos(math.pi / 5) ** 2  # optimal qubit fidelity at three ports
 
+SMALL_GRID = [(n, d) for n in range(2, 9) for d in range(2, n + 1)]
+
 
 @pytest.mark.parametrize(
     "evaluate",
@@ -54,44 +56,63 @@ def test_rejects_uncapped_edge_list(evaluate):
         evaluate(incidence_edges(4))
 
 
+def rows_table(gammas):
+    """A gamma_table keyed by (alpha rows, mu rows)."""
+    return {(alpha.rows, mu.rows): g for (alpha, mu), g in gammas.items()}
+
+
 class TestProtocolEigenvalues:
-    def test_two_ports_qubits(self):
-        eigs = protocol_eigenvalues(incidence_edges(2, 2))
-        table = {(e.alpha.rows, e.mu.rows): e.gamma for e in eigs}
+    def test_two_ports_qubits(self, gamma_table):
+        table = rows_table(gamma_table(2, 2))
         assert table == {
             ((1,), (2,)): Fraction(3),
             ((1,), (1, 1)): Fraction(1),
         }
-        lams = {e.mu.rows: e.gamma / 2**2 for e in eigs}
+        lams = {mu: gamma / 2**2 for (_, mu), gamma in table.items()}
         assert lams[(2,)] == 0.75 and lams[(1, 1)] == 0.25
 
-    def test_three_ports_qubits(self):
+    def test_three_ports_qubits(self, gamma_table):
         # the height-3 child of [1,1] has zero multiplicity and is excluded
-        eigs = protocol_eigenvalues(incidence_edges(3, 2))
-        table = {(e.alpha.rows, e.mu.rows): e.gamma for e in eigs}
+        table = rows_table(gamma_table(3, 2))
         assert table == {
             ((2,), (3,)): Fraction(4),
             ((2,), (2, 1)): Fraction(1),
             ((1, 1), (2, 1)): Fraction(3),
         }
 
-    def test_single_row_chain(self):
+    def test_single_row_chain(self, gamma_table):
         for n in range(1, 8):
             for d in (2, 3):
-                eigs = protocol_eigenvalues(incidence_edges(n, d))
-                top = next(
-                    e for e in eigs if e.alpha.rows in ((n - 1,), ()) and e.mu.rows == (n,)
-                )
+                table = rows_table(gamma_table(n, d))
+                top = table[((n - 1,) if n > 1 else (), (n,))]
                 expected = Fraction(
                     n * multiplicity(YoungDiagram((n,)), d),
                     multiplicity(YoungDiagram((n - 1,)) if n > 1 else YoungDiagram(()), d),
                 )
-                assert top.gamma == expected
+                assert top == expected
 
     def test_gamma_positive(self):
         for n in range(1, 7):
             for d in (2, 3, 4):
-                assert all(e.gamma > 0 for e in protocol_eigenvalues(incidence_edges(n, d)))
+                num, den = protocol_eigenvalues(incidence_edges(n, d))
+                assert all(p > 0 for p in num.tolist()) and all(q > 0 for q in den.tolist())
+
+    @pytest.mark.parametrize("n,d", SMALL_GRID)
+    def test_exact_arrays_in_edge_order(self, n, d):
+        # edge by edge, the reduced fraction of (num, den) is
+        # N m_mu d_alpha / (m_alpha d_mu) from the single-diagram kernels
+        e = incidence_edges(n, d)
+        num, den = protocol_eigenvalues(e)
+        assert num.dtype == den.dtype == object and len(num) == len(den) == len(e.parent)
+        for i, j, p, q in zip(e.parent.tolist(), e.child.tolist(), num.tolist(), den.tolist()):
+            alpha, mu = e.row_basis[i], e.col_basis[j]
+            want = Fraction(
+                n * multiplicity(mu, d) * irrep_dim(alpha), multiplicity(alpha, d) * irrep_dim(mu)
+            )
+            assert type(p) is int and type(q) is int
+            assert Fraction(p, q) == want
+            # the float every caller reads has the bits of the exact fraction
+            assert p / q == float(want)
 
 
 class TestOptimalFidelity:
@@ -191,7 +212,7 @@ class TestOptimalSolution:
                 assert abs(v_mu - irrep_dim(mu) / norm) < 1e-12
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3), (5, 3), (4, 4), (6, 4)])
-    def test_sdp_identities(self, n, d):
+    def test_sdp_identities(self, n, d, gamma_table):
         sol = optimal_solution(incidence_edges(n, d))
         assert abs(sum(x * x for x in sol.v.tolist()) - 1.0) < 1e-10
         c_coeffs = sol.c_coeffs.tolist()
@@ -199,7 +220,7 @@ class TestOptimalSolution:
             c * irrep_dim(mu) * multiplicity(mu, d) for mu, c in zip(sol.basis, c_coeffs)
         )
         assert abs(trace - d**n) < 1e-10 * d**n
-        lam = {(e.alpha, e.mu): e.gamma / d**n for e in protocol_eigenvalues(incidence_edges(n, d))}
+        lam = {key: gamma / d**n for key, gamma in gamma_table(n, d).items()}
         edges = zip(sol.edges.parent.tolist(), sol.edges.child.tolist(), sol.p_coeffs.tolist())
         for i, j, p in edges:
             alpha, mu, c = sol.edges.row_basis[i], sol.basis[j], c_coeffs[j]
@@ -282,10 +303,16 @@ class TestGeneralPovmFidelity:
         ) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            general_povm_fidelity(incidence_edges(3, 2), 1, 0)
-        with pytest.raises(ValueError):
-            general_povm_fidelity(incidence_edges(3, 2), -1.0, 2)
+        # the message names the first parent at fault, in basis order
+        e = incidence_edges(3, 2)
+        with pytest.raises(ValueError, match=r"^exponent y\(\[2\]\) must be nonzero$"):
+            general_povm_fidelity(e, 1, 0)
+        with pytest.raises(ValueError, match=r"^weight z\(\[2\]\) must be nonnegative, got -1.0$"):
+            general_povm_fidelity(e, -1.0, 2)
+        with pytest.raises(ValueError, match=r"^weight z\(\[1,1\]\) must be nonnegative, got -0.5$"):
+            general_povm_fidelity(e, np.array([1.0, -0.5]), np.array([2.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^exponent y\(\[2\]\) must be nonzero$"):
+            general_povm_fidelity(e, np.array([1.0, -0.5]), np.array([0.0, 2.0]))
 
     @pytest.mark.parametrize(
         "z_spec,y_spec",
@@ -296,36 +323,93 @@ class TestGeneralPovmFidelity:
             (lambda a: 0.5 + a.boxes / 10, lambda a: 2.0 + a.height),
         ],
     )
-    def test_matches_quadratic_form_with_matched_coefficients(self, z_spec, y_spec):
+    def test_matches_quadratic_form_with_matched_coefficients(self, z_spec, y_spec, gamma_table):
         # the same POVM written in the projector expansion, p = sqrt(z) lam^(-1/y),
         # must give the same fidelity through the quadratic-form route
         n, d = 4, 3
-        eigs = protocol_eigenvalues(incidence_edges(n, d))
         by_alpha = {}
-        for e in eigs:
-            by_alpha.setdefault(e.alpha, []).append(e)
+        for (alpha, mu), gamma in gamma_table(n, d).items():
+            by_alpha.setdefault(alpha, []).append((mu, gamma))
         total = 0.0
         for alpha, group in by_alpha.items():
             za = z_spec(alpha) if callable(z_spec) else z_spec
             ya = y_spec(alpha) if callable(y_spec) else y_spec
             inner = math.fsum(
-                math.sqrt(za) * (e.gamma / d**n) ** (-1.0 / ya) * multiplicity(e.mu, d)
-                for e in group
+                math.sqrt(za) * (gamma / d**n) ** (-1.0 / ya) * multiplicity(mu, d)
+                for mu, gamma in group
             )
             total += irrep_dim(alpha) / multiplicity(alpha, d) * inner**2
         quad = n / d ** (2 * n + 2) * total
-        assert abs(quad - general_povm_fidelity(incidence_edges(n, d), z_spec, y_spec)) < 1e-12
+        # per-parent parameters go in as arrays over the row basis
+        e = incidence_edges(n, d)
+        z = np.array([z_spec(a) for a in e.row_basis]) if callable(z_spec) else z_spec
+        y = np.array([y_spec(a) for a in e.row_basis]) if callable(y_spec) else y_spec
+        assert abs(quad - general_povm_fidelity(e, z, y)) < 1e-12
 
     def test_mapping_parameters(self):
-        # a table of per-parent values goes in through its lookup
+        # a table of per-parent values goes in as an array over the row basis
         n, d = 3, 2
-        alphas = list(enumerate_diagrams(n - 1, d))
-        z = {a: 1.0 for a in alphas}
-        y = {a: 2.0 for a in alphas}
+        e = incidence_edges(n, d)
+        z = np.ones(len(e.row_basis))
+        y = np.full(len(e.row_basis), 2.0)
         assert abs(
-            general_povm_fidelity(incidence_edges(n, d), z.__getitem__, y.__getitem__)
-            - sqrt_measurement_fidelity(incidence_edges(n, d))
+            general_povm_fidelity(e, z, y) - sqrt_measurement_fidelity(incidence_edges(n, d))
         ) < 1e-12
+
+    @pytest.mark.parametrize("n,d", SMALL_GRID + [(60, 4), (100, 3)])
+    @pytest.mark.parametrize("params", ["1-2", "0.7-3.0", "per-parent"])
+    def test_bits_match_the_grouped_loop(self, n, d, params):
+        # the array form sums the same terms in the same order as the
+        # dict-of-lists loop it replaced, so the result has the same bits
+        e = incidence_edges(n, d)
+        rng = np.random.default_rng([n, d])
+        rows = len(e.row_basis)
+        z, y = {
+            "1-2": (1, 2),
+            "0.7-3.0": (0.7, 3.0),
+            "per-parent": (rng.uniform(0.1, 2.0, rows), rng.uniform(0.5, 4.0, rows)),
+        }[params]
+        assert general_povm_fidelity(e, z, y) == grouped_povm_fidelity(e, z, y)
+
+    def test_power_beyond_double_range_raises(self):
+        # d^(n (2/y - 1)) = 3^700 at y = 0.25 overflows a double
+        e = incidence_edges(100, 3)
+        with pytest.raises(ArithmeticError):
+            grouped_povm_fidelity(e, 1, 0.25)
+        with pytest.raises(ArithmeticError):
+            general_povm_fidelity(e, 1, 0.25)
+
+
+def grouped_povm_fidelity(e, z, y):
+    """The reference for general_povm_fidelity: the edges grouped by parent in
+    a dict of lists, then one loop per parent with Python float arithmetic.
+    z and y are numbers or float arrays over e.row_basis."""
+
+    def param(value, i):
+        return float(value[i] if isinstance(value, np.ndarray) else value)
+
+    n, d = e.col_basis.n, e.col_basis.d
+    (_, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
+    num, den = protocol_eigenvalues(e)
+    by_alpha = {}
+    # each gamma is the correctly rounded quotient of its exact integers
+    for i, j, gamma in zip(e.parent.tolist(), e.child.tolist(), (num / den).tolist()):
+        by_alpha.setdefault(i, []).append((gamma, j))
+    dn = d**n
+    terms = []
+    for i, group in by_alpha.items():
+        alpha = e.row_basis[i]
+        za = param(z, i)
+        ya = param(y, i)
+        if za < 0:
+            raise ValueError(f"weight z({alpha}) must be nonnegative, got {za}")
+        if ya == 0:
+            raise ValueError(f"exponent y({alpha}) must be nonzero")
+        m_a = mult_a[i]
+        c_val = math.fsum(g ** (-1.0 / ya) * (mult_m[j] / m_a) for g, j in group) / d
+        tr_val = math.fsum(g ** (1.0 - 1.0 / ya) * (dim_m[j] * m_a / dn) for g, j in group)
+        terms.append(za * c_val * tr_val * float(d) ** (n * (2.0 / ya - 1.0)))
+    return math.fsum(terms) / d
 
 
 class TestLowerBound:

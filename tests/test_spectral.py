@@ -37,14 +37,16 @@ class TestPowerIteration:
     def test_one_by_one(self):
         res = lanczos_perron(incidence_edges(1, 3))  # M_F(1) = [[1]]
         assert res.radius == 1.0
-        assert res.perron == (1.0,)
+        assert res.perron.tolist() == [1.0]
 
     def test_perron_properties(self):
         for n in range(2, 9):
             for d in range(2, n + 1):
                 res = lanczos_perron(incidence_edges(n, d))
-                assert all(x > 0 for x in res.perron)
-                assert abs(sum(res.perron) - 1.0) < 1e-12
+                assert isinstance(res.perron, np.ndarray) and res.perron.dtype == np.float64
+                assert res.perron.shape == (len(res.basis),)
+                assert all(x > 0 for x in res.perron.tolist())
+                assert abs(sum(res.perron.tolist()) - 1.0) < 1e-12
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -80,7 +82,8 @@ class TestPowerIteration:
         for kept in (1, 2):
             monkeypatch.setattr(spectral, "LANCZOS_BASIS_BYTES", kept * 8 * len(e.col_basis))
             res = lanczos_perron(e)
-            assert (res.radius, res.lo, res.hi, res.perron) == (full.radius, full.lo, full.hi, full.perron)
+            assert (res.radius, res.lo, res.hi) == (full.radius, full.lo, full.hi)
+            assert np.array_equal(res.perron, full.perron)
             assert res.iterations == full.iterations + steps - kept
 
 
@@ -160,13 +163,13 @@ class TestClosedForms:
     def test_full_n2(self):
         res = closed_form_full(enumerate_diagrams(2))
         assert res.radius == 2.0
-        assert res.perron == (0.5, 0.5)
+        assert res.perron.dtype == np.float64 and res.perron.tolist() == [0.5, 0.5]
         assert res.method == "closed_dgeN"
 
     def test_full_n4_dims(self):
         res = closed_form_full(enumerate_diagrams(4))
         dims = (1, 3, 2, 3, 1)
-        assert res.perron == tuple(x / 10 for x in dims)
+        assert res.perron.tolist() == [x / 10 for x in dims]
 
     def test_full_n1(self):
         assert closed_form_full(enumerate_diagrams(1)).radius == 1.0
@@ -238,7 +241,7 @@ class TestDominantEigenpair:
     def test_full_cell_at_any_cap(self, n):
         # d = n, d > n and no cap all list every diagram: one closed form
         got = [dominant_eigenpair(incidence_edges(n, d)) for d in (n, n + 3, None)]
-        assert len({(r.radius, r.perron, r.method) for r in got}) == 1
+        assert len({(r.radius, tuple(r.perron.tolist()), r.method) for r in got}) == 1
         assert got[0].method == "closed_dgeN"
 
     @pytest.mark.parametrize("n", range(2, 41))
@@ -247,7 +250,8 @@ class TestDominantEigenpair:
         w, v = np.linalg.eigh(teleportation_matrix(incidence_edges(n, 2)))
         top = np.abs(v[:, -1])  # the Perron vector is positive up to sign
         assert abs(res.radius - w[-1]) < 1e-12 * w[-1]
-        assert np.max(np.abs(np.array(res.perron) - top / top.sum())) < 1e-12
+        assert res.perron.dtype == np.float64
+        assert np.max(np.abs(res.perron - top / top.sum())) < 1e-12
 
 
 class TestSpectrumViaCharacters:
