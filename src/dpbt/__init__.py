@@ -24,8 +24,6 @@ from .diagrams import (
     YoungDiagram,
     add_box,
     enumerate_diagrams,
-    irrep_dim,
-    multiplicity,
     partition_counts,
 )
 from .protocol import (

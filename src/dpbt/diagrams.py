@@ -11,7 +11,10 @@ formula for the S(N) dimension and the Weyl formula for the Schur-Weyl
 multiplicity.  It works column by column on the diagrams of each height, at
 O(k^2) array operations per height.  The values overflow 64-bit integers near
 N = 30, so the results are numpy object arrays of arbitrary-width Python
-integers.  Floats appear only in the spectral and protocol layers.
+integers.  There is no single-diagram entry point: a diagram's d_mu and m_mu
+are read at its place in a basis, from DiagramBasis.numbers (at the basis's
+own cap) or dims_and_multiplicities (at any d).  Floats appear only in the
+spectral and protocol layers.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ __all__ = [
     "enumerate_diagrams",
     "partition_counts",
     "add_box",
-    "irrep_dim",
-    "multiplicity",
     "dims_and_multiplicities",
 ]
 
@@ -291,26 +292,3 @@ def dims_and_multiplicities(
         raise ValueError("local dimension must be >= 1")
     return _frobenius_weyl(basis.rows, d)
 
-
-def _one_row(mu: YoungDiagram) -> np.ndarray:
-    return np.array([mu.rows], dtype=np.int64).reshape(1, mu.height)
-
-
-@lru_cache(maxsize=None)
-def irrep_dim(mu: YoungDiagram) -> int:
-    """Dimension of the S(N) irrep labelled by mu, by the Frobenius formula
-    N! prod_{i<j} (l_i - l_j) / prod_i l_i!."""
-    return _frobenius_weyl(_one_row(mu), None)[0][0]
-
-
-@lru_cache(maxsize=None)
-def multiplicity(mu: YoungDiagram, d: int) -> int:
-    """Schur-Weyl multiplicity of mu in (C^d)^(boxes of mu).
-
-    Counts semistandard tableaux of shape mu with entries in 1..d by the Weyl
-    dimension formula, prod_{i<j<d} (mu_i - mu_j + j - i) / (j - i), exactly;
-    0 whenever the diagram is taller than d.
-    """
-    if d < 1:
-        raise ValueError("local dimension must be >= 1")
-    return _frobenius_weyl(_one_row(mu), d)[1][0]

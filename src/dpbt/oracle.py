@@ -8,6 +8,10 @@ and the dual certificate.  Each formula is then checked by plain linear algebra;
 the character-table spectrum of the full teleportation matrix, in exact integers.
 run_checks builds each operator of one (N, d) once, in a DenseCell that also
 holds the fast path's one edge list, and runs its 29 checks on that cell.
+The Young projectors take d_mu as the character at the identity, from the
+character table, so they share no code with the exact d_mu, m_mu kernel; the
+eigenvalues, traces and ranks the checks compare with read those integers
+from the cell, one kernel call per basis.
 
 Operators grow as d^(N+1), so constructions are capped at DEFAULT_CAP = 1024, which
 covers the DEFAULT_CHECK_CELLS.  Operators are plain float64 numpy arrays:
@@ -27,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import CycleType, character, character_matrix, cycle_types
-from .diagrams import (
-    YoungDiagram,
-    add_box,
-    enumerate_diagrams,
-    irrep_dim,
-    multiplicity,
-)
+from .diagrams import YoungDiagram, add_box, dims_and_multiplicities, enumerate_diagrams
 from .protocol import (
     OptimalSolution,
     general_povm_fidelity,
@@ -141,8 +139,9 @@ def young_projector(mu: YoungDiagram, d: int) -> np.ndarray:
     """Isotypic projector for mu on (C^d)^N: (dim_mu/N!) sum_s chi_mu(s) V(s).
 
     Characters of a class equal those of its inverses, so the class value is
-    used directly.  Idempotent and Hermitian with trace d_mu * m_mu; the zero
-    operator when the diagram is taller than d.
+    used directly, and dim_mu is the character at the identity.  Idempotent
+    and Hermitian with trace d_mu * m_mu; the zero operator when the diagram
+    is taller than d.
     """
     _require_cap(d, mu.boxes)
     return _young_projector(mu, d, _perm_table(mu.boxes, d))
@@ -161,7 +160,7 @@ def _young_projector(
     rows = np.arange(dim)
     for idx, ctype in table:
         acc[rows, idx] += chi[ctype]
-    acc *= irrep_dim(mu) / math.factorial(n)
+    acc *= chi[CycleType((1,) * n)] / math.factorial(n)
     return acc
 
 
@@ -213,16 +212,19 @@ def _pt_swaps(n: int, d: int) -> list[np.ndarray]:
     ]
 
 
-def _f_operator(alpha: YoungDiagram, mu: YoungDiagram, projectors: dict, d: int) -> np.ndarray:
+def _f_operator(
+    alpha: YoungDiagram, mu: YoungDiagram, projectors: dict, numbers: dict, d: int
+) -> np.ndarray:
     """Port-operator eigenprojector F_mu(alpha) of parent alpha and child mu,
-    reading P_alpha and P_mu from projectors.
+    reading P_alpha and P_mu from projectors and (d, m) of each from numbers.
 
     (1/gamma) P_mu [sum_a V(a,N) (P_alpha x Ptilde+) V(a,N)] P_mu, acting on
     N+1 factors; idempotent with trace d_mu * m_alpha and eigenvalue gamma
     under the port operator.
     """
     n = mu.boxes
-    gamma = n * multiplicity(mu, d) * irrep_dim(alpha) / (multiplicity(alpha, d) * irrep_dim(mu))
+    (dim_a, mult_a), (dim_m, mult_m) = numbers[alpha], numbers[mu]
+    gamma = n * mult_m * dim_a / (mult_a * dim_m)
     core = np.kron(projectors[alpha], _ptilde_plus(d))
     acc = np.zeros_like(core)
     for a in range(n):
@@ -242,7 +244,8 @@ class DenseCell:
     protocol call of the checks takes; pairs: its edges as (alpha, mu)
     diagram pairs, in edge order.  projectors: the Young projector of
     every diagram of N (the vanishing ones too) and of every diagram of N-1
-    with height <= d.  family: F_mu(alpha) for each pair
+    with height <= d; numbers: the exact (d_mu, m_mu) at d of each of those
+    diagrams, one kernel call per basis.  family: F_mu(alpha) for each pair
     of the add_box(alpha, d) walk, parents in basis order and children by
     descending rows.  sigmas: the port states.  solution: the optimal POVM
     coefficients and the Perron vector v.  povm: the optimal POVM element
@@ -255,6 +258,7 @@ class DenseCell:
     edges: IncidenceEdges
     pairs: list[tuple[YoungDiagram, YoungDiagram]]
     projectors: dict[YoungDiagram, np.ndarray]
+    numbers: dict[YoungDiagram, tuple[int, int]]
     family: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray]
     sigmas: list[np.ndarray]
     solution: OptimalSolution
@@ -265,12 +269,14 @@ def dense_cell(n: int, d: int) -> DenseCell:
     """The DenseCell of (N, d); CapExceededError above DEFAULT_CAP."""
     _require_cap(d, n + 1)
     edges = incidence_edges(n, d)
-    parents = enumerate_diagrams(n - 1, d)
+    full, parents = enumerate_diagrams(n), edges.row_basis
     table, sub_table = _perm_table(n, d), _perm_table(n - 1, d)
-    projectors = {mu: _young_projector(mu, d, table) for mu in enumerate_diagrams(n)}
+    projectors = {mu: _young_projector(mu, d, table) for mu in full}
     projectors.update({mu: _young_projector(mu, d, sub_table) for mu in parents})
+    numbers = dict(zip(full, zip(*dims_and_multiplicities(full, d))))
+    numbers.update(zip(parents, zip(*parents.numbers)))
     family = {
-        (alpha, mu): _f_operator(alpha, mu, projectors, d)
+        (alpha, mu): _f_operator(alpha, mu, projectors, numbers, d)
         for alpha in parents
         for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
     }
@@ -281,7 +287,7 @@ def dense_cell(n: int, d: int) -> DenseCell:
     # summed by ascending (alpha, mu) rows: the edge order reversed
     coeffs = zip(pairs[::-1], solution.p_coeffs[::-1].tolist())
     povm = sum(p * family[key] for key, p in coeffs if key in family)
-    return DenseCell(n, d, edges, pairs, projectors, family, sigmas, solution, povm)
+    return DenseCell(n, d, edges, pairs, projectors, numbers, family, sigmas, solution, povm)
 
 
 def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
@@ -332,11 +338,14 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
     """
     n, d = cell.n, cell.d
     t = dict(zip(cell.solution.basis, cell.solution.v.tolist()))
+    # the family lists each parent's children together
+    t_sum = {
+        alpha: math.fsum(t[nu] for _, nu in kids)
+        for alpha, kids in itertools.groupby(cell.family, key=lambda pair: pair[0])
+    }
+    mult = {mu: m for mu, (_, m) in cell.numbers.items()}
     omega = sum(
-        math.fsum(t[nu] for parent, nu in cell.family if parent == alpha)
-        * multiplicity(mu, d)
-        / (multiplicity(alpha, d) * t[mu] * d**n)
-        * f
+        t_sum[alpha] * mult[mu] / (mult[alpha] * t[mu] * d**n) * f
         for (alpha, mu), f in cell.family.items()
     )
     min_slack = min(float(_eigvalsh(omega - s)[0]) for s in cell.sigmas)
@@ -424,10 +433,9 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("young_idempotent", idem, 1e-10))
     herm = max(_norm_inf(p - p.T) for p in projectors.values())
     checks.append(_check("young_hermitian", herm, 1e-10))
-    trace_res = max(
-        abs(float(np.trace(p)) - irrep_dim(mu) * multiplicity(mu, d))
-        for mu, p in projectors.items()
-    )
+    dims = {mu: dim for mu, (dim, _) in cell.numbers.items()}
+    mults = {mu: m for mu, (_, m) in cell.numbers.items()}
+    trace_res = max(abs(float(np.trace(p)) - dims[mu] * mults[mu]) for mu, p in projectors.items())
     checks.append(_check("young_trace", trace_res, _TOL))
     commute = 0.0
     for i in range(n - 1):  # the adjacent transpositions generate S(N)
@@ -465,8 +473,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     herm = max(_norm_inf(f - f.T) for f in fams.values())
     checks.append(_check("f_hermitian", herm, 1e-10))
     f_trace_res = max(
-        abs(float(np.trace(f)) - irrep_dim(mu) * multiplicity(alpha, d))
-        for (alpha, mu), f in fams.items()
+        abs(float(np.trace(f)) - dims[mu] * mults[alpha]) for (alpha, mu), f in fams.items()
     )
     checks.append(_check("f_trace", f_trace_res, _TOL))
     f_eig_res = max(_norm_inf(eta @ fams[key] - g * fams[key]) for key, g in gamma_of.items())
@@ -482,7 +489,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     for (alpha, mu), f in fams.items():
         wall = np.kron(cell.projectors[alpha], p_plus)
         lhs = wall @ f @ wall
-        rhs = (multiplicity(mu, d) / (d * multiplicity(alpha, d))) * wall
+        rhs = (mults[mu] / (d * mults[alpha])) * wall
         inner_res = max(inner_res, _norm_inf(lhs - rhs))
     checks.append(_check("f_inner_product", inner_res, 1e-10))
 
@@ -490,9 +497,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     recon = sum(g * fams[key] for key, g in gamma_of.items()) - eta
     checks.append(_check("eta_reconstruction", _norm_inf(recon), 1e-9))
     rank_eta = int(np.sum(np.abs(eigs_eta) > 1e-8))
-    rank_expected = sum(
-        irrep_dim(mu) * multiplicity(alpha, d) for (alpha, mu) in fams
-    )
+    rank_expected = sum(dims[mu] * mults[alpha] for (alpha, mu) in fams)
     checks.append(_check("f_support_rank", abs(rank_eta - rank_expected), 0.5))
 
     # partial transpose is an involution and preserves traces

@@ -52,6 +52,13 @@ def _check_nd(n: int, d: int | None) -> None:
         raise ValueError("local dimension must be >= 2")
 
 
+def _over_d2(x: float, d: int) -> float:
+    """x / d^2 rounded once, as the exact ratio of x over the integer d^2 (a
+    float quotient rounds twice once d^2 exceeds 2^53)."""
+    p, q = x.as_integer_ratio()
+    return p / (q * d * d)
+
+
 _bit_length = np.frompyfunc(int.bit_length, 1, 1)
 
 # the least integer whose float rounds to inf: 2^1024 less half a unit in the last place
@@ -127,7 +134,7 @@ def optimal_fidelity(
     radius of its teleportation matrix from dominant_eigenpair, over d^2."""
     d = e.col_basis.d
     _check_nd(e.col_basis.n, d)
-    return dominant_eigenpair(e, tol, max_iter).radius / d**2
+    return _over_d2(dominant_eigenpair(e, tol, max_iter).radius, d)
 
 
 def optimal_solution(
@@ -189,7 +196,7 @@ def sqrt_measurement_fidelity(e: IncidenceEdges) -> float:
     dims, mults = e.col_basis.numbers
     w = _sqrt_ratio(dims * mults, d**n)
     rw = np.bincount(e.parent, weights=w[e.child], minlength=len(e.row_basis))
-    return math.fsum(rw * rw) / d**2
+    return _over_d2(math.fsum(rw * rw), d)
 
 
 def _pow(base: list[float], exponent: np.ndarray) -> np.ndarray:
@@ -272,7 +279,7 @@ def fidelity_row(
         "d": d,
         "f_lower": lower,
         "f_sqrt_ent": entangled,
-        "f_opt": optimal.radius / d**2,
+        "f_opt": _over_d2(optimal.radius, d),
         "method": optimal.method,
         "radius": optimal.radius,
         "iterations": optimal.iterations,

@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules."""
 
 import io
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -69,3 +71,44 @@ def gamma_table():
     """The port-operator eigenvalues keyed by diagram pair, as a function of
     (n, d), shared by the protocol, oracle, CLI and acceptance tests."""
     return _gamma_table
+
+
+def _hook_product(rows):
+    """Product of the hook lengths rows[i] - j + cols[j] - i - 1 of the boxes
+    (i, j), a row at a time, with cols the conjugate partition."""
+    cols = []
+    for i in range(len(rows), 0, -1):
+        cols.extend([i] * (rows[i - 1] - len(cols)))
+    return math.prod(
+        math.prod(map(operator.add, cols[:r], range(r - i - 1, -i - 1, -1)))
+        for i, r in enumerate(rows)
+    )
+
+
+def _hook_dim(rows):
+    """Hook length formula: N! over the hook product."""
+    return math.factorial(sum(rows)) // _hook_product(rows)
+
+
+def _hook_mult(rows, d):
+    """Hook content formula: the product of the d + j - i of the boxes (i, j)
+    over the hook product; 0 for d=None or a diagram taller than d."""
+    if d is None or len(rows) > d:
+        return 0
+    contents = math.prod(math.prod(range(d - i, d - i + r)) for i, r in enumerate(rows))
+    return contents // _hook_product(rows)
+
+
+@pytest.fixture(scope="session")
+def hook_dim():
+    """The S(N) irrep dimension d_mu of a diagram's rows by the hook length
+    formula: the one reference for the package's exact kernel, which shares
+    no arithmetic with it."""
+    return _hook_dim
+
+
+@pytest.fixture(scope="session")
+def hook_mult():
+    """The Schur-Weyl multiplicity m_mu of a diagram's rows at local
+    dimension d by the hook content formula, the kernel's other reference."""
+    return _hook_mult

@@ -13,7 +13,6 @@ import pytest
 
 from dpbt.characters import cycle_types
 from dpbt.cli import run
-from dpbt.diagrams import irrep_dim, multiplicity
 from dpbt.oracle import (
     character_spectrum,
     dense_cell,
@@ -54,12 +53,12 @@ def test_criterion_1_exact_spectrum_law():
     report(1, f"exact spectrum law for N=2..8 in {elapsed:.2f}s")
 
 
-def test_criterion_2_maximal_eigenvalue():
+def test_criterion_2_maximal_eigenvalue(hook_dim):
     """The Lanczos solver reaches radius N with Perron vector ~ irrep dims, N = 2..10."""
     for n in range(2, 11):
         res = lanczos_perron(incidence_edges(n))
         assert abs(res.radius - n) < 1e-10, f"radius off at N={n}: {res.radius}"
-        dims = [irrep_dim(mu) for mu in res.basis]
+        dims = [hook_dim(mu.rows) for mu in res.basis]
         total = sum(dims)
         for got, dim in zip(res.perron, dims):
             assert abs(got - dim / total) < 1e-9, f"Perron entry off at N={n}"
@@ -104,7 +103,7 @@ def test_criterion_4_gram_and_recursion(recursion_defect):
     report(4, "Gram and recursion identities for 2<=d<=N<=8; incidence example byte-exact")
 
 
-def test_criterion_5_oracle_strong_duality(gamma_table):
+def test_criterion_5_oracle_strong_duality(gamma_table, hook_dim, hook_mult):
     """Dense-oracle eigenvalues, primal fidelity, constraints, and dual witness."""
     start = time.time()
     for n, d in ORACLE_CELLS:
@@ -114,7 +113,7 @@ def test_criterion_5_oracle_strong_duality(gamma_table):
         w = np.linalg.eigvalsh(eta.real)
         expected = []
         for (alpha, mu), gamma in gamma_table(n, d).items():
-            expected += [float(gamma)] * (irrep_dim(mu) * multiplicity(alpha, d))
+            expected += [float(gamma)] * (hook_dim(mu.rows) * hook_mult(alpha.rows, d))
         expected += [0.0] * (dim - len(expected))
         actual = sorted((float(x) for x in w), reverse=True)
         gap = max(abs(a - b) for a, b in zip(actual, sorted(expected, reverse=True)))

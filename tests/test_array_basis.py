@@ -1,18 +1,17 @@
 """The array-native diagram basis against a tuple-and-object reference.
 
 The reference below is the earlier implementation: a recursive tuple
-enumerator, the parent-by-parent add-a-box walk with a dict lookup, the
-Frobenius and Weyl formulas, each with its own Vandermonde product, and the
+enumerator, the parent-by-parent add-a-box walk with a dict lookup, and the
 scalar correctly rounded root.  The package must agree with it exactly: the
-same bases in the same order, the same edge arrays, the same integers and the
-same bits.  The exact kernel is also held to the hook-length formulas.
+same bases in the same order, the same edge arrays and the same bits.  The
+exact kernel is held to the hook length and hook content formulas of
+conftest.
 """
 
 import math
 import random
 import time
 import warnings
-from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from dpbt.diagrams import (
     YoungDiagram,
     dims_and_multiplicities,
     enumerate_diagrams,
-    irrep_dim,
-    multiplicity,
 )
 from dpbt.protocol import (
     _DOUBLE_LIMIT,
@@ -69,35 +66,6 @@ def ref_edges(n, d):
     return parent, child
 
 
-def _ref_shifted(rows):
-    k = len(rows)
-    shifted = [r + k - 1 - i for i, r in enumerate(rows)]
-    return shifted, math.prod(a - b for a, b in combinations(shifted, 2))
-
-
-def ref_irrep_dim(rows):
-    """Frobenius: the multinomial of the rows times the Vandermonde product
-    over prod_i perm(l_i, k - 1 - i)."""
-    k = len(rows)
-    shifted, vandermonde = _ref_shifted(rows)
-    num = vandermonde * math.prod(math.comb(top, r) for top, r in zip(accumulate(rows), rows))
-    return num // math.prod(math.perm(l, k - 1 - i) for i, l in enumerate(shifted))
-
-
-def ref_multiplicity(rows, d):
-    """Weyl: the Vandermonde product within the rows, and one binomial ratio
-    per row for the empty rows below the diagram."""
-    k = len(rows)
-    if k > d:
-        return 0
-    _, vandermonde = _ref_shifted(rows)
-    num = vandermonde * math.prod(math.comb(r + d - 1 - i, r) for i, r in enumerate(rows))
-    den = math.prod(math.factorial(i) for i in range(k)) * math.prod(
-        math.comb(r + k - 1 - i, r) for i, r in enumerate(rows)
-    )
-    return num // den
-
-
 CELLS = sorted(
     {(n, d) for n in range(1, 15) for d in (2, 3, 4, 5, None)}
     | {(n, d) for n in range(1, 12) for d in (n, n + 1, n + 3)}
@@ -115,7 +83,7 @@ def _rows(basis):
 
 
 @pytest.mark.parametrize("n,d", CELLS)
-def test_matches_reference(n, d):
+def test_matches_reference(n, d, hook_dim, hook_mult):
     e = incidence_edges(n, d)
     assert _rows(e.row_basis) == ref_basis(n - 1, d)
     assert _rows(e.col_basis) == ref_basis(n, d)
@@ -126,13 +94,10 @@ def test_matches_reference(n, d):
     for basis in (e.row_basis, e.col_basis):
         ref = ref_basis(basis.n, d)
         dims, mults = (x.tolist() for x in dims_and_multiplicities(basis, dd))
-        assert dims == [ref_irrep_dim(r) for r in ref]
-        assert mults == [ref_multiplicity(r, dd) for r in ref]
+        assert dims == [hook_dim(r) for r in ref]
+        assert mults == [hook_mult(r, dd) for r in ref]
         uncapped = dims_and_multiplicities(basis, None)
         assert (uncapped[0].tolist(), uncapped[1].tolist()) == (dims, [0] * len(ref))
-    for mu in e.col_basis:
-        assert irrep_dim(mu) == ref_irrep_dim(mu.rows)
-        assert multiplicity(mu, dd) == ref_multiplicity(mu.rows, dd)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -143,9 +108,12 @@ def test_enumeration_matches_reference(n, d):
 
 @pytest.mark.parametrize("rows", [(5,), (3, 2, 2, 1), (4, 4, 1, 1, 1), (25, 25), (1,) * 9])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 9, 12])
-def test_shared_kernel_matches_reference(rows, d):
-    assert irrep_dim(YoungDiagram(rows)) == ref_irrep_dim(rows)
-    assert multiplicity(YoungDiagram(rows), d) == ref_multiplicity(rows, d)
+def test_shared_kernel_matches_reference(rows, d, hook_dim, hook_mult):
+    # read at the diagram's place in the basis capped at its height
+    basis = enumerate_diagrams(sum(rows), len(rows))
+    i = basis.index(YoungDiagram(rows))
+    dims, mults = dims_and_multiplicities(basis, d)
+    assert (dims[i], mults[i]) == (hook_dim(rows), hook_mult(rows, d))
 
 
 class TestDiagramBasis:
@@ -220,37 +188,24 @@ class TestNoDiagramObjects:
         assert built == []
 
 
-def hook_lengths(rows):
-    cols = [sum(r > j for r in rows) for j in range(rows[0] if rows else 0)]
-    return [r - j + cols[j] - i - 1 for i, r in enumerate(rows) for j in range(r)]
+@pytest.fixture
+def check_kernel(hook_dim, hook_mult):
+    """check(basis, d, numbers=None): numbers (default
+    dims_and_multiplicities(basis, d)) against the hook formulas."""
 
+    def check(basis, d, numbers=None):
+        dims, mults = dims_and_multiplicities(basis, d) if numbers is None else numbers
+        assert dims.dtype == mults.dtype == object
+        assert dims.tolist() == [hook_dim(mu.rows) for mu in basis]
+        assert mults.tolist() == [hook_mult(mu.rows, d) for mu in basis]
+        assert all(type(x) is int for x in [*dims, *mults])
 
-def hook_dim(rows):
-    """Hook length formula: N! over the product of the hook lengths."""
-    return math.factorial(sum(rows)) // math.prod(hook_lengths(rows))
-
-
-def hook_mult(rows, d):
-    """Hook content formula: prod (d + content) over the hook product; 0 for
-    d=None or a diagram taller than d."""
-    if d is None or len(rows) > d:
-        return 0
-    contents = (d + j - i for i, r in enumerate(rows) for j in range(r))
-    return math.prod(contents) // math.prod(hook_lengths(rows))
-
-
-def check_kernel(basis, d, numbers=None):
-    """numbers (default dims_and_multiplicities(basis, d)) against the hook formulas."""
-    dims, mults = dims_and_multiplicities(basis, d) if numbers is None else numbers
-    assert dims.dtype == mults.dtype == object
-    assert dims.tolist() == [hook_dim(mu.rows) for mu in basis]
-    assert mults.tolist() == [hook_mult(mu.rows, d) for mu in basis]
-    assert all(type(x) is int for x in [*dims, *mults])
+    return check
 
 
 class TestExactKernel:
     @pytest.mark.parametrize("n", range(0, 15))
-    def test_every_diagram_against_hook_formulas(self, n):
+    def test_every_diagram_against_hook_formulas(self, n, check_kernel):
         for d in sorted({1, 2, 3, 5, n + 3}) + [None]:
             check_kernel(enumerate_diagrams(n), d)
             # a capped basis caches its numbers at its own cap, read-only
@@ -258,7 +213,7 @@ class TestExactKernel:
             check_kernel(capped, d, capped.numbers)
             assert not any(x.flags.writeable for x in capped.numbers)
 
-    def test_tall_uncapped_basis(self):
+    def test_tall_uncapped_basis(self, check_kernel):
         n = 22
         basis = enumerate_diagrams(n)
         assert basis.rows.shape == (1002, 22)
@@ -267,7 +222,7 @@ class TestExactKernel:
         assert sum(x * x for x in dims.tolist()) == math.factorial(n)
         assert sum((dims * mults).tolist()) == n**n
 
-    def test_huge_local_dimension_is_quick(self):
+    def test_huge_local_dimension_is_quick(self, check_kernel):
         d = 10**6
         start = time.perf_counter()
         check_kernel(enumerate_diagrams(3, d), d)
@@ -275,16 +230,19 @@ class TestExactKernel:
         assert time.perf_counter() - start < 2.0  # 0.01 s; a table sized by d takes minutes
         assert sol.eigenpair.method == "closed_dgeN" and np.isfinite(sol.p_coeffs).all()
 
-    def test_local_dimension_beyond_int64(self):
+    def test_local_dimension_beyond_int64(self, check_kernel):
         d = 10**20
         check_kernel(enumerate_diagrams(6, d), d)
-        assert multiplicity(YoungDiagram((2, 1)), d) == (d + 1) * d * (d - 1) // 3
+        basis = enumerate_diagrams(3, d)
+        assert basis.numbers[1][basis.index(YoungDiagram((2, 1)))] == (d + 1) * d * (d - 1) // 3
 
-    def test_single_diagrams_share_the_kernel(self):
+    def test_single_diagrams_share_the_kernel(self, hook_dim, hook_mult):
+        # a diagram's numbers are its entries in the basis that holds it
         for rows in [(), (7,), (3, 3, 1), (1,) * 6]:
-            mu = YoungDiagram(rows)
-            assert irrep_dim(mu) == hook_dim(rows)
-            assert multiplicity(mu, 4) == hook_mult(rows, 4)
+            basis = enumerate_diagrams(sum(rows))
+            i = basis.index(YoungDiagram(rows))
+            dims, mults = dims_and_multiplicities(basis, 4)
+            assert (dims[i], mults[i]) == (hook_dim(rows), hook_mult(rows, 4))
 
 
 def ref_sqrt_ratio(num, den):

@@ -13,9 +13,8 @@ from dpbt.diagrams import (
     EMPTY_DIAGRAM,
     YoungDiagram,
     add_box,
+    dims_and_multiplicities,
     enumerate_diagrams,
-    irrep_dim,
-    multiplicity,
     partition_counts,
 )
 from dpbt.telemat import incidence_edges, teleportation_matrix
@@ -52,30 +51,13 @@ def brute_force_ssyt_count(rows, d):
     return count
 
 
-def hook_product(rows):
-    """Product of the hook lengths of every box."""
-    cols = [sum(r > j for r in rows) for j in range(max(rows, default=0))]
-    prod = 1
-    for i, r in enumerate(rows):
-        for j in range(r):
-            prod *= r - j + cols[j] - i - 1
-    return prod
-
-
-def hook_length_dim(rows):
-    """Hook length formula: N! over the hook product."""
-    return math.factorial(sum(rows)) // hook_product(rows)
-
-
-def hook_content_multiplicity(rows, d):
-    """Hook content formula: prod of (d + content) over the hook product."""
-    if len(rows) > d:
-        return 0
-    num = 1
-    for i, r in enumerate(rows):
-        for j in range(r):
-            num *= d + j - i
-    return num // hook_product(rows)
+def numbers_of(mu, d=None):
+    """(d_mu, m_mu) of mu from the package's kernel, read at mu's place in the
+    basis of every diagram of its box count; m_mu at d, 0 for d=None."""
+    basis = enumerate_diagrams(mu.boxes)
+    dims, mults = dims_and_multiplicities(basis, d)
+    i = basis.index(mu)
+    return dims[i], mults[i]
 
 
 HOOK_DIMS = [*range(1, 13), 40, 1000, 10**6]
@@ -232,71 +214,80 @@ class TestBoxMoves:
 
 class TestDimensions:
     def test_examples(self):
-        assert irrep_dim(YoungDiagram((2, 1))) == 2
-        assert irrep_dim(YoungDiagram((5,))) == 1
-        assert irrep_dim(YoungDiagram((1, 1, 1))) == 1
-        assert irrep_dim(EMPTY_DIAGRAM) == 1
+        assert numbers_of(YoungDiagram((2, 1)))[0] == 2
+        assert numbers_of(YoungDiagram((5,)))[0] == 1
+        assert numbers_of(YoungDiagram((1, 1, 1)))[0] == 1
+        assert numbers_of(EMPTY_DIAGRAM)[0] == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_against_brute_force_syt(self, n):
-        for mu in enumerate_diagrams(n):
-            assert irrep_dim(mu) == brute_force_syt_count(mu.rows)
+        basis = enumerate_diagrams(n)
+        for mu, dim in zip(basis, basis.numbers[0].tolist()):
+            assert dim == brute_force_syt_count(mu.rows)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_dimension_square_sum(self, n):
-        assert sum(irrep_dim(mu) ** 2 for mu in enumerate_diagrams(n)) == math.factorial(n)
+        dims = enumerate_diagrams(n).numbers[0].tolist()
+        assert sum(x * x for x in dims) == math.factorial(n)
 
 
 class TestMultiplicity:
     def test_examples(self):
-        assert multiplicity(YoungDiagram((2,)), 2) == 3
-        assert multiplicity(YoungDiagram((1, 1, 1)), 2) == 0
+        assert numbers_of(YoungDiagram((2,)), 2)[1] == 3
+        assert numbers_of(YoungDiagram((1, 1, 1)), 2)[1] == 0
         for d in (1, 2, 5):
-            assert multiplicity(YoungDiagram((1,)), d) == d
-        assert multiplicity(EMPTY_DIAGRAM, 3) == 1
+            assert numbers_of(YoungDiagram((1,)), d)[1] == d
+        assert numbers_of(EMPTY_DIAGRAM, 3)[1] == 1
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_against_brute_force_ssyt(self, n, d):
-        for mu in enumerate_diagrams(n):
-            assert multiplicity(mu, d) == brute_force_ssyt_count(mu.rows, d)
+        # the uncapped basis, so the diagrams taller than d must give 0
+        basis = enumerate_diagrams(n)
+        mults = dims_and_multiplicities(basis, d)[1].tolist()
+        for mu, mult in zip(basis, mults):
+            assert mult == brute_force_ssyt_count(mu.rows, d)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_schur_weyl_dimension_count(self, n, d):
-        total = sum(irrep_dim(mu) * multiplicity(mu, d) for mu in enumerate_diagrams(n))
-        assert total == d**n
+        dims, mults = dims_and_multiplicities(enumerate_diagrams(n), d)
+        assert sum((dims * mults).tolist()) == d**n
 
     def test_exactness_at_large_n(self):
         # hook products overflow 64-bit integers well before N = 50
-        mu = YoungDiagram((25, 25))
-        assert irrep_dim(mu) == brute_force_catalan(25)
-        assert multiplicity(mu, 2) == 1
+        basis = enumerate_diagrams(50, 2)
+        i = basis.index(YoungDiagram((25, 25)))
+        dims, mults = basis.numbers
+        assert dims[i] == brute_force_catalan(25)
+        assert mults[i] == 1
 
 
 class TestHookFormulas:
     @pytest.mark.parametrize("n", range(0, 21))
-    def test_uncapped(self, n):
-        for mu in enumerate_diagrams(n):
-            assert irrep_dim(mu) == hook_length_dim(mu.rows), mu
-            for d in HOOK_DIMS:
-                want = hook_content_multiplicity(mu.rows, d)
-                assert multiplicity(mu, d) == want, (mu, d)
+    def test_uncapped(self, n, hook_dim, hook_mult):
+        basis = enumerate_diagrams(n)
+        rows = [mu.rows for mu in basis]
+        assert basis.numbers[0].tolist() == [hook_dim(r) for r in rows]
+        for d in HOOK_DIMS:
+            mults = dims_and_multiplicities(basis, d)[1].tolist()
+            assert mults == [hook_mult(r, d) for r in rows], d
 
     @pytest.mark.parametrize("n,d", [(100, 3), (60, 4), (400, 2), (40, 9)])
-    def test_capped_bases(self, n, d):
-        for mu in enumerate_diagrams(n, d):
-            assert irrep_dim(mu) == hook_length_dim(mu.rows), mu
-            assert multiplicity(mu, d) == hook_content_multiplicity(mu.rows, d), mu
+    def test_capped_bases(self, n, d, hook_dim, hook_mult):
+        basis = enumerate_diagrams(n, d)
+        dims, mults = basis.numbers
+        assert dims.tolist() == [hook_dim(mu.rows) for mu in basis]
+        assert mults.tolist() == [hook_mult(mu.rows, d) for mu in basis]
 
     def test_qubit_closed_forms_at_large_n(self):
         # two rows [n - k, k]: m = n - 2k + 1, d_mu = C(n, k) - C(n, k - 1)
         n = 2000
-        for mu in enumerate_diagrams(n, 2):
-            k = mu.rows[1] if mu.height == 2 else 0
-            assert multiplicity(mu, 2) == n - 2 * k + 1
-            below = math.comb(n, k - 1) if k else 0
-            assert irrep_dim(mu) == math.comb(n, k) - below
+        basis = enumerate_diagrams(n, 2)
+        dims, mults = basis.numbers
+        ks = basis.rows[:, 1].tolist()
+        assert mults.tolist() == [n - 2 * k + 1 for k in ks]
+        assert dims.tolist() == [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in ks]
 
 
 def brute_force_catalan(k):

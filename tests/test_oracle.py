@@ -8,14 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpbt import oracle, protocol
+from dpbt import diagrams, oracle, protocol
 from dpbt.diagrams import (
     EMPTY_DIAGRAM,
     YoungDiagram,
     add_box,
     enumerate_diagrams,
-    irrep_dim,
-    multiplicity,
 )
 from dpbt.oracle import (
     CapExceededError,
@@ -124,12 +122,12 @@ class TestYoungProjector:
         assert np.allclose(tall, 0, atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
-    def test_idempotent_hermitian_trace(self, n, d):
+    def test_idempotent_hermitian_trace(self, n, d, hook_dim, hook_mult):
         for mu in enumerate_diagrams(n):
             p = young_projector(mu, d)
             assert np.allclose(p @ p, p, atol=1e-10)
             assert np.allclose(p, p.conj().T, atol=1e-12)
-            assert abs(np.trace(p).real - irrep_dim(mu) * multiplicity(mu, d)) < 1e-10
+            assert abs(np.trace(p).real - hook_dim(mu.rows) * hook_mult(mu.rows, d)) < 1e-10
 
     def test_empty_diagram(self):
         p = young_projector(EMPTY_DIAGRAM, 3)
@@ -174,12 +172,12 @@ class TestEtaOperator:
         assert np.allclose(eta, eta.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(eta.real).min() > -1e-10
 
-    def test_eigenvalues_match_gamma_with_multiplicity(self, gamma_table):
+    def test_eigenvalues_match_gamma_with_multiplicity(self, gamma_table, hook_dim, hook_mult):
         n, d = 3, 2
         eta = port_operator(n, d)
         expected = []
         for (alpha, mu), gamma in gamma_table(n, d).items():
-            expected += [float(gamma)] * (irrep_dim(mu) * multiplicity(alpha, d))
+            expected += [float(gamma)] * (hook_dim(mu.rows) * hook_mult(alpha.rows, d))
         expected += [0.0] * (2**4 - len(expected))
         actual = sorted(np.linalg.eigvalsh(eta.real), reverse=True)
         assert np.allclose(actual, sorted(expected, reverse=True), atol=1e-8)
@@ -215,7 +213,7 @@ class TestFProjector:
                 recon += float(gamma) * cell.family[key]
             assert np.abs(recon - eta).max() < 1e-9
 
-    def test_inner_product_identity(self):
+    def test_inner_product_identity(self, hook_mult):
         # sandwiching by P_alpha (x) P+ rescales the projector by m_mu/(d m_alpha)
         n, d = 2, 2
         for (alpha, mu), f in dense_cell(n, d).family.items():
@@ -226,7 +224,7 @@ class TestFProjector:
                     p_plus[i * 2 + i, j * 2 + j] = 0.5
             wall = np.kron(p_alpha, p_plus)
             lhs = wall @ f @ wall
-            ratio = multiplicity(mu, d) / (d * multiplicity(alpha, d))
+            ratio = hook_mult(mu.rows, d) / (d * hook_mult(alpha.rows, d))
             assert np.abs(lhs - ratio * wall).max() < 1e-10
 
 
@@ -318,6 +316,9 @@ class TestRunChecks:
 
         for name in ("_perm_table", "_young_projector", "_f_operator", "optimal_solution"):
             count(oracle, name)
+        # the exact d_mu, m_mu kernel, behind every basis.numbers and
+        # dims_and_multiplicities call
+        count(diagrams, "_frobenius_weyl")
         # the fast path's edge builds and Perron solves, at every binding the
         # oracle can reach them through
         for module in (oracle, protocol):
@@ -335,6 +336,9 @@ class TestRunChecks:
             # one solve per cell: optimal_solution's, which the optimality
             # checks read too
             "dominant_eigenpair": 1,
+            # one per basis, however many diagrams: the edge list's parents
+            # and children, and the oracle's uncapped diagrams of N
+            "_frobenius_weyl": 3,
         }
 
     def test_edge_list_disagreement_is_a_failed_check(self, monkeypatch):

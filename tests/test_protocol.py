@@ -11,8 +11,6 @@ from dpbt.diagrams import (
     YoungDiagram,
     add_box,
     enumerate_diagrams,
-    irrep_dim,
-    multiplicity,
 )
 from dpbt.protocol import (
     _sqrt_ratio,
@@ -80,14 +78,13 @@ class TestProtocolEigenvalues:
             ((1, 1), (2, 1)): Fraction(3),
         }
 
-    def test_single_row_chain(self, gamma_table):
+    def test_single_row_chain(self, gamma_table, hook_mult):
         for n in range(1, 8):
             for d in (2, 3):
                 table = rows_table(gamma_table(n, d))
                 top = table[((n - 1,) if n > 1 else (), (n,))]
                 expected = Fraction(
-                    n * multiplicity(YoungDiagram((n,)), d),
-                    multiplicity(YoungDiagram((n - 1,)) if n > 1 else YoungDiagram(()), d),
+                    n * hook_mult((n,), d), hook_mult((n - 1,) if n > 1 else (), d)
                 )
                 assert top == expected
 
@@ -98,16 +95,16 @@ class TestProtocolEigenvalues:
                 assert all(p > 0 for p in num.tolist()) and all(q > 0 for q in den.tolist())
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
-    def test_exact_arrays_in_edge_order(self, n, d):
+    def test_exact_arrays_in_edge_order(self, n, d, hook_dim, hook_mult):
         # edge by edge, the reduced fraction of (num, den) is
-        # N m_mu d_alpha / (m_alpha d_mu) from the single-diagram kernels
+        # N m_mu d_alpha / (m_alpha d_mu) from the hook formulas
         e = incidence_edges(n, d)
         num, den = protocol_eigenvalues(e)
         assert num.dtype == den.dtype == object and len(num) == len(den) == len(e.parent)
         for i, j, p, q in zip(e.parent.tolist(), e.child.tolist(), num.tolist(), den.tolist()):
-            alpha, mu = e.row_basis[i], e.col_basis[j]
+            alpha, mu = e.row_basis[i].rows, e.col_basis[j].rows
             want = Fraction(
-                n * multiplicity(mu, d) * irrep_dim(alpha), multiplicity(alpha, d) * irrep_dim(mu)
+                n * hook_mult(mu, d) * hook_dim(alpha), hook_mult(alpha, d) * hook_dim(mu)
             )
             assert type(p) is int and type(q) is int
             assert Fraction(p, q) == want
@@ -121,6 +118,18 @@ class TestOptimalFidelity:
         assert abs(optimal_fidelity(incidence_edges(3, 4)) - 3 / 16) < 1e-15
         assert abs(optimal_fidelity(incidence_edges(3, 3)) - 1 / 3) < 1e-15
         assert abs(optimal_fidelity(incidence_edges(3, 2)) - GOLDEN) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n,d",
+        [(2, 300000007), (8, 10**9 + 7), (3, 10**15 + 37), (2, 10**21), (3, 10**21), (8, 10**21)],
+    )
+    def test_rounded_once_past_exact_d_squared(self, n, d):
+        # the radius is N here, and float(d^2) is inexact past 2^53, so a float
+        # quotient by it rounds twice and can fall below f_lower
+        row = fidelity_row(n, d)
+        want = float(Fraction(n, d * d))
+        assert row["f_opt"] == optimal_fidelity(incidence_edges(n, d)) == want
+        assert row["f_lower"] <= row["f_opt"]
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_qubit_closed_form(self, n):
@@ -204,20 +213,20 @@ class TestOptimalSolution:
         assert abs(sol.o_coeffs[sym] - math.sqrt(2) / math.sqrt(3)) < 1e-12
         assert abs(sol.o_coeffs[anti] - math.sqrt(2)) < 1e-12
 
-    def test_full_regime_vector_is_dims(self):
+    def test_full_regime_vector_is_dims(self, hook_dim):
         for n in range(2, 7):
             sol = optimal_solution(incidence_edges(n, n + 1))
             norm = math.sqrt(math.factorial(n))
             for mu, v_mu in zip(sol.basis, sol.v.tolist()):
-                assert abs(v_mu - irrep_dim(mu) / norm) < 1e-12
+                assert abs(v_mu - hook_dim(mu.rows) / norm) < 1e-12
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3), (5, 3), (4, 4), (6, 4)])
-    def test_sdp_identities(self, n, d, gamma_table):
+    def test_sdp_identities(self, n, d, gamma_table, hook_dim, hook_mult):
         sol = optimal_solution(incidence_edges(n, d))
         assert abs(sum(x * x for x in sol.v.tolist()) - 1.0) < 1e-10
         c_coeffs = sol.c_coeffs.tolist()
         trace = sum(
-            c * irrep_dim(mu) * multiplicity(mu, d) for mu, c in zip(sol.basis, c_coeffs)
+            c * hook_dim(mu.rows) * hook_mult(mu.rows, d) for mu, c in zip(sol.basis, c_coeffs)
         )
         assert abs(trace - d**n) < 1e-10 * d**n
         lam = {key: gamma / d**n for key, gamma in gamma_table(n, d).items()}
@@ -323,7 +332,9 @@ class TestGeneralPovmFidelity:
             (lambda a: 0.5 + a.boxes / 10, lambda a: 2.0 + a.height),
         ],
     )
-    def test_matches_quadratic_form_with_matched_coefficients(self, z_spec, y_spec, gamma_table):
+    def test_matches_quadratic_form_with_matched_coefficients(
+        self, z_spec, y_spec, gamma_table, hook_dim, hook_mult
+    ):
         # the same POVM written in the projector expansion, p = sqrt(z) lam^(-1/y),
         # must give the same fidelity through the quadratic-form route
         n, d = 4, 3
@@ -335,10 +346,10 @@ class TestGeneralPovmFidelity:
             za = z_spec(alpha) if callable(z_spec) else z_spec
             ya = y_spec(alpha) if callable(y_spec) else y_spec
             inner = math.fsum(
-                math.sqrt(za) * (gamma / d**n) ** (-1.0 / ya) * multiplicity(mu, d)
+                math.sqrt(za) * (gamma / d**n) ** (-1.0 / ya) * hook_mult(mu.rows, d)
                 for mu, gamma in group
             )
-            total += irrep_dim(alpha) / multiplicity(alpha, d) * inner**2
+            total += hook_dim(alpha.rows) / hook_mult(alpha.rows, d) * inner**2
         quad = n / d ** (2 * n + 2) * total
         # per-parent parameters go in as arrays over the row basis
         e = incidence_edges(n, d)
