@@ -15,14 +15,23 @@ from the cell, one kernel call per basis.
 
 Operators grow as d^(N+1), so constructions are capped at DEFAULT_CAP = 1024, which
 covers the DEFAULT_CHECK_CELLS.  Operators are plain float64 numpy arrays:
-every one of them is real in this basis, so Hermiticity is symmetry.
-Eigensolves go through LAPACK (numpy.linalg.eigvalsh where only the spectrum
-is read, numpy.linalg.eigh for the one inverse square root), which shares no
-code with the fast spectral path.
+every one of them is real in this basis, so Hermiticity is symmetry.  Each
+is built from factor permutations and partial transposes, so it commutes
+with U^(x N) (x) conj(U) for diagonal U and maps each weight sector (basis
+states with equal port digit counts minus the last digit) into itself.
+Eigensolves go through LAPACK on the sector blocks, blocks of one size
+stacked into one call (numpy.linalg.eigvalsh where only the spectrum is
+read, numpy.linalg.eigh for the inverse square root), after checking that
+no entry leaves its sector; LAPACK shares no code with the fast spectral
+path.  The Young projectors are character sums of the class sums of S(N).
+Each F_mu(alpha) is C C^T with its factor swaps as axis transposes and
+P_mu (x) 1 as one reshaped matmul; sandwiches by P (x) P+ and products with a
+port state contract over the maximally entangled pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -126,13 +135,18 @@ def _cycle_type_of(perm: tuple[int, ...]) -> CycleType:
     return CycleType(tuple(parts))
 
 
-def _perm_table(n: int, d: int) -> list[tuple[np.ndarray, CycleType]]:
-    """(index map on n factors, cycle type) of every permutation of S_n, in
-    itertools.permutations order."""
-    return [
-        (_perm_index(perm, d), _cycle_type_of(perm))
-        for perm in itertools.permutations(range(n))
-    ]
+def _perm_table(n: int, d: int) -> dict[CycleType, np.ndarray]:
+    """Class sums of S_n on n factors: the sum of V(s) over the permutations s
+    of each cycle type, each permutation scattered once."""
+    dim = d**n
+    rows = np.arange(dim)
+    sums: dict[CycleType, np.ndarray] = {}
+    for perm in itertools.permutations(range(n)):
+        ctype = _cycle_type_of(perm)
+        if ctype not in sums:
+            sums[ctype] = np.zeros((dim, dim))
+        sums[ctype][rows, _perm_index(perm, d)] += 1.0
+    return sums
 
 
 def young_projector(mu: YoungDiagram, d: int) -> np.ndarray:
@@ -147,21 +161,14 @@ def young_projector(mu: YoungDiagram, d: int) -> np.ndarray:
     return _young_projector(mu, d, _perm_table(mu.boxes, d))
 
 
-def _young_projector(
-    mu: YoungDiagram, d: int, table: list[tuple[np.ndarray, CycleType]]
-) -> np.ndarray:
-    """young_projector, summing over table, the _perm_table of S_N."""
+def _young_projector(mu: YoungDiagram, d: int, table: dict[CycleType, np.ndarray]) -> np.ndarray:
+    """young_projector, summing the characters of mu over table, the class
+    sums of S_N."""
     n = mu.boxes
     if n == 0:
         return np.ones((1, 1))
-    dim = d**n
-    chi = {c: character(mu, c) for c in cycle_types(n)}
-    acc = np.zeros((dim, dim))
-    rows = np.arange(dim)
-    for idx, ctype in table:
-        acc[rows, idx] += chi[ctype]
-    acc *= chi[CycleType((1,) * n)] / math.factorial(n)
-    return acc
+    acc = sum(character(mu, c) * table[c] for c in cycle_types(n))
+    return acc * (character(mu, CycleType((1,) * n)) / math.factorial(n))
 
 
 def partial_transpose_last(mat: np.ndarray, d: int) -> np.ndarray:
@@ -176,40 +183,73 @@ def _trace_last(mat: np.ndarray, d: int) -> np.ndarray:
     return mat.reshape(dim, d, dim, d).trace(axis1=1, axis2=3)
 
 
-def _ptilde_plus(d: int) -> np.ndarray:
-    """Unnormalised maximally entangled projector sum_ij |ii><jj| on two factors."""
-    flat = np.eye(d).ravel()
-    return np.outer(flat, flat)
+def _pair_sandwich(p: np.ndarray, mat: np.ndarray, d: int) -> np.ndarray:
+    """Q with kron(p, P+) mat kron(p, P+) = kron(Q, Ptilde+), for symmetric p,
+    P+ = Ptilde+ / d on the last two factors and Ptilde+ = sum_ij |ii><jj|:
+    Q = p T p / d^2, T the contraction of mat with sum_i |ii> on both sides."""
+    k = len(p)
+    return p @ np.einsum("aiibjj->ab", mat.reshape(k, d, d, k, d, d)) @ p / d**2
 
 
-def _embed_front(mat: np.ndarray, d: int) -> np.ndarray:
-    """Operator on the leading factors, identity on one extra last factor."""
-    return np.kron(mat, np.eye(d))
+@functools.lru_cache(maxsize=None)
+def _sectors(dim: int, d: int, last: int) -> list[np.ndarray]:
+    """Weight sectors of the basis of (C^d)^k, dim = d^k, as one (sectors,
+    size) index array per sector size.
+
+    A state's weight is the digit counts of its first k-1 factors plus last
+    times the count of its last digit: last = -1 labels the eigenspaces of
+    U^(x k-1) (x) conj(U) for diagonal U, last = 1 those of U^(x k).
+    """
+    k = round(math.log(dim, d))
+    digits = np.indices((d,) * k).reshape(k, 1, dim) == np.arange(d).reshape(d, 1)
+    weight = digits[:-1].sum(axis=0) + last * digits[-1]
+    labels = np.unique(weight, axis=1, return_inverse=True)[1].ravel()
+    sizes = np.bincount(labels)[labels]
+    order = np.lexsort((labels, sizes))
+    order.setflags(write=False)  # cached: every caller shares these arrays
+    groups = np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1)
+    return [g.reshape(-1, sizes[g[0]]) for g in groups]
 
 
-def _symmetric(mat: np.ndarray) -> np.ndarray:
-    """mat, after validating that it is symmetric (real Hermitian)."""
-    scale = max(1.0, float(np.abs(mat).max()))
-    asym = float(np.abs(mat - mat.T).max())
+def _sector_blocks(mat: np.ndarray, d: int, last: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(index, stacked blocks) per sector size of mat, after validating that no
+    entry leaves its weight sector and that the blocks are symmetric (real
+    Hermitian)."""
+    blocks = [(g, mat[g[:, :, None], g[:, None, :]]) for g in _sectors(len(mat), d, last)]
+    scale = max(1.0, _norm_inf(mat))
+    asym = max(_norm_inf(b - b.transpose(0, 2, 1)) for _, b in blocks)
     if asym > 1e-9 * scale:
         raise ArithmeticError(f"operator is not Hermitian (deviation {asym:.2e})")
-    return mat
+    off = mat.copy()
+    for g, _ in blocks:
+        off[g[:, :, None], g[:, None, :]] = 0.0
+    leak = _norm_inf(off)
+    if leak > 1e-9 * scale:
+        raise ArithmeticError(f"operator leaves its weight sectors (entry {leak:.2e})")
+    return blocks
 
 
-def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """LAPACK eigenvalues (ascending) of a validated symmetric operator."""
-    return np.linalg.eigvalsh(_symmetric(mat))
+def _eigvalsh(mat: np.ndarray, d: int, last: int = -1) -> np.ndarray:
+    """LAPACK eigenvalues (ascending) of a validated symmetric operator, solved
+    on its weight sectors (see _sectors for last)."""
+    blocks = _sector_blocks(mat, d, last)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in blocks]))
 
 
-def _pt_swaps(n: int, d: int) -> list[np.ndarray]:
-    """Last-factor partial transposes of the swaps between each port a and the
-    teleported factor; port state a is the a-th one over d^N."""
-    _require_cap(d, n + 1)
-    eye = np.eye(d ** (n + 1))
-    return [
-        partial_transpose_last(eye[_perm_index(transposition(a, n, n + 1), d)], d)
-        for a in range(n)
-    ]
+def _port_indices(n: int, d: int) -> list[np.ndarray]:
+    """Per port a, the (d^(N-1), d) array of the basis states with digit i at
+    port a and at the last factor, by the other digits r and i.  The port
+    state of a is E_a E_a^T / d^N for the 0/1 map E_a: |r> -> sum_i |state(r, i)>."""
+    grid = np.arange(d ** (n + 1)).reshape((d,) * (n + 1))
+    return [np.diagonal(grid, axis1=a, axis2=n).reshape(-1, d) for a in range(n)]
+
+
+def _port_apply(mat: np.ndarray, ports: list[np.ndarray]) -> np.ndarray:
+    """eta @ mat for the port operator eta = sum_a E_a E_a^T (see _port_indices)."""
+    out = np.zeros_like(mat)
+    for idx in ports:
+        out[idx] += mat[idx].sum(axis=1, keepdims=True)
+    return out
 
 
 def _f_operator(
@@ -225,14 +265,14 @@ def _f_operator(
     n = mu.boxes
     (dim_a, mult_a), (dim_m, mult_m) = numbers[alpha], numbers[mu]
     gamma = n * mult_m * dim_a / (mult_a * dim_m)
-    core = np.kron(projectors[alpha], _ptilde_plus(d))
-    acc = np.zeros_like(core)
-    for a in range(n):
-        # V core V for the involution V = V(a, N-1)
-        idx = _perm_index(transposition(a, n - 1, n + 1), d)
-        acc += core[np.ix_(idx, idx)]
-    p_mu = _embed_front(projectors[mu], d)
-    return (p_mu @ acc @ p_mu) / gamma
+    # P_alpha x Ptilde+ = G G^T for G = P_alpha x sum_i |ii>, so the sum is
+    # B B^T, B = [V(a,N) G]_a, and F = C C^T with C = (P_mu x 1) B / sqrt(gamma)
+    g = np.kron(projectors[alpha], np.eye(d).reshape(-1, 1)).reshape((d,) * (n + 1) + (-1,))
+    # V(a,N) G swaps the row factors a and N-1 of G
+    b = np.stack([g.transpose(transposition(a, n - 1, n + 2)) for a in range(n)], axis=-2)
+    # (P_mu x 1) B is one matmul with the rows of B split off their last factor
+    c = (projectors[mu] @ b.reshape(d**n, -1)).reshape(d ** (n + 1), -1) / math.sqrt(gamma)
+    return c @ c.T
 
 
 @dataclass(frozen=True)
@@ -247,10 +287,10 @@ class DenseCell:
     with height <= d; numbers: the exact (d_mu, m_mu) at d of each of those
     diagrams, one kernel call per basis.  family: F_mu(alpha) for each pair
     of the add_box(alpha, d) walk, parents in basis order and children by
-    descending rows.  sigmas: the port states.  solution: the optimal POVM
-    coefficients and the Perron vector v.  povm: the optimal POVM element
-    sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.  The port
-    operator is d^N times the sum of the port states.
+    descending rows.  ports: the _port_indices; sigmas: the port states.
+    solution: the optimal POVM coefficients and the Perron vector v.  povm:
+    the optimal POVM element sum p_mu(alpha) F_mu(alpha) over the pairs the
+    walk also has.  The port operator is d^N times the sum of the port states.
     """
 
     n: int
@@ -260,6 +300,7 @@ class DenseCell:
     projectors: dict[YoungDiagram, np.ndarray]
     numbers: dict[YoungDiagram, tuple[int, int]]
     family: dict[tuple[YoungDiagram, YoungDiagram], np.ndarray]
+    ports: list[np.ndarray]
     sigmas: list[np.ndarray]
     solution: OptimalSolution
     povm: np.ndarray
@@ -280,21 +321,28 @@ def dense_cell(n: int, d: int) -> DenseCell:
         for alpha in parents
         for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
     }
-    sigmas = [s / d**n for s in _pt_swaps(n, d)]
+    ports = _port_indices(n, d)
+    sigmas = [np.zeros((d ** (n + 1),) * 2) for _ in ports]
+    for s, idx in zip(sigmas, ports):
+        s[idx[:, :, None], idx[:, None, :]] = 1 / d**n
     solution = optimal_solution(edges)
     alphas, mus = edges.row_basis.entries, edges.col_basis.entries
     pairs = [(alphas[i], mus[j]) for i, j in zip(edges.parent.tolist(), edges.child.tolist())]
     # summed by ascending (alpha, mu) rows: the edge order reversed
     coeffs = zip(pairs[::-1], solution.p_coeffs[::-1].tolist())
     povm = sum(p * family[key] for key, p in coeffs if key in family)
-    return DenseCell(n, d, edges, pairs, projectors, numbers, family, sigmas, solution, povm)
+    return DenseCell(n, d, edges, pairs, projectors, numbers, family, ports, sigmas, solution, povm)
 
 
-def _pseudo_inverse_sqrt(mat: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
-    """Inverse square root on the support; eigenvalues below threshold drop out."""
-    w, v = np.linalg.eigh(_symmetric(mat))
-    inv = np.where(w > threshold, 1.0 / np.sqrt(np.maximum(w, threshold)), 0.0)
-    return (v * inv) @ v.T
+def _pseudo_inverse_sqrt(mat: np.ndarray, d: int, threshold: float = 1e-10) -> np.ndarray:
+    """Inverse square root on the support, solved on the weight sectors;
+    eigenvalues below threshold drop out."""
+    out = np.zeros_like(mat)
+    for idx, blocks in _sector_blocks(mat, d, -1):
+        w, v = np.linalg.eigh(blocks)
+        inv = np.where(w > threshold, 1.0 / np.sqrt(np.maximum(w, threshold)), 0.0)
+        out[idx[:, :, None], idx[:, None, :]] = (v * inv[:, None, :]) @ v.transpose(0, 2, 1)
+    return out
 
 
 def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
@@ -305,14 +353,14 @@ def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
     projector combination.
     """
     if povm_spec == "sqrt_measurement":
-        wall = _pseudo_inverse_sqrt(sum(cell.sigmas))
+        wall = _pseudo_inverse_sqrt(sum(cell.sigmas), cell.d)
     elif povm_spec == "optimal":
         wall = cell.povm
     else:
         raise ValueError(f"unknown povm_spec {povm_spec!r}")
-    # tr(W s W s) = sum of (W s) * (W s)^T entrywise: one product per port state
-    total = math.fsum(float(np.sum(ws * ws.T)) for ws in (wall @ s for s in cell.sigmas))
-    return total / cell.d**2
+    # tr(W s_a W s_a) = tr(K_a K_a) / d^2N with K_a = E_a^T W E_a (see _port_indices)
+    kays = (wall[:, idx].sum(axis=2)[idx].sum(axis=1) for idx in cell.ports)
+    return math.fsum(float(np.sum(k * k.T)) for k in kays) / cell.d ** (2 * cell.n + 2)
 
 
 def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
@@ -323,8 +371,9 @@ def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
     """
     sol = cell.solution
     x_a = sum(c * cell.projectors[mu] for mu, c in zip(sol.basis, sol.c_coeffs.tolist()))
-    povm_sum = cell.povm @ sum(cell.sigmas) @ cell.povm
-    w = _eigvalsh(_embed_front(x_a, cell.d) - povm_sum)
+    # POVM (sum_a s_a) POVM = L L^T / d^N with L = [POVM E_1 ... POVM E_N]
+    half = np.hstack([cell.povm[:, idx].sum(axis=2) for idx in cell.ports])
+    w = _eigvalsh(np.kron(x_a, np.eye(cell.d)) - half @ half.T / cell.d**cell.n, cell.d)
     return {"min_eig": float(w[0]), "trace_XA": float(np.trace(x_a))}
 
 
@@ -348,8 +397,8 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
         t_sum[alpha] * mult[mu] / (mult[alpha] * t[mu] * d**n) * f
         for (alpha, mu), f in cell.family.items()
     )
-    min_slack = min(float(_eigvalsh(omega - s)[0]) for s in cell.sigmas)
-    w = _eigvalsh(_trace_last(omega, d))
+    min_slack = min(float(_eigvalsh(omega - s, d)[0]) for s in cell.sigmas)
+    w = _eigvalsh(_trace_last(omega, d), d, last=1)
     objective = d ** (n - 2) * float(np.abs(w).max())
     return {"min_slack": min_slack, "objective": objective}
 
@@ -390,7 +439,7 @@ def _check(name: str, residual: float, tolerance: float) -> CheckResult:
 
 
 def _norm_inf(mat: np.ndarray) -> float:
-    return float(np.abs(mat).max()) if mat.size else 0.0
+    return max(float(mat.max()), -float(mat.min())) if mat.size else 0.0
 
 
 def _composition_residual(n: int, d: int) -> float:
@@ -449,7 +498,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     # port operator: Hermitian, PSD, exact eigenvalue multiset with multiplicities
     eta = d**n * sum(cell.sigmas)
     checks.append(_check("eta_hermitian", _norm_inf(eta - eta.T), 1e-10))
-    eigs_eta = _eigvalsh(eta)
+    eigs_eta = _eigvalsh(eta, d)
     checks.append(_check("eta_psd", max(0.0, -float(eigs_eta[0])), 1e-10))
     num, den = protocol_eigenvalues(cell.edges)
     gammas = (num / den).tolist()  # correctly rounded, as float(Fraction(num, den))
@@ -476,21 +525,22 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
         abs(float(np.trace(f)) - dims[mu] * mults[alpha]) for (alpha, mu), f in fams.items()
     )
     checks.append(_check("f_trace", f_trace_res, _TOL))
-    f_eig_res = max(_norm_inf(eta @ fams[key] - g * fams[key]) for key, g in gamma_of.items())
+    f_eig_res = max(
+        _norm_inf(_port_apply(fams[key], cell.ports) - g * fams[key]) for key, g in gamma_of.items()
+    )
     checks.append(_check("f_eigen", f_eig_res, 1e-10))
     # symmetric projectors are mutually orthogonal iff their sum is a projector
     total = sum(fams.values())
     checks.append(_check("f_orthogonal", _norm_inf(total @ total - total), 1e-10))
 
     # basis-free inner-product identity: sandwiching an eigenprojector between
-    # P_alpha (x) P+ rescales that projector by m_mu / (d m_alpha)
+    # P_alpha (x) P+ rescales that projector by m_mu / (d m_alpha); both sides
+    # are kron(., Ptilde+), whose entries are 0 and 1
     inner_res = 0.0
-    p_plus = _ptilde_plus(d) / d
     for (alpha, mu), f in fams.items():
-        wall = np.kron(cell.projectors[alpha], p_plus)
-        lhs = wall @ f @ wall
-        rhs = (mults[mu] / (d * mults[alpha])) * wall
-        inner_res = max(inner_res, _norm_inf(lhs - rhs))
+        p = cell.projectors[alpha]
+        rhs = mults[mu] / (d * mults[alpha]) * p / d
+        inner_res = max(inner_res, _norm_inf(_pair_sandwich(p, f, d) - rhs))
     checks.append(_check("f_inner_product", inner_res, 1e-10))
 
     # reconstruction and support rank

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dpbt import diagrams, oracle, protocol
+from dpbt.characters import CycleType, character
 from dpbt.diagrams import (
     EMPTY_DIAGRAM,
     YoungDiagram,
@@ -25,6 +26,7 @@ from dpbt.oracle import (
     permutation_operator,
     primal_constraint_check,
     run_checks,
+    transposition,
     young_projector,
 )
 from dpbt.protocol import optimal_fidelity, sqrt_measurement_fidelity
@@ -49,6 +51,51 @@ def digit_permutation_matrix(perm, d):
         row = sum(digits[inv[i]] * d ** (k - 1 - i) for i in range(k))
         mat[row, col] = 1.0
     return mat
+
+
+def ptilde_plus(d):
+    """The unnormalised maximally entangled projector sum_ij |ii><jj|."""
+    flat = np.eye(d).ravel()
+    return np.outer(flat, flat)
+
+
+def dense_young_projector(mu, d):
+    """(d_mu / N!) sum_s chi_mu(s) V(s), one dense permutation matrix per s."""
+    n = mu.boxes
+    acc = np.zeros((d**n, d**n))
+    for perm in itertools.permutations(range(n)):
+        seen, parts = set(), []
+        for i in range(n):
+            j, length = i, 0
+            while j not in seen:
+                seen.add(j)
+                j, length = perm[j], length + 1
+            if length:
+                parts.append(length)
+        acc += character(mu, CycleType(tuple(parts))) * permutation_operator(perm, d)
+    return acc * character(mu, CycleType((1,) * n)) / math.factorial(n)
+
+
+def dense_f_operator(cell, alpha, mu):
+    """(1/gamma) (P_mu x 1) [sum_a V(a,N) (P_alpha x Ptilde+) V(a,N)] (P_mu x 1)
+    by dense matmuls, V(a,N) the swap of port a with the last port."""
+    n, d = cell.n, cell.d
+    (dim_a, mult_a), (dim_m, mult_m) = cell.numbers[alpha], cell.numbers[mu]
+    gamma = n * mult_m * dim_a / (mult_a * dim_m)
+    core = np.kron(cell.projectors[alpha], ptilde_plus(d))
+    acc = sum(
+        v @ core @ v
+        for v in (permutation_operator(transposition(a, n - 1, n + 1), d) for a in range(n))
+    )
+    p_mu = np.kron(cell.projectors[mu], np.eye(d))
+    return p_mu @ acc @ p_mu / gamma
+
+
+def dense_inverse_sqrt(mat, threshold=1e-10):
+    """Inverse square root on the support by one dense eigh."""
+    w, v = np.linalg.eigh(mat)
+    inv = np.where(w > threshold, 1.0 / np.sqrt(np.maximum(w, threshold)), 0.0)
+    return (v * inv) @ v.T
 
 
 class TestPermutationOperator:
@@ -288,6 +335,111 @@ class TestSdpChecks:
             radius = optimal_fidelity(incidence_edges(n, d))
             assert abs(primal - radius) < 1e-8
             assert abs(dual - radius) < 1e-8
+
+
+class TestWeightSectors:
+    def test_layout_at_3_4(self):
+        groups = oracle._sectors(4**4, 4, -1)
+        assert sum(len(g) for g in groups) == 50
+        assert max(g.shape[1] for g in groups) == 18
+        assert sorted(np.concatenate([g.ravel() for g in groups])) == list(range(4**4))
+
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (7, 2)])
+    def test_sector_spectra_match_dense(self, monkeypatch, n, d):
+        # eta, the primal operator, each dual slack and the dual partial trace
+        solved = []
+        real = oracle._eigvalsh
+
+        def record(mat, d, last=-1):
+            w = real(mat, d, last)
+            solved.append((mat, w))
+            return w
+
+        monkeypatch.setattr(oracle, "_eigvalsh", record)
+        assert all(r.passed for r in run_checks(n, d))
+        assert len(solved) == n + 3
+        for mat, w in solved:
+            want = np.linalg.eigvalsh(mat)
+            assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,d", [(3, 4), (5, 3), (7, 2), (5, 2), (4, 3), (6, 2)])
+    def test_operators_stay_in_their_sectors(self, n, d):
+        cell = dense_cell(n, d)
+        groups = oracle._sectors(d ** (n + 1), d, -1)
+        for op in [d**n * sum(cell.sigmas), cell.povm, *cell.family.values()]:
+            off = op.copy()
+            for g in groups:
+                off[g[:, :, None], g[:, None, :]] = 0.0
+            assert not off.any()
+
+    def test_off_sector_entry_is_an_error(self):
+        # |0000> and |0001> differ only in the last digit, so in weight
+        eta = port_operator(3, 2)
+        eta[0, 1] = eta[1, 0] = 1e-6
+        with pytest.raises(ArithmeticError, match="leaves its weight sectors"):
+            oracle._eigvalsh(eta, 2)
+        with pytest.raises(ArithmeticError, match="leaves its weight sectors"):
+            oracle._pseudo_inverse_sqrt(eta, 2)
+
+    def test_asymmetric_block_is_an_error(self):
+        eta = port_operator(3, 2)
+        sector = next(g for g in oracle._sectors(16, 2, -1) if g.shape[1] > 1)[0]
+        eta[sector[0], sector[1]] += 1e-6
+        with pytest.raises(ArithmeticError, match="not Hermitian"):
+            oracle._eigvalsh(eta, 2)
+
+
+class TestStructuredForms:
+    """Each reshaped or contracted product against the dense formula it replaced."""
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(1, 5) for d in (2, 3)] + [(3, 4)]
+    )
+    def test_class_sum_projectors(self, n, d):
+        for mu in enumerate_diagrams(n):
+            want = dense_young_projector(mu, d)
+            assert np.abs(young_projector(mu, d) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
+    def test_f_operator(self, n, d):
+        cell = dense_cell(n, d)
+        for (alpha, mu), f in cell.family.items():
+            assert np.abs(f - dense_f_operator(cell, alpha, mu)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
+    def test_pair_sandwich(self, n, d):
+        cell = dense_cell(n, d)
+        for (alpha, _), f in cell.family.items():
+            wall = np.kron(cell.projectors[alpha], ptilde_plus(d) / d)
+            q = oracle._pair_sandwich(cell.projectors[alpha], f, d)
+            assert np.abs(np.kron(q, ptilde_plus(d)) - wall @ f @ wall).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
+    def test_port_products(self, monkeypatch, n, d):
+        cell = dense_cell(n, d)
+        eta = d**n * sum(cell.sigmas)
+        for f in cell.family.values():
+            assert np.abs(oracle._port_apply(f, cell.ports) - eta @ f).max() <= 1e-12
+        # the operator the primal check solves
+        solved = []
+        monkeypatch.setattr(oracle, "_eigvalsh", lambda mat, d: solved.append(mat) or [0.0])
+        primal_constraint_check(cell)
+        sol = cell.solution
+        x_a = sum(c * cell.projectors[mu] for mu, c in zip(sol.basis, sol.c_coeffs.tolist()))
+        want = np.kron(x_a, np.eye(d)) - cell.povm @ sum(cell.sigmas) @ cell.povm
+        assert np.abs(solved[0] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
+    def test_direct_fidelity(self, n, d):
+        cell = dense_cell(n, d)
+        walls = {
+            "sqrt_measurement": dense_inverse_sqrt(sum(cell.sigmas)),
+            "optimal": cell.povm,
+        }
+        for spec, wall in walls.items():
+            ws = [wall @ s for s in cell.sigmas]
+            want = math.fsum(float(np.sum(w * w.T)) for w in ws) / d**2
+            assert abs(direct_fidelity(cell, spec) - want) <= 1e-12
 
 
 class TestRunChecks:

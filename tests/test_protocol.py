@@ -290,6 +290,18 @@ class TestSqrtMeasurementFidelity:
         assert fidelity_row(4, 3)["f_sqrt_ent"] == f
         assert 0 < f <= 1
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_not_above_optimum_up_to_a_few_ulp(self, n):
+        # a Rayleigh quotient of the optimum; at large d both agree to the last
+        # bits and rounding alone can put it over, as at N=2, d=10^9 by one ulp
+        over = []
+        for k in range(1, 25):
+            for d in (10**k, 10**k + 1, 10**k + 7):
+                e = incidence_edges(n, d)
+                f_sqrt, f_opt = sqrt_measurement_fidelity(e), optimal_fidelity(e)
+                over.append((f_sqrt - f_opt) / math.ulp(f_opt))
+        assert max(over) <= 4
+
 
 class TestGeneralPovmFidelity:
     @pytest.mark.parametrize("n", range(1, 9))
