@@ -5,6 +5,7 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dpbt.cli import run
@@ -97,6 +98,22 @@ def _hook_mult(rows, d):
         return 0
     contents = math.prod(math.prod(range(d - i, d - i + r)) for i, r in enumerate(rows))
     return contents // _hook_product(rows)
+
+
+def _dense(op):
+    """The d^k-square array of a sector-stored oracle operator, its blocks
+    scattered back into place; the tests' only way from blocks to a matrix."""
+    out = np.zeros((op.layout.dim,) * 2)
+    for g, blocks in zip(op.layout.groups, op.blocks()):
+        out[g[:, :, None], g[:, None, :]] = blocks
+    return out
+
+
+@pytest.fixture(scope="session")
+def dense():
+    """The expansion of an oracle SectorOperator to a dense array, so that the
+    dense reference formulas of the tests can be compared with it."""
+    return _dense
 
 
 @pytest.fixture(scope="session")

@@ -103,14 +103,14 @@ def test_criterion_4_gram_and_recursion(recursion_defect):
     report(4, "Gram and recursion identities for 2<=d<=N<=8; incidence example byte-exact")
 
 
-def test_criterion_5_oracle_strong_duality(gamma_table, hook_dim, hook_mult):
+def test_criterion_5_oracle_strong_duality(gamma_table, hook_dim, hook_mult, dense):
     """Dense-oracle eigenvalues, primal fidelity, constraints, and dual witness."""
     start = time.time()
     for n, d in ORACLE_CELLS:
         dim = d ** (n + 1)
         cell = dense_cell(n, d)
-        eta = d**n * sum(cell.sigmas)
-        w = np.linalg.eigvalsh(eta.real)
+        eta = dense(d**n * sum(cell.sigmas))
+        w = np.linalg.eigvalsh(eta)
         expected = []
         for (alpha, mu), gamma in gamma_table(n, d).items():
             expected += [float(gamma)] * (hook_dim(mu.rows) * hook_mult(alpha.rows, d))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpbt
-from dpbt import cli, telemat
+from dpbt import cli, oracle, telemat
 from dpbt.cli import run
 from dpbt.diagrams import YoungDiagram, enumerate_diagrams, partition_counts
 from dpbt.oracle import DEFAULT_CHECK_CELLS
@@ -286,6 +286,33 @@ class TestVerifyCommand:
         code, _, err = invoke(["verify", "--oracle", "--ports", "9", "--dim", "3"])
         assert code == 2
         assert "cap" in err
+
+    def test_cap_field_names_both_bounds(self):
+        code, out, _ = invoke(["verify", "--oracle", "--ports", "2", "--dim", "2"])
+        assert code == 0
+        assert json.loads(out)["cap"] == {"entries": oracle.MAX_ENTRIES, "scatter": oracle.MAX_SCATTER}
+
+    def test_calls_run_checks_through_the_module(self, monkeypatch):
+        # a wrapper set at dpbt.cli.run_checks, as the benchmark's tracer sets
+        # one, is the function verify calls
+        failed = oracle.CheckResult("stub", 1.0, 0.5, False)
+        monkeypatch.setattr(cli, "run_checks", lambda n, d: [failed])
+        code, out, _ = invoke(["verify", "--oracle", "-N", "2", "-d", "2"])
+        assert code == 2
+        assert [r["name"] for r in json.loads(out)["checks"]] == ["stub"]
+
+    def test_only_verify_imports_the_oracle(self):
+        # the oracle module is loaded on the first verify, not by the CLI
+        script = (
+            "import io, sys; import dpbt.cli as cli; "
+            "cli.run(['fidelity', '-N', '3', '-d', '3'], out=io.StringIO()); "
+            "print('dpbt.oracle' in sys.modules); "
+            "cli.run(['verify', '--oracle', '-N', '2', '-d', '2'], out=io.StringIO()); "
+            "print('dpbt.oracle' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert done.stdout.split() == ["False", "True"], done.stderr
 
     def test_requires_oracle_flag(self):
         code, _, err = invoke(["verify"])

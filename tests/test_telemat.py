@@ -27,6 +27,22 @@ def dense(build, n, d=None):
     return build(incidence_edges(n, d)).tolist()
 
 
+def sparse_gram(key, member, size):
+    """The Gram matrix of the edges grouped by key, as sorted flat codes
+    a * size + b and their counts: every edge pairs with itself, and edges
+    i and i + s of one key run pair both ways."""
+    order = np.lexsort((member, key))
+    key, member = key[order], member[order]
+    codes = [member * size + member]
+    for s in range(1, len(key)):
+        same = key[s:] == key[:-s]
+        if not same.any():
+            break
+        a, b = member[:-s][same], member[s:][same]
+        codes += [a * size + b, b * size + a]
+    return np.unique(np.concatenate(codes), return_counts=True)
+
+
 def gram_columns(n, d=None):
     """R^T R computed by numpy from the dense incidence matrix."""
     r = incidence_matrix(incidence_edges(n, d))
@@ -192,6 +208,28 @@ class TestGramIdentities:
     def test_recursion_defect_trivial_cases(self, recursion_defect):
         assert recursion_defect(2, 2) == ((0,),)
         assert all(x == 0 for row in recursion_defect(5, 2) for x in row)
+
+    @pytest.mark.parametrize("n,d", [(150, 4), (300, 3)] + SMALL_GRID)
+    def test_up_down_identity_from_edge_lists(self, n, d):
+        # H(N) = R R^T = M_F(N-1) + I - D, D the 0/1 diagonal of the diagrams
+        # of N-1 with height exactly d: Young's lattice has DU - UD = I, less
+        # the corner in row d+1 that the cap forbids.  Both sides are sparse
+        # (code, count) lists from the edge lists of N and N-1 alone.
+        e, below = incidence_edges(n, d), incidence_edges(n - 1, d)
+        assert np.array_equal(e.row_basis.rows, below.col_basis.rows)
+        size = len(e.row_basis)
+        h = sparse_gram(e.child, e.parent, size)
+        height = np.count_nonzero(e.row_basis.rows, axis=1)
+        lower = np.flatnonzero(height < d)
+        mf = sparse_gram(below.parent, below.child, size)
+        codes, where = np.unique(np.concatenate([mf[0], lower * size + lower]), return_inverse=True)
+        counts = np.bincount(where, weights=np.concatenate([mf[1], np.ones(len(lower))]))
+        assert np.array_equal(h[0], codes) and np.array_equal(h[1], counts)
+        if size <= 400:
+            # and the sparse H is the scatter that gram_H builds
+            full = np.zeros(size * size, dtype=np.int64)
+            full[h[0]] = h[1]
+            assert np.array_equal(full.reshape(size, size), gram_H(e))
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
     def test_quadratic_form_identity(self, n, d):
