@@ -18,14 +18,7 @@ from .characters import (
     character_matrix,
     cycle_types,
 )
-from .diagrams import (
-    EMPTY_DIAGRAM,
-    DiagramBasis,
-    YoungDiagram,
-    add_box,
-    enumerate_diagrams,
-    partition_counts,
-)
+from .diagrams import DiagramBasis, enumerate_diagrams, partition_counts
 from .protocol import (
     OptimalSolution,
     fidelity_row,

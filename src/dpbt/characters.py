@@ -3,7 +3,8 @@
 Conjugacy classes are cycle types.  Characters are computed recursively by
 border-strip removal, with strips located through first-column hook lengths
 (beta numbers) and the largest remaining cycle consumed first, memoised on
-(diagram, remaining cycles).  Everything is exact integer arithmetic.
+(diagram, remaining cycles).  A diagram is the tuple of its positive rows,
+weakly decreasing.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import DiagramBasis, YoungDiagram, enumerate_diagrams
+from .diagrams import DiagramBasis, _row_tuples, enumerate_diagrams
 
 __all__ = [
     "CycleType",
@@ -63,18 +64,30 @@ def cycle_types(n: int) -> tuple[CycleType, ...]:
     """All conjugacy classes of S(n), fixed points descending, then lexicographic."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    classes = [
-        CycleType(tuple(p for p in parts if p)) for parts in enumerate_diagrams(n).rows.tolist()
-    ]
+    classes = [CycleType(parts) for parts in _row_tuples(enumerate_diagrams(n))]
     classes.sort(key=lambda c: (-c.fixed_points, c.parts))
     return tuple(classes)
 
 
-def character(mu: YoungDiagram, cycle: CycleType) -> int:
-    """Character of the irrep mu evaluated on the class `cycle`, exact."""
-    if mu.boxes != cycle.n:
-        raise ValueError(f"diagram has {mu.boxes} boxes but class permutes {cycle.n}")
-    return _mn(mu.rows, cycle.parts)
+def _diagram_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """rows as a tuple of ints; ValueError unless they are positive and weakly
+    decreasing, the rows of a diagram (() is the empty one)."""
+    rows = tuple(int(r) for r in rows)
+    for i, r in enumerate(rows):
+        if r <= 0:
+            raise ValueError(f"row lengths must be positive: {rows}")
+        if i > 0 and rows[i - 1] < r:
+            raise ValueError(f"row lengths must be weakly decreasing: {rows}")
+    return rows
+
+
+def character(rows: tuple[int, ...], cycle: CycleType) -> int:
+    """Character of the irrep of the diagram with these rows evaluated on the
+    class `cycle`, exact."""
+    rows = _diagram_rows(rows)
+    if sum(rows) != cycle.n:
+        raise ValueError(f"diagram has {sum(rows)} boxes but class permutes {cycle.n}")
+    return _mn(rows, cycle.parts)
 
 
 @lru_cache(maxsize=None)
@@ -113,5 +126,5 @@ def character_matrix(n: int) -> CharacterMatrix:
     """Full character table of S(n), rows in canonical diagram order."""
     basis = enumerate_diagrams(n)
     classes = cycle_types(n)
-    entries = tuple(tuple(character(mu, c) for c in classes) for mu in basis)
+    entries = tuple(tuple(character(mu, c) for c in classes) for mu in _row_tuples(basis))
     return CharacterMatrix(n, basis, classes, entries)

@@ -3,7 +3,8 @@ verification and sweeps, emitted as deterministic JSON or CSV.
 
 Exit codes: 0 success, 1 validation error (the usage of the failing command
 on stderr; also d above MAX_DIM, a cell above MAX_CELL_DIAGRAMS or
-MAX_CELL_BITS, a matrix above MAX_MATRIX_ENTRIES, a solver option out of
+MAX_CELL_BITS (`spectrum` at d = 2 builds no exact integers and skips the
+latter), a matrix above MAX_MATRIX_ENTRIES, a solver option out of
 range, or a .csv output path for a JSON-only verb), an -o path that cannot
 be opened (checked before computing; one error line, no usage) or stdout
 closed by its reader (no traceback), 2 computation failure (no certified radius within --max-iter,
@@ -173,10 +174,11 @@ def _validate_options(args) -> None:
         raise UsageError(f"{args.verb} writes JSON only; --output {args.output} ends in .csv")
 
 
-def _validate_nd(n: int, d: int) -> tuple[int, int]:
+def _validate_nd(n: int, d: int, exact: bool = True) -> tuple[int, int]:
     """Check N and d, and refuse d above MAX_DIM or a cell above
-    MAX_CELL_DIAGRAMS or MAX_CELL_BITS before anything is listed; return the
-    diagram counts of N - 1 and N."""
+    MAX_CELL_DIAGRAMS, or above MAX_CELL_BITS when the command builds exact
+    d_mu, m_mu (exact), before anything is listed; return the diagram counts
+    of N - 1 and N."""
     if n < 1:
         raise UsageError(f"--ports must be >= 1, got {n}")
     if d < 2:
@@ -191,7 +193,7 @@ def _validate_nd(n: int, d: int) -> tuple[int, int]:
             f"above the cell limit of {MAX_CELL_DIAGRAMS}"
         )
     width = math.ceil(n * math.log2(d))  # bits of the largest exact d_mu or m_mu
-    if diagrams * width > MAX_CELL_BITS:
+    if exact and diagrams * width > MAX_CELL_BITS:
         raise UsageError(
             f"N={n}, d={d} has {diagrams} diagrams of N-1 and N with exact d_mu, m_mu "
             f"of up to {width} bits: {diagrams * width} bits, above the cell limit of "
@@ -378,8 +380,9 @@ def _cmd_matrix(args, out) -> int:
 
 
 def _cmd_spectrum(args, out) -> int:
-    _validate_nd(args.ports, args.dim)
     n, d = args.ports, args.dim
+    # below d = N the d = 2 closed form reads only rows, no exact d_mu, m_mu
+    _validate_nd(n, d, exact=d != 2 or d >= n)
     res = dominant_eigenpair(incidence_edges(n, d), args.tol, args.max_iter)
     payload = {
         "version": __version__,

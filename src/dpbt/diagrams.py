@@ -2,8 +2,9 @@
 
 Diagrams are integer partitions; they label the irreps of S(N) and index the
 rows and columns of every matrix built downstream.  A DiagramBasis holds its
-diagrams as one read-only integer array of rows, zero padded, and builds
-YoungDiagram objects only when they are asked for (labels come from the rows).
+diagrams as one read-only integer array of rows, zero padded; a single diagram
+is a row of that array, or the tuple of its positive rows (the form its label
+prints, () for the empty diagram).
 Dimension and multiplicity arithmetic is exact and shares one kernel over a
 whole array of rows: for the k rows of a diagram and l_i = mu_i + k - 1 - i,
 one Vandermonde product V = prod_{i<j} (l_i - l_j) gives both the Frobenius
@@ -22,60 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "YoungDiagram",
     "DiagramBasis",
-    "EMPTY_DIAGRAM",
     "enumerate_diagrams",
     "partition_counts",
-    "add_box",
     "dims_and_multiplicities",
 ]
 
 
-@dataclass(frozen=True, order=True)
-class YoungDiagram:
-    """Integer partition: weakly decreasing positive row lengths.
-
-    The empty diagram () is valid; it is the unique parent of [1] and its
-    dimension and multiplicity are both defined as 1.
-    """
-
-    rows: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for i, r in enumerate(rows):
-            if r <= 0:
-                raise ValueError(f"row lengths must be positive: {rows}")
-            if i > 0 and rows[i - 1] < r:
-                raise ValueError(f"row lengths must be weakly decreasing: {rows}")
-
-    @property
-    def boxes(self) -> int:
-        return sum(self.rows)
-
-    @property
-    def height(self) -> int:
-        return len(self.rows)
-
-    def label(self) -> str:
-        """Bracketed text form used in CSV/JSON output, e.g. "[3,1]"."""
-        return _label(self.rows)
-
-    def __str__(self) -> str:
-        return self.label()
-
-
-EMPTY_DIAGRAM = YoungDiagram(())
-
-
 def _label(rows: Sequence[int]) -> str:
+    """Bracketed text form of a diagram's rows used in CSV/JSON output and
+    messages, e.g. "[3,1]"; zero rows are left out."""
     return "[" + ",".join(str(r) for r in rows if r) + "]"
 
 
@@ -126,27 +88,13 @@ class DiagramBasis:
     The order is strongly decreasing lexicographic starting at the single-row
     diagram.  d=None means no height cap.  `rows` holds the diagrams as a
     read-only array of the narrowest unsigned dtype that holds n, one
-    zero-padded row each, min(n, d) columns wide; `entries` builds the
-    YoungDiagram objects and `numbers` the exact d_mu and m_mu on first use.
+    zero-padded row each, min(n, d) columns wide; `numbers` builds the exact
+    d_mu and m_mu on first use.
     """
 
     n: int
     d: int | None
     rows: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiagramBasis):
-            return NotImplemented
-        return (self.n, self.d, self.rows.shape) == (other.n, other.d, other.rows.shape) and (
-            self.rows.tobytes() == other.rows.tobytes()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d))
-
-    @cached_property
-    def entries(self) -> tuple[YoungDiagram, ...]:
-        return tuple(YoungDiagram(tuple(r for r in row if r)) for row in self.rows.tolist())
 
     @cached_property
     def numbers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -163,23 +111,6 @@ class DiagramBasis:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[YoungDiagram]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> YoungDiagram:
-        return self.entries[i]
-
-    def __contains__(self, mu: object) -> bool:
-        # the basis lists every partition of n up to its width
-        return (
-            isinstance(mu, YoungDiagram) and mu.boxes == self.n and mu.height <= self.rows.shape[1]
-        )
-
-    def index(self, mu: YoungDiagram) -> int:
-        if mu not in self:
-            raise KeyError(f"{mu} is not in this basis (n={self.n}, d={self.d})")
-        return int(self.search(np.array([mu.rows + (0,) * (self.rows.shape[1] - mu.height)]))[0])
-
     def search(self, rows: np.ndarray) -> np.ndarray:
         """Positions in this basis of the diagrams given as rows of the same
         width; every row must be one of the basis."""
@@ -189,6 +120,11 @@ class DiagramBasis:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(map(_label, self.rows.tolist()))
+
+
+def _row_tuples(basis: DiagramBasis) -> list[tuple[int, ...]]:
+    """Each diagram of the basis as the tuple of its positive rows, in basis order."""
+    return [tuple(r for r in row if r) for row in basis.rows.tolist()]
 
 
 def enumerate_diagrams(n: int, d: int | None = None) -> DiagramBasis:
@@ -212,19 +148,6 @@ def partition_counts(n: int, d: int | None = None) -> list[int]:
         for m in range(part, n + 1):
             counts[m] += counts[m - part]
     return counts
-
-
-def add_box(alpha: YoungDiagram, d: int | None = None) -> frozenset[YoungDiagram]:
-    """Diagrams obtained from alpha by adding a single box, heights <= d."""
-    rows = alpha.rows
-    grown = []
-    for i in range(len(rows)):
-        if i == 0 or rows[i] < rows[i - 1]:
-            grown.append(tuple(r + 1 if j == i else r for j, r in enumerate(rows)))
-    grown.append(rows + (1,))
-    return frozenset(
-        YoungDiagram(g) for g in grown if d is None or len(g) <= d
-    )
 
 
 _comb = np.frompyfunc(math.comb, 2, 1)

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CycleType, character, character_matrix, cycle_types
-from .diagrams import YoungDiagram, add_box, dims_and_multiplicities, enumerate_diagrams
+from .characters import CycleType, _diagram_rows, character, cycle_types
+from .diagrams import _row_tuples, dims_and_multiplicities, enumerate_diagrams
 from .protocol import (
     OptimalSolution,
     general_povm_fidelity,
@@ -123,8 +123,7 @@ def _entry_count(k: int, d: int) -> int:
     over the digit counts c, taken by partition shape.  The same for last = 1
     and last = -1, which the partial transpose maps onto each other."""
     total = 0
-    for row in enumerate_diagrams(k, d).rows.tolist():
-        parts = [p for p in row if p]
+    for parts in _row_tuples(enumerate_diagrams(k, d)):
         shape = math.factorial(k) // math.prod(map(math.factorial, parts))
         places = math.perm(d, len(parts)) // math.prod(map(math.factorial, Counter(parts).values()))
         total += shape * shape * places
@@ -226,7 +225,7 @@ class _Layout:
             for g, a, b in zip(self.groups, self.offsets, self.offsets[1:])
         ]
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """The row and the column state of every flat entry."""
         rows, cols = [], []
         for g in self.groups:
@@ -418,23 +417,25 @@ def _perm_table(n: int, d: int) -> dict[CycleType, SectorOperator]:
     return table
 
 
-def young_projector(mu: YoungDiagram, d: int) -> SectorOperator:
-    """Isotypic projector for mu on (C^d)^N: (dim_mu/N!) sum_s chi_mu(s) V(s).
+def young_projector(mu: tuple[int, ...], d: int) -> SectorOperator:
+    """Isotypic projector for the diagram with rows mu on (C^d)^N:
+    (dim_mu/N!) sum_s chi_mu(s) V(s).
 
     Characters of a class equal those of its inverses, so the class value is
     used directly, and dim_mu is the character at the identity.  Idempotent
     and Hermitian with trace d_mu * m_mu; the zero operator when the diagram
-    is taller than d.
+    is taller than d.  ValueError unless mu is positive and weakly decreasing.
     """
-    _require_scatter(mu.boxes, d)
-    _require_entries(mu.boxes, d)
-    return _young_projector(mu, d, _perm_table(mu.boxes, d))
+    mu = _diagram_rows(mu)
+    _require_scatter(sum(mu), d)
+    _require_entries(sum(mu), d)
+    return _young_projector(mu, d, _perm_table(sum(mu), d))
 
 
-def _young_projector(mu: YoungDiagram, d: int, table: dict[CycleType, SectorOperator]) -> SectorOperator:
+def _young_projector(mu: tuple[int, ...], d: int, table: dict[CycleType, SectorOperator]) -> SectorOperator:
     """young_projector, summing the characters of mu over table, the class
     sums of S_N."""
-    n = mu.boxes
+    n = sum(mu)
     if n == 0:
         return table[CycleType(())]
     acc = sum(character(mu, c) * table[c] for c in cycle_types(n))
@@ -446,7 +447,7 @@ def _transpose_index(k: int, d: int, last: int) -> np.ndarray:
     """The partial transpose on the last factor, as a gather onto the layout
     of last from the layout of -last: entry ((x,l),(x',l')) reads
     ((x,l'),(x',l))."""
-    rows, cols = _layout(d**k, d, last).entries()
+    rows, cols = _layout(d**k, d, last).coordinates()
     return _readonly(_index(_layout(d**k, d, -last), rows - rows % d + cols % d, cols - cols % d + rows % d))
 
 
@@ -462,7 +463,7 @@ def partial_transpose_last(op: SectorOperator) -> SectorOperator:
 def _trace_index(n: int, d: int) -> np.ndarray:
     """The partial trace over the last of N+1 factors, as a gather: entry
     (x, x') of N factors sums ((x,l),(x',l)) over l."""
-    rows, cols = _layout(d**n, d, 1).entries()
+    rows, cols = _layout(d**n, d, 1).coordinates()
     last = np.arange(d)
     return _readonly(_index(_layout(d ** (n + 1), d, -1), rows[:, None] * d + last, cols[:, None] * d + last))
 
@@ -484,7 +485,7 @@ def _contraction_index(n: int, d: int, a: int) -> np.ndarray:
     At the last port a = N-1 this contracts the last two factors with
     sum_i |ii> on both sides."""
     small = _layout(d ** (n - 1), d, 1)
-    rows, cols = small.entries()
+    rows, cols = small.coordinates()
     idx = _port_indices(n, d)[a]
     flat = _index(_layout(d ** (n + 1), d, -1), idx[rows][:, :, None], idx[cols][:, None, :])
     return _readonly(flat.reshape(small.size, d * d))
@@ -494,7 +495,7 @@ def _contraction_index(n: int, d: int, a: int) -> np.ndarray:
 def _lift_index(n: int, d: int) -> np.ndarray:
     """P (x) 1 on N+1 factors, as a gather from P on N factors: entry
     ((x,l),(x',l')) reads P[x, x'] where l = l', and 0 elsewhere."""
-    rows, cols = _layout(d ** (n + 1), d, -1).entries()
+    rows, cols = _layout(d ** (n + 1), d, -1).coordinates()
     return _readonly(_index(_layout(d**n, d, 1), rows // d, cols // d, keep=rows % d == cols % d))
 
 
@@ -532,7 +533,7 @@ def _expand_index(n: int, d: int) -> tuple[np.ndarray, ...]:
 
 
 def _f_operator(
-    alpha: YoungDiagram, mu: YoungDiagram, projectors: dict, numbers: dict, d: int
+    alpha: tuple[int, ...], mu: tuple[int, ...], projectors: dict, numbers: dict, d: int
 ) -> SectorOperator:
     """Port-operator eigenprojector F_mu(alpha) of parent alpha and child mu,
     reading P_alpha and P_mu from projectors and (d, m) of each from numbers.
@@ -541,7 +542,7 @@ def _f_operator(
     N+1 factors; idempotent with trace d_mu * m_alpha and eigenvalue gamma
     under the port operator.
     """
-    n = mu.boxes
+    n = sum(mu)
     (dim_a, mult_a), (dim_m, mult_m) = numbers[alpha], numbers[mu]
     gamma = n * mult_m * dim_a / (mult_a * dim_m)
     # V(a,N) (P_alpha x sum_i |ii>) = E_a V(pi) P_alpha, pi moving digit a of
@@ -554,6 +555,17 @@ def _f_operator(
         c = p @ padded[idx] / math.sqrt(gamma)
         np.matmul(c, c.transpose(0, 2, 1), out=o)
     return SectorOperator(lifted.layout, out)
+
+
+def _add_box(rows: tuple[int, ...], d: int | None = None) -> list[tuple[int, ...]]:
+    """The diagrams grown from rows by one box with height <= d (None: no cap),
+    in descending order: a box on each row shorter than the one above it (or
+    the first), then a new row.  The oracle's own walk, independent of the
+    edge list it referees."""
+    grown = [rows[:i] + (r + 1,) + rows[i + 1 :] for i, r in enumerate(rows) if i == 0 or r < rows[i - 1]]
+    if d is None or len(rows) < d:
+        grown.append(rows + (1,))
+    return grown
 
 
 def _port_states(n: int, d: int) -> list[SectorOperator]:
@@ -581,27 +593,27 @@ class DenseCell:
     """Every operator and fast-path input the checks at one (N, d) need, each
     built once; every operator a SectorOperator.
 
-    edges: the fast path's edge list, incidence_edges(N, d), which every
-    protocol call of the checks takes; pairs: its edges as (alpha, mu)
-    diagram pairs, in edge order.  projectors: the Young projector of
-    every diagram of N (the vanishing ones too) and of every diagram of N-1
-    with height <= d; numbers: the exact (d_mu, m_mu) at d of each of those
-    diagrams, one kernel call per basis.  family: F_mu(alpha) for each pair
-    of the add_box(alpha, d) walk, parents in basis order and children by
-    descending rows.  ports: the _port_indices; sigmas: the port states.
-    solution: the optimal POVM coefficients and the Perron vector v.  povm:
-    the optimal POVM element sum p_mu(alpha) F_mu(alpha) over the pairs the
-    walk also has.  The port operator is d^N times the sum of the port states.
+    Diagrams are keyed by the tuples of their positive rows.  edges: the
+    fast path's edge list, incidence_edges(N, d), which every protocol call
+    of the checks takes; pairs: its edges as (alpha, mu) pairs of row
+    tuples, in edge order.  projectors: the Young projector of every diagram
+    of N (the vanishing ones too) and of every diagram of N-1 with height
+    <= d; numbers: the exact (d_mu, m_mu) at d of each of those diagrams, one
+    kernel call per basis.  family: F_mu(alpha) for each pair of the
+    _add_box(alpha, d) walk, parents in basis order and children by
+    descending rows.  sigmas: the port states.  solution: the optimal POVM
+    coefficients and the Perron vector v.  povm: the optimal POVM element
+    sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.  The port
+    operator is d^N times the sum of the port states.
     """
 
     n: int
     d: int
     edges: IncidenceEdges
-    pairs: list[tuple[YoungDiagram, YoungDiagram]]
-    projectors: dict[YoungDiagram, SectorOperator]
-    numbers: dict[YoungDiagram, tuple[int, int]]
-    family: dict[tuple[YoungDiagram, YoungDiagram], SectorOperator]
-    ports: list[np.ndarray]
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    projectors: dict[tuple[int, ...], SectorOperator]
+    numbers: dict[tuple[int, ...], tuple[int, int]]
+    family: dict[tuple[tuple[int, ...], tuple[int, ...]], SectorOperator]
     sigmas: list[SectorOperator]
     solution: OptimalSolution
     povm: SectorOperator
@@ -613,25 +625,25 @@ def dense_cell(n: int, d: int) -> DenseCell:
     _require_entries(n + 1, d)
     edges = incidence_edges(n, d)
     full, parents = enumerate_diagrams(n), edges.row_basis
+    mus, alphas = _row_tuples(full), _row_tuples(parents)
     table, sub_table = _perm_table(n, d), _perm_table(n - 1, d)
-    projectors = {mu: _young_projector(mu, d, table) for mu in full}
-    projectors.update({mu: _young_projector(mu, d, sub_table) for mu in parents})
-    numbers = dict(zip(full, zip(*dims_and_multiplicities(full, d))))
-    numbers.update(zip(parents, zip(*parents.numbers)))
+    projectors = {mu: _young_projector(mu, d, table) for mu in mus}
+    projectors.update({alpha: _young_projector(alpha, d, sub_table) for alpha in alphas})
+    numbers = dict(zip(mus, zip(*dims_and_multiplicities(full, d))))
+    numbers.update(zip(alphas, zip(*parents.numbers)))
     family = {
         (alpha, mu): _f_operator(alpha, mu, projectors, numbers, d)
-        for alpha in parents
-        for mu in sorted(add_box(alpha, d), key=lambda x: x.rows, reverse=True)
+        for alpha in alphas
+        for mu in _add_box(alpha, d)
     }
     solution = optimal_solution(edges)
-    alphas, mus = edges.row_basis.entries, edges.col_basis.entries
-    pairs = [(alphas[i], mus[j]) for i, j in zip(edges.parent.tolist(), edges.child.tolist())]
+    children = _row_tuples(edges.col_basis)
+    pairs = [(alphas[i], children[j]) for i, j in zip(edges.parent.tolist(), edges.child.tolist())]
     # summed by ascending (alpha, mu) rows: the edge order reversed
     coeffs = zip(pairs[::-1], solution.p_coeffs[::-1].tolist())
     povm = sum(p * family[key] for key, p in coeffs if key in family)
-    ports = list(_port_indices(n, d))
     sigmas = _port_states(n, d)
-    return DenseCell(n, d, edges, pairs, projectors, numbers, family, ports, sigmas, solution, povm)
+    return DenseCell(n, d, edges, pairs, projectors, numbers, family, sigmas, solution, povm)
 
 
 def _require_symmetric(op: SectorOperator) -> None:
@@ -687,7 +699,7 @@ def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
     >= -tolerance) and the trace of X_A (must be d^N).
     """
     sol = cell.solution
-    x_a = sum(c * cell.projectors[mu] for mu, c in zip(sol.basis, sol.c_coeffs.tolist()))
+    x_a = sum(c * cell.projectors[mu] for mu, c in zip(_row_tuples(sol.basis), sol.c_coeffs.tolist()))
     w = _eigvalsh(_lift(x_a, cell.n, cell.d) - cell.povm @ sum(cell.sigmas) @ cell.povm)
     return {"min_eig": float(w[0]), "trace_XA": x_a.trace()}
 
@@ -701,7 +713,7 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
     trace reproduces the optimum radius / d^2.
     """
     n, d = cell.n, cell.d
-    t = dict(zip(cell.solution.basis, cell.solution.v.tolist()))
+    t = dict(zip(_row_tuples(cell.solution.basis), cell.solution.v.tolist()))
     # the family lists each parent's children together
     t_sum = {
         alpha: math.fsum(t[nu] for _, nu in kids)
@@ -721,20 +733,22 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
 def character_spectrum(n: int) -> dict[int, int]:
     """Exact integer diagonalisation of the full teleportation matrix.
 
-    Builds M_F = R^T R of the diagrams of n from the add_box walk over those of
-    n - 1 and verifies M_F chi_C = k chi_C in exact integers for every
-    character-table column, k the fixed points of the class C.  Returns
-    {k: number of classes with k fixed points}; a failure is an ArithmeticError.
+    Builds M_F = R^T R of the diagrams of n from the _add_box walk over those
+    of n - 1, placing each child by a dict of the diagrams of n, and verifies
+    M_F chi_C = k chi_C in exact integers for every character-table column,
+    k the fixed points of the class C.  Returns {k: number of classes with k
+    fixed points}; a failure is an ArithmeticError.
     """
-    table = character_matrix(n)
-    m_f = np.zeros((len(table.basis),) * 2, dtype=object)  # Python integers
-    for alpha in enumerate_diagrams(n - 1):
-        kids = [table.basis.index(mu) for mu in add_box(alpha)]
+    mus, classes = _row_tuples(enumerate_diagrams(n)), cycle_types(n)
+    place = {mu: i for i, mu in enumerate(mus)}
+    m_f = np.zeros((len(mus),) * 2, dtype=object)  # Python integers
+    for alpha in _row_tuples(enumerate_diagrams(n - 1)):
+        kids = [place[mu] for mu in _add_box(alpha)]
         m_f[np.ix_(kids, kids)] += 1
-    chi = np.array(table.entries, dtype=object)
-    fixed = [c.fixed_points for c in table.classes]
+    chi = np.array([[character(mu, c) for c in classes] for mu in mus], dtype=object)
+    fixed = [c.fixed_points for c in classes]
     exact = (m_f.dot(chi) == chi * fixed).all(axis=0)
-    bad = [c.label() for c, ok in zip(table.classes, exact) if not ok]
+    bad = [c.label() for c, ok in zip(classes, exact) if not ok]
     if bad:
         raise ArithmeticError(f"character columns {', '.join(bad)} not eigenvectors at N={n}")
     return dict(Counter(fixed))
@@ -784,13 +798,12 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     rely on is recomputed by sector-block linear algebra and compared."""
     cell = dense_cell(n, d)
     checks: list[CheckResult] = []
-    full_basis = enumerate_diagrams(n)
     dim = d ** (n + 1)
 
     checks.append(_check("perm_composition", _composition_residual(n, d), 1e-12))
 
     # Young projectors: resolution, idempotence, Hermiticity, traces, centrality
-    projectors = {mu: cell.projectors[mu] for mu in full_basis}
+    projectors = {mu: cell.projectors[mu] for mu in _row_tuples(enumerate_diagrams(n))}
     layout = _layout(d**n, d, 1)
     resolution = sum(projectors.values()) - _identity(layout)
     checks.append(_check("young_resolution", _norm_inf(resolution), 1e-10))
@@ -803,7 +816,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     trace_res = max(abs(p.trace() - dims[mu] * mults[mu]) for mu, p in projectors.items())
     checks.append(_check("young_trace", trace_res, _TOL))
     commute = 0.0
-    rows, cols = layout.entries()
+    rows, cols = layout.coordinates()
     for i in range(n - 1):  # the adjacent transpositions generate S(N)
         idx = _perm_index(transposition(i, i + 1, n), d)
         # p V - V p for the permutation matrix V with index map idx

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .diagrams import DiagramBasis
+from .diagrams import DiagramBasis, _label
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, SpectralResult, dominant_eigenpair
 from .telemat import IncidenceEdges, incidence_edges
 
@@ -168,7 +168,7 @@ def optimal_solution(
     o_coeffs, c_coeffs = _sqrt_ratio(num, den), _ratio(num, den)
     bad = np.isinf(o_coeffs) | np.isinf(c_coeffs)
     if bad.any():
-        name = f"o_mu, c_mu at mu={e.col_basis[int(bad.argmax())]}"
+        name = f"o_mu, c_mu at mu={_label(e.col_basis.rows[bad.argmax()].tolist())}"
         raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}")
     p_coeffs = _sqrt_ratio(
         (dn * dn * mult_a)[e.parent] * v2[e.child],
@@ -177,7 +177,8 @@ def optimal_solution(
     bad = np.isinf(p_coeffs)
     if bad.any():
         k = int(bad.argmax())
-        alpha, mu = e.row_basis[int(e.parent[k])], e.col_basis[int(e.child[k])]
+        alpha = _label(e.row_basis.rows[e.parent[k]].tolist())
+        mu = _label(e.col_basis.rows[e.child[k]].tolist())
         name = f"p_mu(alpha) at alpha={alpha}, mu={mu}"
         raise ArithmeticError(f"{name} exceeds double range at N={n}, d={d}")
     return OptimalSolution(e, eigenpair, v, p_coeffs, o_coeffs, c_coeffs)
@@ -241,7 +242,7 @@ def general_povm_fidelity(
     bad = (z < 0) | (y == 0)
     if bad.any():
         i = int(bad.argmax())
-        alpha = e.row_basis[i]
+        alpha = _label(e.row_basis.rows[i].tolist())
         if z[i] < 0:
             raise ValueError(f"weight z({alpha}) must be nonnegative, got {float(z[i])}")
         raise ValueError(f"exponent y({alpha}) must be nonzero")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dpbt.cli import run
+from dpbt.diagrams import _row_tuples
 from dpbt.protocol import protocol_eigenvalues
 from dpbt.telemat import gram_H, incidence_edges, teleportation_matrix
 
@@ -33,15 +34,15 @@ def _recursion_defect(n: int, d: int | None = None) -> tuple[tuple[int, ...], ..
     if n < 2:
         raise ValueError("recursion needs n >= 2")
     e, below = incidence_edges(n, d), incidence_edges(n - 1, d)
-    if e.row_basis.entries != below.col_basis.entries:
+    if _row_tuples(e.row_basis) != _row_tuples(below.col_basis):
         raise AssertionError("basis mismatch between H and the stepped-down matrix")
     h, mf = gram_H(e).tolist(), teleportation_matrix(below).tolist()
     out = []
-    for i, alpha in enumerate(e.row_basis):
+    for i, alpha in enumerate(_row_tuples(e.row_basis)):
         row = []
         for j in range(len(e.row_basis)):
             v = h[i][j] - mf[i][j]
-            if i == j and (d is None or alpha.height < d):
+            if i == j and (d is None or len(alpha) < d):
                 v -= 1
             row.append(v)
         out.append(tuple(row))
@@ -56,11 +57,12 @@ def recursion_defect():
 
 
 def _gamma_table(n: int, d: int) -> dict:
-    """{(alpha, mu): gamma} over the edges of incidence_edges(n, d), each
-    port-operator eigenvalue an exact Fraction."""
+    """{(alpha, mu): gamma} over the edges of incidence_edges(n, d), alpha and
+    mu the row tuples of the diagrams, each port-operator eigenvalue an exact
+    Fraction."""
     e = incidence_edges(n, d)
     num, den = protocol_eigenvalues(e)
-    alphas, mus = e.row_basis.entries, e.col_basis.entries
+    alphas, mus = _row_tuples(e.row_basis), _row_tuples(e.col_basis)
     return {
         (alphas[i], mus[j]): Fraction(p, q)
         for i, j, p, q in zip(e.parent.tolist(), e.child.tolist(), num.tolist(), den.tolist())
@@ -69,7 +71,7 @@ def _gamma_table(n: int, d: int) -> dict:
 
 @pytest.fixture(scope="session")
 def gamma_table():
-    """The port-operator eigenvalues keyed by diagram pair, as a function of
+    """The port-operator eigenvalues keyed by row-tuple pair, as a function of
     (n, d), shared by the protocol, oracle, CLI and acceptance tests."""
     return _gamma_table
 

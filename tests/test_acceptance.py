@@ -13,6 +13,7 @@ import pytest
 
 from dpbt.characters import cycle_types
 from dpbt.cli import run
+from dpbt.diagrams import _row_tuples
 from dpbt.oracle import (
     character_spectrum,
     dense_cell,
@@ -58,7 +59,7 @@ def test_criterion_2_maximal_eigenvalue(hook_dim):
     for n in range(2, 11):
         res = lanczos_perron(incidence_edges(n))
         assert abs(res.radius - n) < 1e-10, f"radius off at N={n}: {res.radius}"
-        dims = [hook_dim(mu.rows) for mu in res.basis]
+        dims = [hook_dim(mu) for mu in _row_tuples(res.basis)]
         total = sum(dims)
         for got, dim in zip(res.perron, dims):
             assert abs(got - dim / total) < 1e-9, f"Perron entry off at N={n}"
@@ -113,7 +114,7 @@ def test_criterion_5_oracle_strong_duality(gamma_table, hook_dim, hook_mult, den
         w = np.linalg.eigvalsh(eta)
         expected = []
         for (alpha, mu), gamma in gamma_table(n, d).items():
-            expected += [float(gamma)] * (hook_dim(mu.rows) * hook_mult(alpha.rows, d))
+            expected += [float(gamma)] * (hook_dim(mu) * hook_mult(alpha, d))
         expected += [0.0] * (dim - len(expected))
         actual = sorted((float(x) for x in w), reverse=True)
         gap = max(abs(a - b) for a, b in zip(actual, sorted(expected, reverse=True)))

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import dpbt
 from dpbt import cli, oracle, telemat
 from dpbt.cli import run
-from dpbt.diagrams import YoungDiagram, enumerate_diagrams, partition_counts
+from dpbt.diagrams import _row_tuples, enumerate_diagrams, partition_counts
 from dpbt.oracle import DEFAULT_CHECK_CELLS
 from dpbt.protocol import optimal_solution
+from dpbt.spectral import closed_form_d2
 from dpbt.telemat import gram_H, incidence_edges, incidence_matrix, teleportation_matrix
 
 
@@ -216,17 +217,18 @@ class TestPovmCommand:
         ]
         assert all(math.isfinite(x) and x > 0 for x in values)
         dn = d**n
-        c = {YoungDiagram(tuple(json.loads(k))): Fraction(x) for k, x in payload["c_coeffs"].items()}
+        c = {tuple(json.loads(k)): Fraction(x) for k, x in payload["c_coeffs"].items()}
         basis = enumerate_diagrams(n, d)
         dims, mults = basis.numbers
-        trace = sum(c[mu] * dm for mu, dm in zip(basis, (dims * mults).tolist()))
+        trace = sum(c[mu] * dm for mu, dm in zip(_row_tuples(basis), (dims * mults).tolist()))
         assert abs(trace / dn - 1) < 1e-12
         # exact lam = gamma / d^N: its float form is subnormal at this cell
-        gamma = {(alpha.label(), mu.label()): g for (alpha, mu), g in gamma_table(n, d).items()}
+        gamma = gamma_table(n, d)
         assert len(gamma) == len(payload["p_coeffs"])
         for entry in payload["p_coeffs"]:
-            lam = gamma[(entry["alpha"], entry["mu"])] / dn
-            c_mu = c[YoungDiagram(tuple(json.loads(entry["mu"])))]
+            alpha, mu = (tuple(json.loads(entry[k])) for k in ("alpha", "mu"))
+            lam = gamma[(alpha, mu)] / dn
+            c_mu = c[mu]
             assert abs(Fraction(entry["p"]) ** 2 * lam / c_mu - 1) < 1e-12
 
     def test_coefficient_beyond_double_range_fails_cleanly(self):
@@ -246,6 +248,13 @@ class TestPovmCommand:
             "exceeds double range at N=1045, d=2\n"
         )
 
+    def test_first_o_coefficient_beyond_double_range_is_named(self):
+        # o_mu and c_mu are checked before p_mu(alpha); at N = 1060 the
+        # single-row diagram is the first whose c_mu does not fit a double
+        code, out, err = invoke(["povm", "-N", "1060", "-d", "2"])
+        assert (code, out) == (2, "")
+        assert err == "computation failed: o_mu, c_mu at mu=[1060] exceeds double range at N=1060, d=2\n"
+
     @pytest.mark.parametrize("n,d", [(6, 3), (40, 4)])
     def test_p_coeffs_sorted_by_diagram_rows(self, n, d):
         payload = json.loads(invoke(["povm", "--ports", str(n), "--dim", str(d)])[1])
@@ -258,8 +267,9 @@ class TestPovmCommand:
         assert pairs == sorted(pairs, key=rows)
         sol = optimal_solution(telemat.incidence_edges(n, d))
         e = sol.edges
+        alphas, mus = e.row_basis.labels(), e.col_basis.labels()
         by_pair = {
-            (e.row_basis[i].label(), e.col_basis[j].label()): p
+            (alphas[i], mus[j]): p
             for i, j, p in zip(e.parent.tolist(), e.child.tolist(), sol.p_coeffs.tolist())
         }
         assert len(by_pair) == len(pairs)
@@ -656,6 +666,7 @@ class TestCellLimit:
             ["spectrum", "-N", "2000", "-d", "5"],
             ["spectrum", "-N", "61", "-d", "61"],
             ["povm", "-N", "5000000", "-d", "2"],
+            ["spectrum", "-N", "2000000", "-d", "2"],
             ["sweep", "--ports", "2:1000000000000", "--dims", "2,3"],
             ["sweep", "--ports", "2:1000", "--dims", "3,4"],
             ["matrix", "-N", "1000000", "-d", "1000000"],
@@ -690,6 +701,15 @@ class TestCellLimit:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert "bits, above the cell limit of 2000000000 bits" in err
+
+    def test_qubit_spectrum_skips_the_bit_bound(self):
+        # the d = 2 closed form reads rows only, so spectrum is bounded by the
+        # diagram count alone; 50001 diagrams of up to 50000 bits would be
+        # 2.5e9 bits
+        code, out, err = invoke(["spectrum", "-N", "50000", "-d", "2"])
+        assert code == 0, err
+        assert json.loads(out)["radius"] == closed_form_d2(50000)[0]
+        assert cli._validate_nd(50000, 2, exact=False) == (25000, 25001)
 
     def test_limit_falls_between_the_named_cells(self):
         assert cli.MAX_CELL_DIAGRAMS == 2 * 10**6

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dpbt.cli import run
-from dpbt.diagrams import add_box, enumerate_diagrams
+from dpbt.diagrams import _row_tuples, enumerate_diagrams
+from dpbt.oracle import _add_box
 from dpbt.telemat import (
     IncidenceEdges,
     gram_H,
@@ -64,7 +65,7 @@ class TestTeleportationMatrix:
             last = [i for i in range(len(rows)) if i + 1 == len(rows) or rows[i] > rows[i + 1]]
             return {tuple(r - (j == i) for j, r in enumerate(rows) if r - (j == i)) for i in last}
 
-        parents = [remove_box(mu.rows) for mu in enumerate_diagrams(n, d)]
+        parents = [remove_box(mu) for mu in _row_tuples(enumerate_diagrams(n, d))]
         reference = [[len(a & b) for b in parents] for a in parents]
         assert dense(teleportation_matrix, n, d) == reference
 
@@ -86,14 +87,19 @@ class TestTeleportationMatrix:
             assert dense(teleportation_matrix, n) == dense(teleportation_matrix, n, n + 3)
 
 
+def places(basis):
+    """{rows: index} over the row tuples of a basis."""
+    return {mu: i for i, mu in enumerate(_row_tuples(basis))}
+
+
 def add_box_edges(n, d=None):
-    """Sorted (parent, child) index pairs of R from add_box and basis lookups."""
-    row_basis = enumerate_diagrams(n - 1, d)
-    col_basis = enumerate_diagrams(n, d)
+    """Sorted (parent, child) index pairs of R from the oracle's add-box walk
+    and a dict of the children's places."""
+    place = places(enumerate_diagrams(n, d))
     pairs = sorted(
-        (i, col_basis.index(mu))
-        for i, alpha in enumerate(row_basis)
-        for mu in add_box(alpha, d)
+        (i, place[mu])
+        for i, alpha in enumerate(_row_tuples(enumerate_diagrams(n - 1, d)))
+        for mu in _add_box(alpha, d)
     )
     return np.array(pairs, dtype=np.intp).T
 
@@ -129,9 +135,9 @@ class TestIncidenceMatrix:
         for n, d in SMALL_GRID:
             e = incidence_edges(n, d)
             r = incidence_matrix(e).tolist()
-            for j, mu in enumerate(e.col_basis):
+            for j, mu in enumerate(_row_tuples(e.col_basis)):
                 col_sum = sum(r[i][j] for i in range(len(e.row_basis)))
-                parents_in = sum(1 for alpha in e.row_basis if mu in add_box(alpha, d))
+                parents_in = sum(1 for alpha in _row_tuples(e.row_basis) if mu in _add_box(alpha, d))
                 assert col_sum == parents_in
 
     @pytest.mark.parametrize("n,d", SMALL_GRID)
@@ -235,17 +241,15 @@ class TestGramIdentities:
     def test_quadratic_form_identity(self, n, d):
         # sum over parents of (sum of child entries)^2 equals v^T M v, exactly
         basis = enumerate_diagrams(n, d)
+        place = places(basis)
         m = dense(teleportation_matrix, n, d)
         rng = random.Random(20240 + 10 * n + d)
         trials = max(1, 100 // len(SMALL_GRID) * 4)
         for _ in range(trials):
-            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in basis]
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(len(basis))]
             lhs = Fraction(0)
-            for alpha in enumerate_diagrams(n - 1, d):
-                inner = sum(
-                    (v[basis.index(mu)] for mu in add_box(alpha, d) if mu in basis),
-                    Fraction(0),
-                )
+            for alpha in _row_tuples(enumerate_diagrams(n - 1, d)):
+                inner = sum((v[place[mu]] for mu in _add_box(alpha, d)), Fraction(0))
                 lhs += inner * inner
             rhs = sum(
                 v[i] * m[i][j] * v[j]
@@ -257,16 +261,14 @@ class TestGramIdentities:
     def test_quadratic_form_identity_100_vectors(self):
         n, d = 6, 3
         basis = enumerate_diagrams(n, d)
+        place = places(basis)
         m = dense(teleportation_matrix, n, d)
         rng = random.Random(7)
         for _ in range(100):
-            v = [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in basis]
+            v = [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(len(basis))]
             lhs = Fraction(0)
-            for alpha in enumerate_diagrams(n - 1, d):
-                inner = sum(
-                    (v[basis.index(mu)] for mu in add_box(alpha, d) if mu in basis),
-                    Fraction(0),
-                )
+            for alpha in _row_tuples(enumerate_diagrams(n - 1, d)):
+                inner = sum((v[place[mu]] for mu in _add_box(alpha, d)), Fraction(0))
                 lhs += inner * inner
             rhs = sum(
                 v[i] * m[i][j] * v[j]
