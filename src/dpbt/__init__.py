@@ -11,13 +11,6 @@ brute-force operator oracle at small sizes.
 
 __version__ = "0.1.0"
 
-from .characters import (
-    CharacterMatrix,
-    CycleType,
-    character,
-    character_matrix,
-    cycle_types,
-)
 from .diagrams import DiagramBasis, enumerate_diagrams, partition_counts
 from .protocol import (
     OptimalSolution,

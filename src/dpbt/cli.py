@@ -27,7 +27,6 @@ import os
 import sys
 
 from . import __version__
-from .characters import cycle_types
 from .diagrams import partition_counts
 from .protocol import fidelity_row, optimal_solution, sweep
 from .spectral import (
@@ -37,6 +36,8 @@ from .spectral import (
     PowerIterationError,
     closed_form_d2,
     closed_form_spectrum,
+    cycle_label,
+    cycle_types,
     dominant_eigenpair,
 )
 from .telemat import gram_H, incidence_edges, incidence_matrix, teleportation_matrix
@@ -401,7 +402,7 @@ def _cmd_spectrum(args, out) -> int:
             str(k): v for k, v in sorted(closed_form_spectrum(n).items(), reverse=True)
         }
         payload["eigenvector_classes"] = [
-            {"class": c.label(), "eigenvalue": c.fixed_points} for c in cycle_types(n)
+            {"class": cycle_label(c), "eigenvalue": c.count(1)} for c in cycle_types(n)
         ]
     _emit(_json(payload), args.output, out)
     return 0

@@ -6,6 +6,9 @@ operators (index maps of that basis), Young projectors, the port operator and
 its eigenprojectors, the measurement operators, the optimal resource operator
 and the dual certificate.  Each formula is then checked by plain linear algebra;
 the character-table spectrum of the full teleportation matrix, in exact integers.
+Characters come from the Murnaghan-Nakayama rule (`character`): a class is its
+cycle type, the weakly decreasing tuple of its cycle lengths, like a diagram's
+rows, and spectral.cycle_types lists the classes of S(N).
 run_checks builds each operator of one (N, d) once, in a DenseCell that also
 holds the fast path's one edge list, and runs its 29 checks on that cell.
 The Young projectors take d_mu as the character at the identity, from the
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CycleType, _diagram_rows, character, cycle_types
 from .diagrams import _row_tuples, dims_and_multiplicities, enumerate_diagrams
 from .protocol import (
     OptimalSolution,
@@ -63,7 +65,7 @@ from .protocol import (
     protocol_eigenvalues,
     sqrt_measurement_fidelity,
 )
-from .spectral import closed_form_spectrum
+from .spectral import closed_form_spectrum, cycle_label, cycle_types
 from .telemat import IncidenceEdges, incidence_edges
 
 __all__ = [
@@ -79,6 +81,7 @@ __all__ = [
     "young_projector",
     "partial_transpose_last",
     "dense_cell",
+    "character",
     "direct_fidelity",
     "primal_constraint_check",
     "dual_witness_check",
@@ -322,6 +325,53 @@ def _gather(src: SectorOperator, layout: _Layout, index: np.ndarray) -> SectorOp
     return SectorOperator(layout, values.sum(axis=1) if index.ndim == 2 else values)
 
 
+def _diagram_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """rows as a tuple of ints; ValueError unless they are positive and weakly
+    decreasing, the rows of a diagram (() is the empty one)."""
+    rows = tuple(int(r) for r in rows)
+    for i, r in enumerate(rows):
+        if r <= 0:
+            raise ValueError(f"row lengths must be positive: {rows}")
+        if i > 0 and rows[i - 1] < r:
+            raise ValueError(f"row lengths must be weakly decreasing: {rows}")
+    return rows
+
+
+def character(rows: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """Character of the irrep of the diagram with these rows on the class of
+    cycle type parts, exact.  ValueError unless both are positive and weakly
+    decreasing, with as many boxes as the class permutes points."""
+    rows, parts = _diagram_rows(rows), _diagram_rows(parts)
+    if sum(rows) != sum(parts):
+        raise ValueError(f"diagram has {sum(rows)} boxes but class permutes {sum(parts)}")
+    return _mn(rows, parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _mn(rows: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama: border strips of length parts[0], located through
+    first-column hook lengths (beta numbers), removed in turn, each with the
+    sign of its height; memoised on (diagram, remaining cycles)."""
+    if not parts:
+        return 1 if not rows else 0
+    t, rest = parts[0], parts[1:]
+    k = len(rows)
+    beta = [rows[i] + (k - 1 - i) for i in range(k)]
+    bset = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in bset:
+            continue
+        # parity of the strip height = count of beta numbers jumped over
+        crossings = sum(1 for c in beta if nb < c < b)
+        nbeta = sorted((bset - {b}) | {nb}, reverse=True)
+        nrows = tuple(x - (k - 1 - j) for j, x in enumerate(nbeta))
+        nrows = tuple(r for r in nrows if r > 0)
+        total += (-1) ** crossings * _mn(nrows, rest)
+    return total
+
+
 def transposition(i: int, j: int, k: int) -> tuple[int, ...]:
     """Permutation of 0..k-1 swapping positions i and j."""
     p = list(range(k))
@@ -373,11 +423,12 @@ def _permutations(k: int) -> np.ndarray:
     return perms
 
 
-def _cycle_classes(perms: np.ndarray) -> tuple[list[CycleType], np.ndarray]:
-    """The cycle types met in perms, and the number of each row's type: a
-    point on a cycle of length L comes back after L steps, and the k points'
-    return times, as the base-(k+1) digits L c_L of one integer (c_L cycles of
-    length L), name the cycle type."""
+def _cycle_classes(perms: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The cycle types met in perms, weakly decreasing tuples of cycle
+    lengths, and the number of each row's type: a point on a cycle of length
+    L comes back after L steps, and the k points' return times, as the
+    base-(k+1) digits L c_L of one integer (c_L cycles of length L), name the
+    cycle type."""
     k = perms.shape[1]
     length = np.zeros_like(perms)
     power = perms
@@ -391,17 +442,17 @@ def _cycle_classes(perms: np.ndarray) -> tuple[list[CycleType], np.ndarray]:
     classes = []
     for key in keys.tolist():
         points = [key // (k + 1) ** (size - 1) % (k + 1) for size in range(1, k + 1)]
-        classes.append(CycleType(tuple(s for s, p in enumerate(points, 1) for _ in range(p // s))))
+        classes.append(tuple(s for s in range(k, 0, -1) for _ in range(points[s - 1] // s)))
     return classes, which.ravel()
 
 
-def _perm_table(n: int, d: int) -> dict[CycleType, SectorOperator]:
+def _perm_table(n: int, d: int) -> dict[tuple[int, ...], SectorOperator]:
     """Class sums of S_n on n factors: the sum of V(s) over the permutations s
     of each cycle type, every index map checked to keep each sector and then
     scattered, a chunk of one type's permutations per bincount call."""
     layout = _layout(d**n, d, 1)
     if n == 0:
-        return {CycleType(()): _identity(layout)}
+        return {(): _identity(layout)}
     perms = _permutations(n)
     classes, which = _cycle_classes(perms)
     rows = np.arange(layout.dim)
@@ -432,14 +483,16 @@ def young_projector(mu: tuple[int, ...], d: int) -> SectorOperator:
     return _young_projector(mu, d, _perm_table(sum(mu), d))
 
 
-def _young_projector(mu: tuple[int, ...], d: int, table: dict[CycleType, SectorOperator]) -> SectorOperator:
+def _young_projector(
+    mu: tuple[int, ...], d: int, table: dict[tuple[int, ...], SectorOperator]
+) -> SectorOperator:
     """young_projector, summing the characters of mu over table, the class
-    sums of S_N."""
+    sums of S_N, in the order of cycle_types."""
     n = sum(mu)
     if n == 0:
-        return table[CycleType(())]
+        return table[()]
     acc = sum(character(mu, c) * table[c] for c in cycle_types(n))
-    return acc * (character(mu, CycleType((1,) * n)) / math.factorial(n))
+    return acc * (character(mu, (1,) * n) / math.factorial(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -746,9 +799,9 @@ def character_spectrum(n: int) -> dict[int, int]:
         kids = [place[mu] for mu in _add_box(alpha)]
         m_f[np.ix_(kids, kids)] += 1
     chi = np.array([[character(mu, c) for c in classes] for mu in mus], dtype=object)
-    fixed = [c.fixed_points for c in classes]
+    fixed = [c.count(1) for c in classes]
     exact = (m_f.dot(chi) == chi * fixed).all(axis=0)
-    bad = [c.label() for c, ok in zip(classes, exact) if not ok]
+    bad = [cycle_label(c) for c, ok in zip(classes, exact) if not ok]
     if bad:
         raise ArithmeticError(f"character columns {', '.join(bad)} not eigenvectors at N={n}")
     return dict(Counter(fixed))

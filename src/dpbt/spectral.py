@@ -8,7 +8,9 @@ everything in between.  The solver multiplies by M_F w = R^T (R w) on e and
 returns an enclosure [lo, hi] of the radius whose relative width is at most
 tol.  The full spectrum of the uncapped matrix is the closed form
 `closed_form_spectrum`, counted from partition numbers; the dense oracle
-proves it from the character table.
+proves it from the character table, whose classes, the cycle types of S(N),
+`cycle_types` lists as weakly decreasing tuples of cycle lengths, the same
+form as a diagram's rows.
 
 The solver keeps its Lanczos basis while it fits LANCZOS_BASIS_BYTES (32 MiB),
 so it can add up to that much memory to a solve; past the budget the rest of
@@ -18,11 +20,12 @@ the basis is regenerated, one product per vector.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, partition_counts
+from .diagrams import DiagramBasis, _row_tuples, enumerate_diagrams, partition_counts
 from .telemat import IncidenceEdges
 
 __all__ = [
@@ -202,8 +205,9 @@ def dominant_eigenpair(
     """Perron eigenpair of the teleportation matrix R^T R of the edge list e.
 
     d >= n or no cap: the exact full-matrix closed form.  d = 2: radius
-    4 cos^2(pi/(n+2)) and Perron entry sin((n+1-2k) pi/(n+2)) on the diagram
-    [n-k, k] (sum-normalised).  Otherwise: the certified lanczos_perron.
+    4 cos^2(pi/(n+2)), the first of closed_form_d2(n), and Perron entry
+    sin((n+1-2k) pi/(n+2)) on the diagram [n-k, k] (sum-normalised).
+    Otherwise: the certified lanczos_perron.
     """
     basis = e.col_basis
     n, d = basis.n, basis.d
@@ -212,7 +216,7 @@ def dominant_eigenpair(
     if d == 2:
         x = [math.sin((2 * r - n + 1) * math.pi / (n + 2)) for r in basis.rows[:, 0].tolist()]
         perron = np.array(x) / math.fsum(x)
-        radius = closed_form_d2(n)[0]
+        radius = _d2_eigenvalues(n, 1)[0]
         return SpectralResult(radius, basis, perron, 0, radius, radius, "closed_d2")
     return lanczos_perron(e, tol, max_iter)
 
@@ -235,13 +239,29 @@ def closed_form_d2(n: int) -> list[float]:
     """All eigenvalues of the integer d=2 matrix, sorted descending.
 
     The d=2 matrix is tridiagonal and its eigenvalues are 4 cos^2(k pi/(N+2))
-    for k = 1..(N//2 + 1).  (The factor 4 rescales to the integer matrix; the
+    for k = 1..(N//2 + 1), given exactly where they are integers (3, 2, 1 and
+    0; see _NIVEN).  (The factor 4 rescales to the integer matrix; the
     division by d^2 happens exactly once, in the protocol layer.)
     """
     if n < 1:
         raise ValueError("port count must be >= 1")
-    t = n // 2 + 1
-    return [4.0 * math.cos(math.pi * k / (n + 2)) ** 2 for k in range(1, t + 1)]
+    return _d2_eigenvalues(n, n // 2 + 1)
+
+
+# By Niven's theorem 4 cos^2(pi k / m) is rational only where k / m is 1/6,
+# 1/4, 1/3 or 1/2 (k <= m / 2), and there it is the integer below: m / k -> value.
+_NIVEN = {6: 3.0, 4: 2.0, 3: 1.0, 2: 0.0}
+
+
+def _d2_eigenvalues(n: int, count: int) -> list[float]:
+    """4 cos^2(k pi/(n+2)) for k = 1..count (count <= n//2 + 1), exact where
+    it is an integer."""
+    m = n + 2
+    values = [4.0 * math.cos(math.pi * k / m) ** 2 for k in range(1, count + 1)]
+    for q, exact in _NIVEN.items():
+        if m % q == 0 and m // q <= count:
+            values[m // q - 1] = exact
+    return values
 
 
 def closed_form_spectrum(n: int) -> dict[int, int]:
@@ -255,3 +275,18 @@ def closed_form_spectrum(n: int) -> dict[int, int]:
         raise ValueError("port count must be >= 1")
     p = partition_counts(n)
     return {n: 1} | {k: p[n - k] - p[n - k - 1] for k in range(n - 2, -1, -1)}
+
+
+def cycle_types(n: int) -> list[tuple[int, ...]]:
+    """The conjugacy classes of S(n), each the weakly decreasing tuple of its
+    cycle lengths: fixed points descending, then by parts."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return sorted(_row_tuples(enumerate_diagrams(n)), key=lambda c: (-c.count(1), c))
+
+
+def cycle_label(parts: tuple[int, ...]) -> str:
+    """Text form "1^k 2^x ..." of a cycle type: each cycle length, ascending,
+    with its multiplicity."""
+    counts = Counter(parts)
+    return " ".join(f"{length}^{counts[length]}" for length in sorted(counts))

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from dpbt.characters import cycle_types
 from dpbt.cli import run
 from dpbt.diagrams import _row_tuples
 from dpbt.oracle import (
@@ -27,7 +26,7 @@ from dpbt.protocol import (
     optimal_fidelity,
     sqrt_measurement_fidelity,
 )
-from dpbt.spectral import closed_form_spectrum, lanczos_perron
+from dpbt.spectral import closed_form_spectrum, cycle_types, lanczos_perron
 from dpbt.telemat import incidence_edges, incidence_matrix, teleportation_matrix
 
 ORACLE_CELLS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
@@ -46,7 +45,7 @@ def test_criterion_1_exact_spectrum_law():
         assert set(mult) == set(range(0, n - 1)) | {n}
         expected = {}
         for cls in cycle_types(n):
-            expected[cls.fixed_points] = expected.get(cls.fixed_points, 0) + 1
+            expected[cls.count(1)] = expected.get(cls.count(1), 0) + 1
         assert mult == expected
         assert closed_form_spectrum(n) == expected
     elapsed = time.time() - start

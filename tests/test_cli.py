@@ -122,6 +122,11 @@ class TestFidelityCommand:
         assert abs(payload["f_sqrt_ent"] - 0.625) < 1e-12
         assert payload["f_lower"] == 0.5
 
+    def test_qubit_four_ports_is_exact(self):
+        # 4 cos^2(pi/6) = 3 exactly, so f_opt = 3/4
+        payload = json.loads(invoke(["fidelity", "--ports", "4", "--dim", "2"])[1])
+        assert payload["radius"] == 3.0 and payload["f_opt"] == 0.75
+
     @pytest.mark.parametrize("n", [1022, 2000])
     def test_large_qubit_cell_is_finite(self, n):
         # the square-root-measurement sum once overflowed a float at N = 1022
@@ -160,6 +165,34 @@ class TestSpectrumCommand:
         assert payload["spectrum_multiplicities"] == {"4": 1, "2": 1, "1": 1, "0": 2}
         assert abs(payload["perron"]["[3,1]"] - 0.3) < 1e-12
 
+    # every class of S(N) by label, in order: fixed points descending, then
+    # parts; the eigenvalue of its character column is its fixed-point count
+    EIGENVECTOR_CLASSES = {
+        1: [("1^1", 1)],
+        4: [("1^4", 4), ("1^2 2^1", 2), ("1^1 3^1", 1), ("2^2", 0), ("4^1", 0)],
+        6: [
+            ("1^6", 6),
+            ("1^4 2^1", 4),
+            ("1^3 3^1", 3),
+            ("1^2 2^2", 2),
+            ("1^2 4^1", 2),
+            ("1^1 2^1 3^1", 1),
+            ("1^1 5^1", 1),
+            ("2^3", 0),
+            ("3^2", 0),
+            ("2^1 4^1", 0),
+            ("6^1", 0),
+        ],
+    }
+
+    @pytest.mark.parametrize("n", sorted(EIGENVECTOR_CLASSES))
+    def test_eigenvector_classes(self, n):
+        d = max(n, 2)  # d >= N, the smallest local dimension allowed
+        code, out, _ = invoke(["spectrum", "--ports", str(n), "--dim", str(d)])
+        assert code == 0
+        want = [{"class": label, "eigenvalue": k} for label, k in self.EIGENVECTOR_CLASSES[n]]
+        assert json.loads(out)["eigenvector_classes"] == want
+
     def test_full_regime_at_30_ports(self):
         code, out, _ = invoke(["spectrum", "--ports", "30", "--dim", "30"])
         assert code == 0
@@ -174,6 +207,14 @@ class TestSpectrumCommand:
         assert payload["method"] == "closed_d2"
         assert payload["radius"] == payload["eigenvalues"][0]
         assert abs(sum(payload["perron"].values()) - 1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, eigenvalues", [(1, [1.0]), (2, [2.0, 0.0]), (4, [3.0, 1.0, 0.0]), (6, closed_form_d2(6))]
+    )
+    def test_qubit_eigenvalues_list_the_radius_exactly(self, n, eigenvalues):
+        payload = json.loads(invoke(["spectrum", "--ports", str(n), "--dim", "2"])[1])
+        assert payload["eigenvalues"] == eigenvalues
+        assert payload["bracket"] == [payload["radius"], payload["radius"]] == eigenvalues[:1] * 2
 
     def test_power_regime(self):
         code, out, _ = invoke(["spectrum", "--ports", "6", "--dim", "3"])

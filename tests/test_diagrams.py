@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpbt.characters import CycleType, character
 from dpbt.diagrams import (
     _row_tuples,
     dims_and_multiplicities,
     enumerate_diagrams,
     partition_counts,
 )
-from dpbt.oracle import _add_box, young_projector
+from dpbt.oracle import _add_box, character, young_projector
 from dpbt.telemat import incidence_edges, teleportation_matrix
 
 
@@ -76,7 +75,7 @@ class TestYoungDiagram:
     def test_validation(self):
         for rows, fault in [((1, 2), "weakly decreasing"), ((2, 0), "positive")]:
             with pytest.raises(ValueError, match=f"row lengths must be {fault}"):
-                character(rows, CycleType((1,) * sum(rows)))
+                character(rows, (1,) * sum(rows))
             with pytest.raises(ValueError, match=f"row lengths must be {fault}"):
                 young_projector(rows, 2)
 

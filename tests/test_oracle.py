@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from dpbt import diagrams, oracle, protocol
-from dpbt.characters import CycleType, character
 from dpbt.diagrams import _row_tuples, enumerate_diagrams
 from dpbt.oracle import (
     CapExceededError,
+    character,
     character_spectrum,
     dense_cell,
     direct_fidelity,
@@ -56,7 +56,7 @@ def ptilde_plus(d):
 
 
 def cycle_type(perm):
-    """The cycle type of a permutation, cycle by cycle."""
+    """The cycle type of a permutation: its cycle lengths, weakly decreasing."""
     seen, parts = set(), []
     for i in range(len(perm)):
         j, length = i, 0
@@ -65,7 +65,7 @@ def cycle_type(perm):
             j, length = perm[j], length + 1
         if length:
             parts.append(length)
-    return CycleType(tuple(parts))
+    return tuple(sorted(parts, reverse=True))
 
 
 def dense_young_projector(mu, d):
@@ -74,7 +74,7 @@ def dense_young_projector(mu, d):
     acc = np.zeros((d**n, d**n))
     for perm in itertools.permutations(range(n)):
         acc += character(mu, cycle_type(perm)) * digit_permutation_matrix(perm, d)
-    return acc * character(mu, CycleType((1,) * n)) / math.factorial(n)
+    return acc * character(mu, (1,) * n) / math.factorial(n)
 
 
 def dense_partial_transpose(mat, d):

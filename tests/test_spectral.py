@@ -199,6 +199,26 @@ class TestClosedForms:
         for n in range(1, 20):
             assert len(closed_form_d2(n)) == len(enumerate_diagrams(n, 2))
 
+    def test_d2_integers_are_exact(self):
+        # 4 cos^2(k pi/(N+2)) is rational only at k/(N+2) = 1/6, 1/4, 1/3, 1/2
+        # (Niven), where it is 3, 2, 1, 0; every other value is the cosine
+        # expression, bit for bit
+        assert closed_form_d2(1) == [1.0]
+        assert closed_form_d2(2) == [2.0, 0.0]
+        assert closed_form_d2(4) == [3.0, 1.0, 0.0]
+        exact = {Fraction(1, 6): 3.0, Fraction(1, 4): 2.0, Fraction(1, 3): 1.0, Fraction(1, 2): 0.0}
+        for n in range(1, 61):
+            got = closed_form_d2(n)
+            for k, value in enumerate(got, 1):
+                want = exact.get(Fraction(k, n + 2), 4.0 * math.cos(math.pi * k / (n + 2)) ** 2)
+                assert value == want and type(value) is float, (n, k)
+            assert (got[-1] == 0.0) == (n % 2 == 0)
+
+    def test_d2_radius_is_the_first_eigenvalue(self):
+        # d >= N at N <= 2: the full closed form, radius N, agrees too
+        for n in range(1, 61):
+            assert dominant_eigenpair(incidence_edges(n, 2)).radius == closed_form_d2(n)[0], n
+
 
 class TestAgreementAcrossRoutes:
     @pytest.mark.parametrize("n", range(2, 9))
