@@ -1,10 +1,10 @@
 """Brute-force operator verification at small port counts.
 
 Everything the fast modules compute through diagram combinatorics is rebuilt
-here directly in the computational basis of (C^d)^(N+1): permutation
-operators (index maps of that basis), Young projectors, the port operator and
-its eigenprojectors, the measurement operators, the optimal resource operator
-and the dual certificate.  Each formula is then checked by plain linear algebra;
+here directly in the computational basis of (C^d)^(N+1): factor permutations
+(as index maps of that basis), Young projectors, the port operator and its
+eigenprojectors, the measurement operators, the optimal resource operator and
+the dual certificate.  Each formula is then checked by plain linear algebra;
 the character-table spectrum of the full teleportation matrix, in exact integers.
 Characters come from the Murnaghan-Nakayama rule (`character`): a class is its
 cycle type, the weakly decreasing tuple of its cycle lengths, like a diagram's
@@ -24,7 +24,7 @@ the port operator) and maps each weight sector
 (basis states with equal digit counts over the ports, minus the last digit;
 see _sectors) into itself.  So no operator is ever stored as a d^k-square
 array: a SectorOperator is one flat float64 array of its sector blocks, over
-a layout shared by every operator of one (d^k, d, last).  Sums and norms are
+a layout shared by every operator of one (k, d, last).  Sums and norms are
 one numpy call on the flat arrays, products one stacked matmul per block
 size, and eigensolves go through LAPACK on the stacked blocks
 (numpy.linalg.eigvalsh where only the spectrum is read, numpy.linalg.eigh for
@@ -76,9 +76,7 @@ __all__ = [
     "CheckResult",
     "DenseCell",
     "SectorOperator",
-    "permutation_operator",
     "transposition",
-    "young_projector",
     "partial_transpose_last",
     "dense_cell",
     "character",
@@ -104,21 +102,12 @@ _TOL = 1e-8
 # index-map entries per bincount call of the class sums
 _CHUNK = 2**16
 
+# eigenvalues at or below this lie off the support of an inverse square root
+_SUPPORT = 1e-10
+
 
 class CapExceededError(RuntimeError):
     """A construction lies above MAX_ENTRIES or MAX_SCATTER."""
-
-
-def _require_scatter(n: int, d: int) -> None:
-    """Refuse class sums of S(n) on n factors that scatter more than
-    MAX_SCATTER = n! d^n entries; the logarithm decides first, so that a huge
-    d^n is never formed."""
-    bits = (math.lgamma(n + 1) + n * math.log(d)) / math.log(2)
-    if bits > 40 or math.factorial(n) * d**n > MAX_SCATTER:
-        raise CapExceededError(
-            f"the class sums of S({n}) at d={d} scatter N! d^N = 2^{bits:.1f} entries, "
-            f"above the cap MAX_SCATTER = 2^{MAX_SCATTER.bit_length() - 1}"
-        )
 
 
 def _entry_count(k: int, d: int) -> int:
@@ -133,9 +122,18 @@ def _entry_count(k: int, d: int) -> int:
     return total
 
 
-def _require_entries(k: int, d: int) -> None:
-    """Refuse operators on k factors that store more than MAX_ENTRIES sector
-    entries; every state lies in a block, so d^k above it is refused at once."""
+def _require_cell(n: int, d: int) -> None:
+    """Refuse the cell (n, d) whose class sums of S(n) scatter more than
+    MAX_SCATTER = n! d^n entries, or whose operators on k = n+1 factors store
+    more than MAX_ENTRIES sector entries.  Logarithms decide first, so neither
+    d^n nor d^k above the caps is ever formed."""
+    bits = (math.lgamma(n + 1) + n * math.log(d)) / math.log(2)
+    if bits > 40 or math.factorial(n) * d**n > MAX_SCATTER:
+        raise CapExceededError(
+            f"the class sums of S({n}) at d={d} scatter N! d^N = 2^{bits:.1f} entries, "
+            f"above the cap MAX_SCATTER = 2^{MAX_SCATTER.bit_length() - 1}"
+        )
+    k = n + 1
     entries = _entry_count(k, d) if k * math.log2(d) <= 40 else None
     if entries is None or entries > MAX_ENTRIES:
         size = f"{entries}" if entries is not None else f"at least d^k = 2^{k * math.log2(d):.1f}"
@@ -150,11 +148,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _factors(dim: int, d: int) -> int:
-    """k with dim = d^k."""
-    return round(math.log(dim, d)) if dim > 1 else 0
-
-
 @functools.lru_cache(maxsize=None)
 def _digits(k: int, d: int) -> np.ndarray:
     """(k, d^k) digits of the basis states of k factors, most significant first."""
@@ -162,10 +155,9 @@ def _digits(k: int, d: int) -> np.ndarray:
     return _readonly(np.arange(d**k)[None, :] // places[:, None] % d)
 
 
-@functools.lru_cache(maxsize=None)
-def _sectors(dim: int, d: int, last: int) -> list[np.ndarray]:
-    """Weight sectors of the basis of (C^d)^k, dim = d^k, as one (sectors,
-    size) index array per sector size, sizes ascending.
+def _sectors(k: int, d: int, last: int) -> list[np.ndarray]:
+    """Weight sectors of the basis of (C^d)^k as one (sectors, size) index
+    array per sector size, sizes ascending.
 
     A state's weight is the digit counts of its first k-1 factors plus last
     times the count of its last digit: last = -1 labels the eigenspaces of
@@ -175,11 +167,8 @@ def _sectors(dim: int, d: int, last: int) -> list[np.ndarray]:
     sentinel d takes its place and ends the key), or, if it has no copy, the
     first k-1 followed by the last digit.
     """
-    k = _factors(dim, d)
-    if k == 0:
-        return [_readonly(np.zeros((1, 1), dtype=np.intp))]
     digits = _digits(k, d)
-    if last == 1 or k == 1:
+    if last == 1 or k <= 1:
         key = np.sort(digits, axis=0)
     else:
         head, tail = np.sort(digits[:-1], axis=0), digits[-1]
@@ -197,20 +186,18 @@ def _sectors(dim: int, d: int, last: int) -> list[np.ndarray]:
 
 
 class _Layout:
-    """Where the sector blocks of an operator on dim = d^k states sit in its
-    flat array: the groups of _sectors(dim, d, last) end to end, each a stack
-    of equal square blocks, each block row-major."""
+    """Where the sector blocks of an operator on k factors, dim = d^k states,
+    sit in its flat array: the groups of _sectors(k, d, last) end to end, each
+    a stack of equal square blocks, each block row-major."""
 
-    def __init__(self, dim: int, d: int, last: int):
-        self.dim, self.d, self.last, self.k = dim, d, last, _factors(dim, d)
-        self.groups = _sectors(dim, d, last)
+    def __init__(self, k: int, d: int, last: int):
+        self.k, self.d, self.last, self.dim = k, d, last, d**k
+        self.groups = _sectors(k, d, last)
         self.offsets = np.cumsum([0] + [g.size * g.shape[1] for g in self.groups]).tolist()
         self.size = self.offsets[-1]
         # per state: its sector, its place in the sector and the flat position
         # of the first entry of its row
-        self.label = np.empty(dim, dtype=np.intp)
-        self.pos = np.empty(dim, dtype=np.intp)
-        self.base = np.empty(dim, dtype=np.intp)
+        self.label, self.pos, self.base = np.empty((3, self.dim), dtype=np.intp)
         sector = 0
         for g, start in zip(self.groups, self.offsets):
             count, s = g.shape
@@ -238,16 +225,15 @@ class _Layout:
         return np.concatenate(rows), np.concatenate(cols)
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(dim: int, d: int, last: int) -> _Layout:
-    return _Layout(dim, d, last)
+# one layout per (k, d, last), shared by all of its operators
+_layout = functools.lru_cache(maxsize=None)(_Layout)
 
 
 @dataclass(frozen=True, eq=False)
 class SectorOperator:
     """A real operator on (C^d)^k that maps each weight sector into itself,
     stored as its sector blocks: data is one flat float64 array laid out by
-    layout, shared by every operator of that (d^k, d, last) (see _sectors).
+    layout, shared by every operator of that (k, d, last) (see _sectors).
 
     +, -, scalar * and / act on data; @ multiplies block by block, one stacked
     matmul per block size; T transposes each block.
@@ -380,38 +366,14 @@ def transposition(i: int, j: int, k: int) -> tuple[int, ...]:
 
 
 def _perm_indices(perms: np.ndarray, d: int) -> np.ndarray:
-    """_perm_index of each row of perms, a (count, k) array: column digit j is
-    row digit perm(j), so the column is sum_i digit_i d^(k-1-perm^-1(i)),
-    one float matmul (exact below 2^53) for the whole stack."""
+    """Index maps of V(perm), one per row of perms, a (count, k) array: entry
+    i is the column of the 1 in row i of V(perm), so V @ x == x[idx].  Factor
+    i of V x carries factor perm^-1(i) of x, so V(s) V(t) = V(s o t) with
+    (s o t)(x) = s(t(x)).  Column digit j is row digit perm(j): the column is
+    sum_i digit_i d^(k-1-perm^-1(i)), one float matmul (exact below 2^53)."""
     k = perms.shape[1]
     places = float(d) ** (k - 1 - np.argsort(perms, axis=1))
     return (places @ _digits(k, d)).astype(np.intp)
-
-
-def _perm_index(perm: tuple[int, ...], d: int) -> np.ndarray:
-    """Column of the single 1 in each row of V(perm) on len(perm) factors.
-
-    Row digit i equals column digit perm^{-1}(i), so V @ x == x[index],
-    x @ V == x[:, argsort(index)], and products with V are gathers.
-    """
-    return _perm_indices(np.array(perm, dtype=np.intp).reshape(1, -1), d)[0]
-
-
-def permutation_operator(perm: tuple[int, ...], d: int) -> SectorOperator:
-    """0/1 operator permuting tensor factors, stored by the digit-count
-    sectors of its len(perm) factors, which it maps onto themselves.
-
-    Factor i of the output carries what factor perm^{-1}(i) carried on input,
-    so V(s) V(t) = V(s o t) with (s o t)(x) = s(t(x)).
-    """
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"not a permutation of 0..{k - 1}: {perm}")
-    _require_entries(k, d)
-    layout = _layout(d**k, d, 1)
-    data = np.zeros(layout.size)
-    data[_index(layout, np.arange(layout.dim), _perm_index(perm, d))] = 1.0
-    return SectorOperator(layout, data)
 
 
 def _permutations(k: int) -> np.ndarray:
@@ -450,9 +412,7 @@ def _perm_table(n: int, d: int) -> dict[tuple[int, ...], SectorOperator]:
     """Class sums of S_n on n factors: the sum of V(s) over the permutations s
     of each cycle type, every index map checked to keep each sector and then
     scattered, a chunk of one type's permutations per bincount call."""
-    layout = _layout(d**n, d, 1)
-    if n == 0:
-        return {(): _identity(layout)}
+    layout = _layout(n, d, 1)
     perms = _permutations(n)
     classes, which = _cycle_classes(perms)
     rows = np.arange(layout.dim)
@@ -468,26 +428,18 @@ def _perm_table(n: int, d: int) -> dict[tuple[int, ...], SectorOperator]:
     return table
 
 
-def young_projector(mu: tuple[int, ...], d: int) -> SectorOperator:
-    """Isotypic projector for the diagram with rows mu on (C^d)^N:
-    (dim_mu/N!) sum_s chi_mu(s) V(s).
+def _young_projector(
+    mu: tuple[int, ...], d: int, table: dict[tuple[int, ...], SectorOperator]
+) -> SectorOperator:
+    """Isotypic projector for the diagram with rows mu on (C^d)^N,
+    (dim_mu/N!) sum_s chi_mu(s) V(s), summing the characters of mu over
+    table, the class sums of S_N, in the order of cycle_types.
 
     Characters of a class equal those of its inverses, so the class value is
     used directly, and dim_mu is the character at the identity.  Idempotent
     and Hermitian with trace d_mu * m_mu; the zero operator when the diagram
-    is taller than d.  ValueError unless mu is positive and weakly decreasing.
+    is taller than d.
     """
-    mu = _diagram_rows(mu)
-    _require_scatter(sum(mu), d)
-    _require_entries(sum(mu), d)
-    return _young_projector(mu, d, _perm_table(sum(mu), d))
-
-
-def _young_projector(
-    mu: tuple[int, ...], d: int, table: dict[tuple[int, ...], SectorOperator]
-) -> SectorOperator:
-    """young_projector, summing the characters of mu over table, the class
-    sums of S_N, in the order of cycle_types."""
     n = sum(mu)
     if n == 0:
         return table[()]
@@ -500,8 +452,8 @@ def _transpose_index(k: int, d: int, last: int) -> np.ndarray:
     """The partial transpose on the last factor, as a gather onto the layout
     of last from the layout of -last: entry ((x,l),(x',l')) reads
     ((x,l'),(x',l))."""
-    rows, cols = _layout(d**k, d, last).coordinates()
-    return _readonly(_index(_layout(d**k, d, -last), rows - rows % d + cols % d, cols - cols % d + rows % d))
+    rows, cols = _layout(k, d, last).coordinates()
+    return _readonly(_index(_layout(k, d, -last), rows - rows % d + cols % d, cols - cols % d + rows % d))
 
 
 def partial_transpose_last(op: SectorOperator) -> SectorOperator:
@@ -509,16 +461,16 @@ def partial_transpose_last(op: SectorOperator) -> SectorOperator:
     maps the sectors of U^(x k-1) (x) conj(U) onto those of U^(x k), so the
     result is stored on the layout of the opposite last."""
     lay = op.layout
-    return _gather(op, _layout(lay.dim, lay.d, -lay.last), _transpose_index(lay.k, lay.d, -lay.last))
+    return _gather(op, _layout(lay.k, lay.d, -lay.last), _transpose_index(lay.k, lay.d, -lay.last))
 
 
 @functools.lru_cache(maxsize=None)
 def _trace_index(n: int, d: int) -> np.ndarray:
     """The partial trace over the last of N+1 factors, as a gather: entry
     (x, x') of N factors sums ((x,l),(x',l)) over l."""
-    rows, cols = _layout(d**n, d, 1).coordinates()
+    rows, cols = _layout(n, d, 1).coordinates()
     last = np.arange(d)
-    return _readonly(_index(_layout(d ** (n + 1), d, -1), rows[:, None] * d + last, cols[:, None] * d + last))
+    return _readonly(_index(_layout(n + 1, d, -1), rows[:, None] * d + last, cols[:, None] * d + last))
 
 
 @functools.lru_cache(maxsize=None)
@@ -537,10 +489,10 @@ def _contraction_index(n: int, d: int, a: int) -> np.ndarray:
     (r, r') sums A[state(r, i), state(r', j)] over i, j (see _port_indices).
     At the last port a = N-1 this contracts the last two factors with
     sum_i |ii> on both sides."""
-    small = _layout(d ** (n - 1), d, 1)
+    small = _layout(n - 1, d, 1)
     rows, cols = small.coordinates()
     idx = _port_indices(n, d)[a]
-    flat = _index(_layout(d ** (n + 1), d, -1), idx[rows][:, :, None], idx[cols][:, None, :])
+    flat = _index(_layout(n + 1, d, -1), idx[rows][:, :, None], idx[cols][:, None, :])
     return _readonly(flat.reshape(small.size, d * d))
 
 
@@ -548,12 +500,12 @@ def _contraction_index(n: int, d: int, a: int) -> np.ndarray:
 def _lift_index(n: int, d: int) -> np.ndarray:
     """P (x) 1 on N+1 factors, as a gather from P on N factors: entry
     ((x,l),(x',l')) reads P[x, x'] where l = l', and 0 elsewhere."""
-    rows, cols = _layout(d ** (n + 1), d, -1).coordinates()
-    return _readonly(_index(_layout(d**n, d, 1), rows // d, cols // d, keep=rows % d == cols % d))
+    rows, cols = _layout(n + 1, d, -1).coordinates()
+    return _readonly(_index(_layout(n, d, 1), rows // d, cols // d, keep=rows % d == cols % d))
 
 
 def _lift(p: SectorOperator, n: int, d: int) -> SectorOperator:
-    return _gather(p, _layout(d ** (n + 1), d, -1), _lift_index(n, d))
+    return _gather(p, _layout(n + 1, d, -1), _lift_index(n, d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,7 +515,7 @@ def _expand_index(n: int, d: int) -> tuple[np.ndarray, ...]:
     each block's rows from P, columns (a, y) over the t states y of N-1
     factors with the block's weight, zero padded to the group's widest.
     (E_a P)[x, y] is P[r, y] where x = state(r, i) of port a, and 0 off port a."""
-    big, small = _layout(d ** (n + 1), d, -1), _layout(d ** (n - 1), d, 1)
+    big, small = _layout(n + 1, d, -1), _layout(n - 1, d, 1)
     ports = _port_indices(n, d)
     # the states y of each sector of the big layout, by their place in P's
     # blocks; the port states of y lie in that sector
@@ -623,7 +575,7 @@ def _add_box(rows: tuple[int, ...], d: int | None = None) -> list[tuple[int, ...
 
 def _port_states(n: int, d: int) -> list[SectorOperator]:
     """The port states sigma_a = E_a E_a^T / d^N (see _port_indices)."""
-    layout = _layout(d ** (n + 1), d, -1)
+    layout = _layout(n + 1, d, -1)
     sigmas = []
     for idx in _port_indices(n, d):
         data = np.zeros(layout.size)
@@ -651,10 +603,11 @@ class DenseCell:
     of the checks takes; pairs: its edges as (alpha, mu) pairs of row
     tuples, in edge order.  projectors: the Young projector of every diagram
     of N (the vanishing ones too) and of every diagram of N-1 with height
-    <= d; numbers: the exact (d_mu, m_mu) at d of each of those diagrams, one
-    kernel call per basis.  family: F_mu(alpha) for each pair of the
-    _add_box(alpha, d) walk, parents in basis order and children by
-    descending rows.  sigmas: the port states.  solution: the optimal POVM
+    <= d, each a character sum over one table, _perm_table(N, d) or
+    _perm_table(N-1, d); numbers: the exact (d_mu, m_mu) at d of each of
+    those diagrams, one kernel call per basis.  family: F_mu(alpha) for each
+    pair of the _add_box(alpha, d) walk, parents in basis order and children
+    by descending rows.  sigmas: the port states.  solution: the optimal POVM
     coefficients and the Perron vector v.  povm: the optimal POVM element
     sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.  The port
     operator is d^N times the sum of the port states.
@@ -674,8 +627,7 @@ class DenseCell:
 
 def dense_cell(n: int, d: int) -> DenseCell:
     """The DenseCell of (N, d); CapExceededError above MAX_SCATTER or MAX_ENTRIES."""
-    _require_scatter(n, d)
-    _require_entries(n + 1, d)
+    _require_cell(n, d)
     edges = incidence_edges(n, d)
     full, parents = enumerate_diagrams(n), edges.row_basis
     mus, alphas = _row_tuples(full), _row_tuples(parents)
@@ -713,14 +665,14 @@ def _eigvalsh(op: SectorOperator) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in op.blocks()]))
 
 
-def _pseudo_inverse_sqrt(op: SectorOperator, threshold: float = 1e-10) -> SectorOperator:
+def _pseudo_inverse_sqrt(op: SectorOperator) -> SectorOperator:
     """Inverse square root on the support, solved block by block; eigenvalues
-    below threshold drop out."""
+    at or below _SUPPORT drop out."""
     _require_symmetric(op)
     out = np.empty_like(op.data)
     for b, o in zip(op.blocks(), op.layout.blocks(out)):
         w, v = np.linalg.eigh(b)
-        inv = np.where(w > threshold, 1.0 / np.sqrt(np.maximum(w, threshold)), 0.0)
+        inv = np.where(w > _SUPPORT, 1.0 / np.sqrt(np.maximum(w, _SUPPORT)), 0.0)
         np.matmul(v * inv[:, None, :], v.transpose(0, 2, 1), out=o)
     return SectorOperator(op.layout, out)
 
@@ -740,7 +692,7 @@ def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
         raise ValueError(f"unknown povm_spec {povm_spec!r}")
     n, d = cell.n, cell.d
     # tr(W s_a W s_a) = tr(K_a K_a) / d^2N with K_a = E_a^T W E_a (see _port_indices)
-    small = _layout(d ** (n - 1), d, 1)
+    small = _layout(n - 1, d, 1)
     kays = (_gather(wall, small, _contraction_index(n, d, a)) for a in range(n))
     return math.fsum(float(np.sum(k.data * k.T.data)) for k in kays) / d ** (2 * n + 2)
 
@@ -778,7 +730,7 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
         for (alpha, mu), f in cell.family.items()
     )
     min_slack = min(float(_eigvalsh(omega - s)[0]) for s in cell.sigmas)
-    w = _eigvalsh(_gather(omega, _layout(d**n, d, 1), _trace_index(n, d)))
+    w = _eigvalsh(_gather(omega, _layout(n, d, 1), _trace_index(n, d)))
     objective = d ** (n - 2) * float(np.abs(w).max())
     return {"min_slack": min_slack, "objective": objective}
 
@@ -835,15 +787,14 @@ def _composition_residual(n: int, d: int) -> float:
     idx_t[idx_s]; index maps are integers, so the residual is 0.0 iff
     V(s) V(t) = V(s o t) for every pair.
     """
-    gens = [transposition(i, i + 1, n + 1) for i in range(n)]
-    gens.append(tuple(range(1, n + 1)) + (0,))
-    index = {s: _perm_index(s, d) for s in gens}
-    res = 0.0
-    for s in gens:
-        for t in gens:
-            st = tuple(s[t[i]] for i in range(n + 1))
-            res = max(res, _norm_inf(index[t][index[s]] - _perm_index(st, d)))
-    return res
+    gens = np.array([transposition(i, i + 1, n + 1) for i in range(n)] + [(*range(1, n + 1), 0)])
+    count = len(gens)
+    index = _perm_indices(gens, d)
+    # [s, t]: s o t, and the composed map idx_t[idx_s]
+    products = gens[np.arange(count)[:, None, None], gens[None, :, :]]
+    composed = index[np.arange(count)[None, :, None], index[:, None, :]]
+    direct = _perm_indices(products.reshape(count * count, n + 1), d)
+    return _norm_inf(composed.reshape(direct.shape) - direct)
 
 
 def run_checks(n: int, d: int) -> list[CheckResult]:
@@ -857,7 +808,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
 
     # Young projectors: resolution, idempotence, Hermiticity, traces, centrality
     projectors = {mu: cell.projectors[mu] for mu in _row_tuples(enumerate_diagrams(n))}
-    layout = _layout(d**n, d, 1)
+    layout = _layout(n, d, 1)
     resolution = sum(projectors.values()) - _identity(layout)
     checks.append(_check("young_resolution", _norm_inf(resolution), 1e-10))
     idem = max(_norm_inf(p @ p - p) for p in projectors.values())
@@ -870,8 +821,9 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("young_trace", trace_res, _TOL))
     commute = 0.0
     rows, cols = layout.coordinates()
-    for i in range(n - 1):  # the adjacent transpositions generate S(N)
-        idx = _perm_index(transposition(i, i + 1, n), d)
+    # the adjacent transpositions generate S(N)
+    swaps = np.array([transposition(i, i + 1, n) for i in range(n - 1)], dtype=np.intp).reshape(-1, n)
+    for idx in _perm_indices(swaps, d):
         # p V - V p for the permutation matrix V with index map idx
         right, left = _index(layout, rows, np.argsort(idx)[cols]), _index(layout, idx[rows], cols)
         for p in projectors.values():

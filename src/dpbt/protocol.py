@@ -232,20 +232,27 @@ def general_povm_fidelity(
     With lam = gamma/d^n, each parent's term carries d^(n (2/y - 1)), which is
     1 at y = 2, times the exact integer ratios m_mu/m_alpha and d_mu m_alpha/d^n.
     Each sum over mu is one math.fsum over the parent's run of the edge list;
-    a power or product beyond double range is an ArithmeticError.
+    a power or product beyond double range is an ArithmeticError; z < 0, z
+    infinite, y = 0 or a NaN is a ValueError (y = +-inf is the large-y limit).
     """
     n, d = e.col_basis.n, e.col_basis.d
     num, den = protocol_eigenvalues(e)
     rows = len(e.row_basis)
     z = np.broadcast_to(np.asarray(z, dtype=np.float64), rows)
     y = np.broadcast_to(np.asarray(y, dtype=np.float64), rows)
-    bad = (z < 0) | (y == 0)
+    with np.errstate(invalid="ignore"):  # NaN compares False
+        bad = ~(z >= 0) | (z == np.inf) | (y == 0) | np.isnan(y)
     if bad.any():
         i = int(bad.argmax())
         alpha = _label(e.row_basis.rows[i].tolist())
-        if z[i] < 0:
-            raise ValueError(f"weight z({alpha}) must be nonnegative, got {float(z[i])}")
-        raise ValueError(f"exponent y({alpha}) must be nonzero")
+        zi, yi = float(z[i]), float(y[i])
+        if not zi >= 0:
+            raise ValueError(f"weight z({alpha}) must be nonnegative, got {zi}")
+        if zi == math.inf:
+            raise ValueError(f"weight z({alpha}) must be finite, got inf")
+        if yi == 0:
+            raise ValueError(f"exponent y({alpha}) must be nonzero")
+        raise ValueError(f"exponent y({alpha}) must be a number, got nan")
     (_, mult_a), (dim_m, mult_m) = e.row_basis.numbers, e.col_basis.numbers
     gamma = (num / den).tolist()  # each the correctly rounded quotient
     gamma_c = _pow(gamma, (-1.0 / y)[e.parent])

@@ -15,7 +15,7 @@ from dpbt.diagrams import (
     enumerate_diagrams,
     partition_counts,
 )
-from dpbt.oracle import _add_box, character, young_projector
+from dpbt.oracle import _add_box, character
 from dpbt.telemat import incidence_edges, teleportation_matrix
 
 
@@ -76,8 +76,6 @@ class TestYoungDiagram:
         for rows, fault in [((1, 2), "weakly decreasing"), ((2, 0), "positive")]:
             with pytest.raises(ValueError, match=f"row lengths must be {fault}"):
                 character(rows, (1,) * sum(rows))
-            with pytest.raises(ValueError, match=f"row lengths must be {fault}"):
-                young_projector(rows, 2)
 
     def test_label_roundtrip(self):
         # a label is a JSON array of the positive rows

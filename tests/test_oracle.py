@@ -18,11 +18,9 @@ from dpbt.oracle import (
     direct_fidelity,
     dual_witness_check,
     partial_transpose_last,
-    permutation_operator,
     primal_constraint_check,
     run_checks,
     transposition,
-    young_projector,
 )
 from dpbt.protocol import optimal_fidelity, sqrt_measurement_fidelity
 from dpbt.telemat import incidence_edges
@@ -53,6 +51,16 @@ def ptilde_plus(d):
     """The unnormalised maximally entangled projector sum_ij |ii><jj|."""
     flat = np.eye(d).ravel()
     return np.outer(flat, flat)
+
+
+def perm_index(perm, d):
+    """The index map of V(perm): V @ x == x[perm_index(perm, d)]."""
+    return oracle._perm_indices(np.array([perm]), d)[0]
+
+
+def class_sum_projector(mu, d):
+    """The Young projector of mu, summed over the class sums of S(|mu|)."""
+    return oracle._young_projector(mu, d, oracle._perm_table(sum(mu), d))
 
 
 def cycle_type(perm):
@@ -120,38 +128,46 @@ def dense_inverse_sqrt(mat, threshold=1e-10):
 
 
 class TestPermutationOperator:
-    @pytest.mark.parametrize("k,d", [(4, 3), (5, 2)])
-    def test_matches_digit_reference(self, dense, k, d):
-        for perm in itertools.permutations(range(k)):
+    """The factor permutations as index maps, the only form the oracle
+    builds them in."""
+
+    @pytest.mark.parametrize("k,d", [(2, 2), (4, 3), (5, 2)])
+    def test_matches_digit_reference(self, k, d):
+        # the single 1 of row i of V(perm) sits at column idx[i]
+        perms = list(itertools.permutations(range(k)))
+        rows = np.arange(d**k)
+        for perm, idx in zip(perms, oracle._perm_indices(np.array(perms), d), strict=True):
             want = digit_permutation_matrix(perm, d)
-            assert np.array_equal(dense(permutation_operator(perm, d)), want), perm
+            got = np.zeros_like(want)
+            got[rows, idx] = 1.0
+            assert np.array_equal(got, want), perm
 
-    def test_identity(self, dense):
-        v = permutation_operator((0, 1, 2), 2)
-        assert np.array_equal(dense(v), np.eye(8))
+    def test_identity(self):
+        assert np.array_equal(perm_index((0, 1, 2), 2), np.arange(8))
 
-    def test_swap(self, dense):
-        v = permutation_operator((1, 0), 2)
-        swap = np.zeros((4, 4))
-        swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1
-        assert np.array_equal(dense(v), swap)
+    def test_swap(self):
+        # |01> and |10> trade places, |00> and |11> stay
+        assert perm_index((1, 0), 2).tolist() == [0, 2, 1, 3]
 
-    def test_composition_three_cycle(self, dense):
-        # applying (2 3) then (1 2) equals the 3-cycle 1->2->3->1
+    def test_composition_three_cycle(self):
+        # applying (2 3) then (1 2) equals the 3-cycle 1->2->3->1, and
+        # V(s) V(t) x = x[idx_t][idx_s]
         s = (1, 0, 2)
         t = (0, 2, 1)
         st = tuple(s[t[i]] for i in range(3))
         assert st == (1, 2, 0)
-        lhs = permutation_operator(s, 2) @ permutation_operator(t, 2)
-        assert np.array_equal(dense(lhs), dense(permutation_operator(st, 2)))
+        assert np.array_equal(perm_index(t, 2)[perm_index(s, 2)], perm_index(st, 2))
 
-    def test_unitary_and_inverse(self, dense):
+    def test_unitary_and_inverse(self):
+        # a bijection of the 27 states, whose inverse is the map of perm^-1
         perm = (2, 0, 1)
-        v = permutation_operator(perm, 3)
-        assert np.allclose(dense(v @ v.T), np.eye(27))
+        idx = perm_index(perm, 3)
+        assert np.array_equal(np.sort(idx), np.arange(27))
+        inverse = tuple(perm.index(i) for i in range(3))
+        assert np.array_equal(np.argsort(idx), perm_index(inverse, 3))
 
     def test_float64(self):
-        assert permutation_operator((1, 2, 0), 3).data.dtype == np.float64
+        assert all(k.data.dtype == np.float64 for k in oracle._perm_table(3, 3).values())
 
     @pytest.mark.parametrize("n,d", oracle.DEFAULT_CHECK_CELLS)
     def test_composition_residual_is_exact(self, n, d):
@@ -160,22 +176,15 @@ class TestPermutationOperator:
     def test_composition_residual_sees_a_wrong_operator(self, monkeypatch):
         # the index map of V(s^-1) = V(s)^T in place of V(s) composes in the
         # opposite order
-        real = oracle._perm_index
-        monkeypatch.setattr(oracle, "_perm_index", lambda perm, d: np.argsort(real(perm, d)))
+        real = oracle._perm_indices
+        monkeypatch.setattr(oracle, "_perm_indices", lambda perms, d: np.argsort(real(perms, d), axis=1))
         assert oracle._composition_residual(3, 2) >= 1
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            permutation_operator((0, 0, 1), 2)
-        # 13 qubit factors store C(26, 13) = 10400600 sector entries
-        with pytest.raises(CapExceededError, match="MAX_ENTRIES"):
-            permutation_operator(tuple(range(13)), 2)
 
 
 class TestYoungProjector:
     def test_symmetric_and_antisymmetric_qubits(self, dense):
-        sym = dense(young_projector((2,), 2))
-        anti = dense(young_projector((1, 1), 2))
+        sym = dense(class_sum_projector((2,), 2))
+        anti = dense(class_sum_projector((1, 1), 2))
         assert abs(np.trace(sym) - 3) < 1e-12
         assert abs(np.trace(anti) - 1) < 1e-12
         assert np.allclose(sym + anti, np.eye(4), atol=1e-12)
@@ -185,22 +194,22 @@ class TestYoungProjector:
     def test_resolution_with_vanishing_projector(self, dense):
         # the height-3 diagram contributes the zero operator at d=2
         total = sum(
-            young_projector(mu, 2) for mu in _row_tuples(enumerate_diagrams(3))
+            class_sum_projector(mu, 2) for mu in _row_tuples(enumerate_diagrams(3))
         )
         assert np.allclose(dense(total), np.eye(8), atol=1e-12)
-        tall = young_projector((1, 1, 1), 2)
+        tall = class_sum_projector((1, 1, 1), 2)
         assert np.allclose(dense(tall), 0, atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_idempotent_hermitian_trace(self, dense, n, d, hook_dim, hook_mult):
         for mu in _row_tuples(enumerate_diagrams(n)):
-            p = dense(young_projector(mu, d))
+            p = dense(class_sum_projector(mu, d))
             assert np.allclose(p @ p, p, atol=1e-10)
             assert np.allclose(p, p.T, atol=1e-12)
             assert abs(np.trace(p) - hook_dim(mu) * hook_mult(mu, d)) < 1e-10
 
     def test_empty_diagram(self, dense):
-        p = dense(young_projector((), 3))
+        p = dense(class_sum_projector((), 3))
         assert p.shape == (1, 1) and p[0, 0] == 1
 
 
@@ -215,7 +224,8 @@ class TestPartialTranspose:
         assert abs(pt.trace() - eta.trace()) < 1e-12
 
     def test_known_swap_transpose(self, dense):
-        swap = permutation_operator((1, 0), 2)
+        # the class sum of the transpositions of S(2) is the swap
+        swap = oracle._perm_table(2, 2)[(2,)]
         pt = partial_transpose_last(swap)
         # the partially transposed swap is the unnormalised entangled projector
         expect = np.zeros((4, 4))
@@ -289,8 +299,9 @@ class TestFProjector:
     def test_inner_product_identity(self, dense, hook_mult):
         # sandwiching by P_alpha (x) P+ rescales the projector by m_mu/(d m_alpha)
         n, d = 2, 2
-        for (alpha, mu), f in dense_cell(n, d).family.items():
-            p_alpha = dense(young_projector(alpha, d))
+        cell = dense_cell(n, d)
+        for (alpha, mu), f in cell.family.items():
+            p_alpha = dense(cell.projectors[alpha])
             p_plus = np.zeros((4, 4))
             for i in range(2):
                 for j in range(2):
@@ -366,7 +377,7 @@ class TestSdpChecks:
 
 class TestWeightSectors:
     def test_layout_at_3_4(self):
-        groups = oracle._sectors(4**4, 4, -1)
+        groups = oracle._sectors(4, 4, -1)
         assert sum(len(g) for g in groups) == 50
         assert max(g.shape[1] for g in groups) == 18
         assert sorted(np.concatenate([g.ravel() for g in groups])) == list(range(4**4))
@@ -377,7 +388,7 @@ class TestWeightSectors:
         # k - 1 factors plus `last` times the count of the last digit
         digits = np.array(list(itertools.product(range(d), repeat=k)))
         for last in (1, -1):
-            layout = oracle._layout(d**k, d, last)
+            layout = oracle._layout(k, d, last)
             weights = {}
             for state, row in enumerate(digits):
                 counts = np.bincount(row[:-1], minlength=d) + last * np.bincount(row[-1:], minlength=d)
@@ -411,7 +422,7 @@ class TestWeightSectors:
         # the dense reference builds of the port operator, every F and the
         # POVM have no entry outside the weight sectors
         cell = dense_cell(n, d)
-        groups = oracle._sectors(d ** (n + 1), d, -1)
+        groups = oracle._layout(n + 1, d, -1).groups
         eta = d**n * sum(dense_port_state(n, d, a) for a in range(n))
         fams = {key: dense_f_operator(cell, *key, dense) for key in cell.family}
         coeffs = zip(cell.pairs, cell.solution.p_coeffs.tolist())
@@ -424,25 +435,23 @@ class TestWeightSectors:
 
     def test_index_map_leaving_its_sector_is_an_error(self):
         # |0000> and |0001> differ only in the last digit, so in weight
-        layout = oracle._layout(16, 2, -1)
+        layout = oracle._layout(4, 2, -1)
         with pytest.raises(ArithmeticError, match="leaves its weight sectors"):
             oracle._index(layout, np.array([0]), np.array([1]))
         # the swap of port 0 with the last factor keeps the digit counts of
         # all four factors, but not the weights
-        swap = oracle._perm_index(transposition(0, 3, 4), 2)
+        swap = perm_index(transposition(0, 3, 4), 2)
         with pytest.raises(ArithmeticError, match="leaves its weight sectors"):
             oracle._index(layout, np.arange(16), swap)
-        oracle._index(oracle._layout(16, 2, 1), np.arange(16), swap)
+        oracle._index(oracle._layout(4, 2, 1), np.arange(16), swap)
 
     def test_off_sector_entry_is_an_error(self, monkeypatch):
-        # a permutation index map shifted by one state places entries outside
-        # their sectors, both for one operator and for the class sums
+        # a permutation index map shifted by one state places entries of the
+        # class sums outside their sectors
         real = oracle._perm_indices
         monkeypatch.setattr(oracle, "_perm_indices", lambda perms, d: (real(perms, d) + 1) % d ** perms.shape[1])
         with pytest.raises(ArithmeticError, match="leaves its weight sectors"):
-            permutation_operator((1, 0, 2), 2)
-        with pytest.raises(ArithmeticError, match="leaves its weight sectors"):
-            young_projector((2, 1), 2)
+            oracle._perm_table(3, 2)
 
     def test_asymmetric_block_is_an_error(self):
         eta = 2**3 * sum(dense_cell(3, 2).sigmas)
@@ -460,9 +469,11 @@ class TestStructuredForms:
         "n,d", [(n, d) for n in range(1, 5) for d in (2, 3)] + [(3, 4)]
     )
     def test_class_sum_projectors(self, dense, n, d):
+        table = oracle._perm_table(n, d)
         for mu in _row_tuples(enumerate_diagrams(n)):
             want = dense_young_projector(mu, d)
-            assert np.abs(dense(young_projector(mu, d)) - want).max() <= 1e-12
+            got = oracle._young_projector(mu, d, table)
+            assert np.abs(dense(got) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("n,d", [(4, 3), (5, 2)])
     def test_class_sums_match_each_permutation(self, dense, n, d):
@@ -493,9 +504,9 @@ class TestStructuredForms:
     def test_port_contractions(self, dense, n, d):
         # E_a^T A E_a for an operator A with random blocks, E_a built digit by
         # digit: |r> -> sum_i |r with i put at port a, then i>
-        layout = oracle._layout(d ** (n + 1), d, -1)
+        layout = oracle._layout(n + 1, d, -1)
         a_op = oracle.SectorOperator(layout, np.random.default_rng(n * d).normal(size=layout.size))
-        small = oracle._layout(d ** (n - 1), d, 1)
+        small = oracle._layout(n - 1, d, 1)
         for a in range(n):
             e = np.zeros((d ** (n + 1), d ** (n - 1)))
             for r, digits in enumerate(itertools.product(range(d), repeat=n - 1)):
@@ -570,6 +581,14 @@ class TestRunChecks:
         failures = [r for r in results if not r.passed]
         assert not failures, failures
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_all_pass_at_one_port(self, d):
+        # the k = 0 layout: no factors left after the port and the last one
+        results = run_checks(1, d)
+        assert len(results) == 29
+        failures = [r for r in results if not r.passed]
+        assert not failures, failures
+
     def test_cap_respected(self):
         with pytest.raises(CapExceededError):
             run_checks(10, 2)
@@ -586,8 +605,7 @@ class TestRunChecks:
 
     @pytest.mark.parametrize("n,d", [(9, 2), (5, 4), (6, 3), (7, 3), (5, 5), (3, 9)])
     def test_cap_admits(self, n, d):
-        oracle._require_scatter(n, d)
-        oracle._require_entries(n + 1, d)
+        oracle._require_cell(n, d)
 
     @pytest.mark.parametrize("n,d", [(3, 3), (4, 2)])
     def test_each_operator_built_once(self, monkeypatch, n, d):

@@ -329,6 +329,23 @@ class TestGeneralPovmFidelity:
             general_povm_fidelity(e, np.array([1.0, -0.5]), np.array([0.0, 2.0]))
 
     @pytest.mark.parametrize(
+        "z,y,message",
+        [
+            (math.nan, 2, r"^weight z\(\[3\]\) must be nonnegative, got nan$"),
+            (math.inf, 2, r"^weight z\(\[3\]\) must be finite, got inf$"),
+            (1, math.nan, r"^exponent y\(\[3\]\) must be a number, got nan$"),
+        ],
+    )
+    def test_nan_and_infinite_weight_are_refused(self, z, y, message):
+        with pytest.raises(ValueError, match=message):
+            general_povm_fidelity(incidence_edges(4, 3), z, y)
+
+    @pytest.mark.parametrize("y", [math.inf, -math.inf])
+    def test_infinite_exponent_is_the_large_y_limit(self, y):
+        # -1/y = 0 and 1 - 1/y = 1: the finite large-y value, not an error
+        assert general_povm_fidelity(incidence_edges(4, 3), 1, y) == 0.016460905349794237
+
+    @pytest.mark.parametrize(
         "z_spec,y_spec",
         [
             (1.0, 2.0),
