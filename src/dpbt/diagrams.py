@@ -1,10 +1,11 @@
 """Young-diagram combinatorics for the symmetric group and Schur-Weyl duality.
 
 Diagrams are integer partitions; they label the irreps of S(N) and index the
-rows and columns of every matrix built downstream.  A DiagramBasis holds its
-diagrams as one read-only integer array of rows, zero padded; a single diagram
-is a row of that array, or the tuple of its positive rows (the form its label
-prints, () for the empty diagram).
+rows and columns of every matrix built downstream.  Every list of them takes a
+height cap d >= 1, and any d >= N lists every diagram of N.  A DiagramBasis
+holds its diagrams as one read-only integer array of rows, zero padded; a
+single diagram is a row of that array, or the tuple of its positive rows (the
+form its label prints, () for the empty diagram).
 Dimension and multiplicity arithmetic is exact and shares one kernel over a
 whole array of rows: for the k rows of a diagram and l_i = mu_i + k - 1 - i,
 one Vandermonde product V = prod_{i<j} (l_i - l_j) gives both the Frobenius
@@ -86,14 +87,14 @@ class DiagramBasis:
     """Ordered basis of all diagrams with n boxes and height <= d.
 
     The order is strongly decreasing lexicographic starting at the single-row
-    diagram.  d=None means no height cap.  `rows` holds the diagrams as a
+    diagram.  Any d >= n lists every diagram.  `rows` holds the diagrams as a
     read-only array of the narrowest unsigned dtype that holds n, one
     zero-padded row each, min(n, d) columns wide; `numbers` builds the exact
     d_mu and m_mu on first use.
     """
 
     n: int
-    d: int | None
+    d: int
     rows: np.ndarray
 
     @cached_property
@@ -127,24 +128,24 @@ def _row_tuples(basis: DiagramBasis) -> list[tuple[int, ...]]:
     return [tuple(r for r in row if r) for row in basis.rows.tolist()]
 
 
-def enumerate_diagrams(n: int, d: int | None = None) -> DiagramBasis:
+def enumerate_diagrams(n: int, d: int) -> DiagramBasis:
     """All diagrams with n boxes and height <= d, canonically ordered."""
     if n < 0:
         raise ValueError("box count must be >= 0")
-    if d is not None and d < 1:
+    if d < 1:
         raise ValueError("height cap must be >= 1")
-    return DiagramBasis(n, d, _partition_rows(n, n if d is None else min(n, d)))
+    return DiagramBasis(n, d, _partition_rows(n, min(n, d)))
 
 
-def partition_counts(n: int, d: int | None = None) -> list[int]:
+def partition_counts(n: int, d: int) -> list[int]:
     """len(enumerate_diagrams(m, d)) for m = 0..n, by coin change over the part
     sizes 1..min(n, d) (conjugation maps height <= d to parts <= d)."""
     if n < 0:
         raise ValueError("box count must be >= 0")
-    if d is not None and d < 1:
+    if d < 1:
         raise ValueError("height cap must be >= 1")
     counts = [1] + [0] * n
-    for part in range(1, (n if d is None else min(n, d)) + 1):
+    for part in range(1, min(n, d) + 1):
         for m in range(part, n + 1):
             counts[m] += counts[m - part]
     return counts
@@ -164,10 +165,9 @@ def _product(factors: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-def _frobenius_weyl(rows: np.ndarray, d: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact d_mu and m_mu (0 when mu is taller than d, or d is None) of the
-    diagrams given as zero-padded rows, as object arrays of Python ints in
-    row order.
+def _frobenius_weyl(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact d_mu and m_mu (0 when mu is taller than d) of the diagrams given
+    as zero-padded rows, as object arrays of Python ints in row order.
 
     The diagrams are taken by height k, over their k positive rows only.  Over
     the pairs i < j < k, V = prod (mu_i - mu_j + j - i) is the Vandermonde
@@ -200,18 +200,16 @@ def _frobenius_weyl(rows: np.ndarray, d: int | None) -> tuple[np.ndarray, np.nda
         v = _product(upper - mu[:, j[:pairs]] + gap[:pairs], top)
         c = _product(upper + gap[:pairs], top)
         dims[at] = v * _comb(mu.cumsum(axis=1)[:, 1:], mu[:, 1:]).prod(axis=1) // c
-        if d is not None and k <= d:
+        if k <= d:
             # Python ints, since d itself may exceed int64
             mults[at] = v * _comb(mu + (d - 1 - np.arange(k, dtype=object)), mu).prod(axis=1) // c
     return dims, mults
 
 
-def dims_and_multiplicities(
-    basis: DiagramBasis, d: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact d_mu and m_mu (at local dimension d; all 0 for d=None) of every
-    diagram of the basis, as object arrays of Python ints in basis order."""
-    if d is not None and d < 1:
+def dims_and_multiplicities(basis: DiagramBasis, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact d_mu and m_mu (at local dimension d) of every diagram of the
+    basis, as object arrays of Python ints in basis order."""
+    if d < 1:
         raise ValueError("local dimension must be >= 1")
     return _frobenius_weyl(basis.rows, d)
 

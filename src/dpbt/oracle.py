@@ -562,13 +562,13 @@ def _f_operator(
     return SectorOperator(lifted.layout, out)
 
 
-def _add_box(rows: tuple[int, ...], d: int | None = None) -> list[tuple[int, ...]]:
-    """The diagrams grown from rows by one box with height <= d (None: no cap),
-    in descending order: a box on each row shorter than the one above it (or
-    the first), then a new row.  The oracle's own walk, independent of the
-    edge list it referees."""
+def _add_box(rows: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
+    """The diagrams grown from rows by one box with height <= d, in descending
+    order: a box on each row shorter than the one above it (or the first),
+    then a new row.  The oracle's own walk, independent of the edge list it
+    referees."""
     grown = [rows[:i] + (r + 1,) + rows[i + 1 :] for i, r in enumerate(rows) if i == 0 or r < rows[i - 1]]
-    if d is None or len(rows) < d:
+    if len(rows) < d:
         grown.append(rows + (1,))
     return grown
 
@@ -629,7 +629,7 @@ def dense_cell(n: int, d: int) -> DenseCell:
     """The DenseCell of (N, d); CapExceededError above MAX_SCATTER or MAX_ENTRIES."""
     _require_cell(n, d)
     edges = incidence_edges(n, d)
-    full, parents = enumerate_diagrams(n), edges.row_basis
+    full, parents = enumerate_diagrams(n, n), edges.row_basis
     mus, alphas = _row_tuples(full), _row_tuples(parents)
     table, sub_table = _perm_table(n, d), _perm_table(n - 1, d)
     projectors = {mu: _young_projector(mu, d, table) for mu in mus}
@@ -744,11 +744,11 @@ def character_spectrum(n: int) -> dict[int, int]:
     k the fixed points of the class C.  Returns {k: number of classes with k
     fixed points}; a failure is an ArithmeticError.
     """
-    mus, classes = _row_tuples(enumerate_diagrams(n)), cycle_types(n)
+    mus, classes = _row_tuples(enumerate_diagrams(n, n)), cycle_types(n)
     place = {mu: i for i, mu in enumerate(mus)}
     m_f = np.zeros((len(mus),) * 2, dtype=object)  # Python integers
-    for alpha in _row_tuples(enumerate_diagrams(n - 1)):
-        kids = [place[mu] for mu in _add_box(alpha)]
+    for alpha in _row_tuples(enumerate_diagrams(n - 1, n)):
+        kids = [place[mu] for mu in _add_box(alpha, n)]
         m_f[np.ix_(kids, kids)] += 1
     chi = np.array([[character(mu, c) for c in classes] for mu in mus], dtype=object)
     fixed = [c.count(1) for c in classes]
@@ -807,7 +807,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("perm_composition", _composition_residual(n, d), 1e-12))
 
     # Young projectors: resolution, idempotence, Hermiticity, traces, centrality
-    projectors = {mu: cell.projectors[mu] for mu in _row_tuples(enumerate_diagrams(n))}
+    projectors = {mu: cell.projectors[mu] for mu in _row_tuples(enumerate_diagrams(n, n))}
     layout = _layout(n, d, 1)
     resolution = sum(projectors.values()) - _identity(layout)
     checks.append(_check("young_resolution", _norm_inf(resolution), 1e-10))

@@ -13,9 +13,9 @@ and drives (N, d) sweeps.
 
 A cell is one edge list, telemat.incidence_edges(n, d), which the caller builds
 once.  Every per-cell function here takes it and reads N and d from its column
-basis (an uncapped list is a ValueError), and hands the same list to the
-solver; every sum over parent-child pairs (alpha, mu) runs over it, and
-every per-edge quantity is an array in edge order.  Eigenvalues are exact
+basis (d = 1 is a ValueError), and hands the same list to the solver; every
+sum over parent-child pairs (alpha, mu) runs over it, and every per-edge
+quantity is an array in edge order.  Eigenvalues are exact
 integer (numerator, denominator) arrays, and coefficients are roots of exact
 integer ratios, so d^N never becomes a float.
 """
@@ -45,10 +45,10 @@ __all__ = [
 ]
 
 
-def _check_nd(n: int, d: int | None) -> None:
+def _check_nd(n: int, d: int) -> None:
     if n < 1:
         raise ValueError("port count must be >= 1")
-    if d is None or d < 2:
+    if d < 2:
         raise ValueError("local dimension must be >= 2")
 
 

@@ -2,11 +2,11 @@
 
 `dominant_eigenpair(e)` takes one cell, the edge list e from
 telemat.incidence_edges(n, d), and dispatches between an exact closed form
-when every diagram height fits (d >= N or no cap), the tridiagonal cosine
-closed form at d = 2, and the certified solver `lanczos_perron` for
-everything in between.  The solver multiplies by M_F w = R^T (R w) on e and
+when every diagram height fits (d >= N), the tridiagonal cosine closed form
+at d = 2, and the certified solver `lanczos_perron` for everything in
+between.  The solver multiplies by M_F w = R^T (R w) on e and
 returns an enclosure [lo, hi] of the radius whose relative width is at most
-tol.  The full spectrum of the uncapped matrix is the closed form
+tol.  The full spectrum of the matrix at d >= N is the closed form
 `closed_form_spectrum`, counted from partition numbers; the dense oracle
 proves it from the character table, whose classes, the cycle types of S(N),
 `cycle_types` lists as weakly decreasing tuples of cycle lengths, the same
@@ -204,14 +204,14 @@ def dominant_eigenpair(
 ) -> SpectralResult:
     """Perron eigenpair of the teleportation matrix R^T R of the edge list e.
 
-    d >= n or no cap: the exact full-matrix closed form.  d = 2: radius
+    d >= n: the exact full-matrix closed form.  d = 2: radius
     4 cos^2(pi/(n+2)), the first of closed_form_d2(n), and Perron entry
     sin((n+1-2k) pi/(n+2)) on the diagram [n-k, k] (sum-normalised).
     Otherwise: the certified lanczos_perron.
     """
     basis = e.col_basis
     n, d = basis.n, basis.d
-    if d is None or d >= n:
+    if d >= n:
         return closed_form_full(basis)
     if d == 2:
         x = [math.sin((2 * r - n + 1) * math.pi / (n + 2)) for r in basis.rows[:, 0].tolist()]
@@ -228,7 +228,7 @@ def closed_form_full(basis: DiagramBasis) -> SpectralResult:
     dimensions.
     """
     n = basis.n
-    if n < 1 or (basis.d is not None and basis.d < n):
+    if n < 1 or basis.d < n:
         raise ValueError(f"need every diagram of n >= 1 boxes, got n={n}, d={basis.d}")
     dims = basis.numbers[0]
     perron = (dims / dims.sum()).astype(np.float64)
@@ -273,7 +273,7 @@ def closed_form_spectrum(n: int) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError("port count must be >= 1")
-    p = partition_counts(n)
+    p = partition_counts(n, n)
     return {n: 1} | {k: p[n - k] - p[n - k - 1] for k in range(n - 2, -1, -1)}
 
 
@@ -282,7 +282,7 @@ def cycle_types(n: int) -> list[tuple[int, ...]]:
     cycle lengths: fixed points descending, then by parts."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sorted(_row_tuples(enumerate_diagrams(n)), key=lambda c: (-c.count(1), c))
+    return sorted(_row_tuples(enumerate_diagrams(n, n)), key=lambda c: (-c.count(1), c))
 
 
 def cycle_label(parts: tuple[int, ...]) -> str:

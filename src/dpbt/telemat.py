@@ -3,7 +3,7 @@
 The teleportation matrix over the diagrams of N has diagonal entries counting
 single-box-removal parents and off-diagonal 1 for pairs related by moving one
 box.  Restricting to heights <= d gives the principal submatrix governing
-local dimension d.  Every matrix here derives from one representation, the
+local dimension d; any d >= N keeps the full matrix.  Every matrix here derives from one representation, the
 parent-child edge list of the 0/1 incidence matrix R: the Gram matrix of its
 columns is the teleportation matrix, and the Gram matrix of its rows obeys a
 recursion that steps N down by one.  The dense views of an edge list (R,
@@ -43,8 +43,8 @@ class IncidenceEdges:
     child: np.ndarray
 
 
-def incidence_edges(n: int, d: int | None = None) -> IncidenceEdges:
-    """Edge list of R for the diagrams of n with height <= d (None: no cap)."""
+def incidence_edges(n: int, d: int) -> IncidenceEdges:
+    """Edge list of R for the diagrams of n with height <= d."""
     if n < 1:
         raise ValueError("port count must be >= 1")
     row_basis = enumerate_diagrams(n - 1, d)
@@ -92,8 +92,8 @@ def teleportation_matrix(e: IncidenceEdges) -> np.ndarray:
 
     Diagonal at mu counts all parents of mu (removing a box never increases
     height, so no extra filter applies); off-diagonal entries are 1 for pairs
-    sharing a parent, which two distinct diagrams do at most once.  An
-    uncapped edge list (or d >= n) gives the full matrix.
+    sharing a parent, which two distinct diagrams do at most once.  An edge
+    list with d >= n gives the full matrix.
     """
     return _gram(e.parent, e.child, len(e.col_basis))
 

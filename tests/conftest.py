@@ -23,7 +23,7 @@ def verify_oracle():
     return code, out.getvalue(), err.getvalue()
 
 
-def _recursion_defect(n: int, d: int | None = None) -> tuple[tuple[int, ...], ...]:
+def _recursion_defect(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """H(n,d) minus the diagonal correction minus the teleportation matrix of n-1.
 
     A parent of height < d keeps its add-a-new-row child under the height cap
@@ -42,7 +42,7 @@ def _recursion_defect(n: int, d: int | None = None) -> tuple[tuple[int, ...], ..
         row = []
         for j in range(len(e.row_basis)):
             v = h[i][j] - mf[i][j]
-            if i == j and (d is None or len(alpha) < d):
+            if i == j and len(alpha) < d:
                 v -= 1
             row.append(v)
         out.append(tuple(row))
@@ -95,8 +95,8 @@ def _hook_dim(rows):
 
 def _hook_mult(rows, d):
     """Hook content formula: the product of the d + j - i of the boxes (i, j)
-    over the hook product; 0 for d=None or a diagram taller than d."""
-    if d is None or len(rows) > d:
+    over the hook product; 0 for a diagram taller than d."""
+    if len(rows) > d:
         return 0
     contents = math.prod(math.prod(range(d - i, d - i + r)) for i, r in enumerate(rows))
     return contents // _hook_product(rows)

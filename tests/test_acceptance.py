@@ -56,7 +56,7 @@ def test_criterion_1_exact_spectrum_law():
 def test_criterion_2_maximal_eigenvalue(hook_dim):
     """The Lanczos solver reaches radius N with Perron vector ~ irrep dims, N = 2..10."""
     for n in range(2, 11):
-        res = lanczos_perron(incidence_edges(n))
+        res = lanczos_perron(incidence_edges(n, n))
         assert abs(res.radius - n) < 1e-10, f"radius off at N={n}: {res.radius}"
         dims = [hook_dim(mu) for mu in _row_tuples(res.basis)]
         total = sum(dims)

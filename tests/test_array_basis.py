@@ -33,7 +33,7 @@ def ref_partition_tuples(n, max_part, max_len):
 
 
 def ref_basis(n, d):
-    return list(ref_partition_tuples(n, n, n if d is None else min(n, d)))
+    return list(ref_partition_tuples(n, n, min(n, d)))
 
 
 def ref_edges(n, d):
@@ -41,23 +41,23 @@ def ref_edges(n, d):
     children in row order."""
     rows_of, cols = ref_basis(n - 1, d), ref_basis(n, d)
     index = {rows: j for j, rows in enumerate(cols)}
-    cap = n if d is None else d
     parent, child = [], []
     for i, rows in enumerate(rows_of):
         for k, r in enumerate(rows):
             if k == 0 or r < rows[k - 1]:
                 parent.append(i)
                 child.append(index[rows[:k] + (r + 1,) + rows[k + 1 :]])
-        if len(rows) < cap:
+        if len(rows) < d:
             parent.append(i)
             child.append(index[rows + (1,)])
     return parent, child
 
 
+# a cap of None in a grid stands for the full cap d = n
 CELLS = sorted(
     {(n, d) for n in range(1, 15) for d in (2, 3, 4, 5, None)}
     | {(n, d) for n in range(1, 12) for d in (n, n + 1, n + 3)}
-    # uncapped widths 16..20: a base-(N+1) integer key of a row would
+    # full widths 16..20: a base-(N+1) integer key of a row would
     # overflow int64 here (17^16 > 2^63)
     | {(n, None) for n in range(16, 21)}
     # 256: the parents fit uint8 rows and the children need uint16
@@ -68,25 +68,24 @@ CELLS = sorted(
 
 @pytest.mark.parametrize("n,d", CELLS)
 def test_matches_reference(n, d, hook_dim, hook_mult):
+    d = n if d is None else d  # None: the full cap d = n
     e = incidence_edges(n, d)
     assert _row_tuples(e.row_basis) == ref_basis(n - 1, d)
     assert _row_tuples(e.col_basis) == ref_basis(n, d)
     parent, child = ref_edges(n, d)
     assert e.parent.dtype == e.child.dtype == np.intp
     assert e.parent.tolist() == parent and e.child.tolist() == child
-    dd = n if d is None else d
     for basis in (e.row_basis, e.col_basis):
         ref = ref_basis(basis.n, d)
-        dims, mults = (x.tolist() for x in dims_and_multiplicities(basis, dd))
+        dims, mults = (x.tolist() for x in dims_and_multiplicities(basis, d))
         assert dims == [hook_dim(r) for r in ref]
-        assert mults == [hook_mult(r, dd) for r in ref]
-        uncapped = dims_and_multiplicities(basis, None)
-        assert (uncapped[0].tolist(), uncapped[1].tolist()) == (dims, [0] * len(ref))
+        assert mults == [hook_mult(r, d) for r in ref]
 
 
 @pytest.mark.parametrize("n", range(0, 9))
 @pytest.mark.parametrize("d", [1, 2, 3, None])
 def test_enumeration_matches_reference(n, d):
+    d = max(n, 1) if d is None else d  # None: the full cap, at least 1
     assert _row_tuples(enumerate_diagrams(n, d)) == ref_basis(n, d)
 
 
@@ -124,7 +123,7 @@ class TestDiagramBasis:
         assert enumerate_diagrams(10, 4).rows is basis.rows
 
     def test_index_at_wide_uncapped_rows(self):
-        basis = enumerate_diagrams(20)
+        basis = enumerate_diagrams(20, 20)  # every diagram of 20
         assert basis.rows.shape == (627, 20)
         assert basis.search(basis.rows).tolist() == list(range(627))
 
@@ -147,8 +146,9 @@ def check_kernel(hook_dim, hook_mult):
 class TestExactKernel:
     @pytest.mark.parametrize("n", range(0, 15))
     def test_every_diagram_against_hook_formulas(self, n, check_kernel):
-        for d in sorted({1, 2, 3, 5, n + 3}) + [None]:
-            check_kernel(enumerate_diagrams(n), d)
+        full = enumerate_diagrams(n, max(n, 1))
+        for d in sorted({1, 2, 3, 5, max(n, 1), n + 3}):
+            check_kernel(full, d)
             # a capped basis caches its numbers at its own cap, read-only
             capped = enumerate_diagrams(n, d)
             check_kernel(capped, d, capped.numbers)
@@ -156,7 +156,7 @@ class TestExactKernel:
 
     def test_tall_uncapped_basis(self, check_kernel):
         n = 22
-        basis = enumerate_diagrams(n)
+        basis = enumerate_diagrams(n, n)  # every diagram of 22
         assert basis.rows.shape == (1002, 22)
         check_kernel(basis, n)
         dims, mults = dims_and_multiplicities(basis, n)
@@ -180,7 +180,7 @@ class TestExactKernel:
     def test_single_diagrams_share_the_kernel(self, hook_dim, hook_mult):
         # a diagram's numbers are its entries in the basis that holds it
         for rows in [(), (7,), (3, 3, 1), (1,) * 6]:
-            basis = enumerate_diagrams(sum(rows))
+            basis = enumerate_diagrams(sum(rows), max(sum(rows), 1))
             i = _row_tuples(basis).index(rows)
             dims, mults = dims_and_multiplicities(basis, 4)
             assert (dims[i], mults[i]) == (hook_dim(rows), hook_mult(rows, 4))

@@ -29,7 +29,7 @@ def class_size(cycle: tuple[int, ...]) -> int:
 def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """chi_mu(C) over the diagrams mu of n (rows) and the classes C (columns)."""
     classes = cycle_types(n)
-    return tuple(tuple(character(mu, c) for c in classes) for mu in _row_tuples(enumerate_diagrams(n)))
+    return tuple(tuple(character(mu, c) for c in classes) for mu in _row_tuples(enumerate_diagrams(n, n)))
 
 
 def column(table, j):
@@ -40,7 +40,7 @@ def induced_sum(alpha: tuple[int, ...], cycle: tuple[int, ...]) -> int:
     """Character at `cycle` of the S(N) representation induced from the rows
     alpha of N-1, by the branching rule: the sum of the characters of its
     children."""
-    return sum(character(mu, cycle) for mu in _add_box(alpha))
+    return sum(character(mu, cycle) for mu in _add_box(alpha, sum(alpha) + 1))
 
 
 class TestCycleTypes:
@@ -136,7 +136,7 @@ class TestCharacterMatrix:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_identity_column_is_dims(self, n):
         assert cycle_types(n)[0] == (1,) * n
-        assert column(character_table(n), 0) == tuple(enumerate_diagrams(n).numbers[0].tolist())
+        assert column(character_table(n), 0) == tuple(enumerate_diagrams(n, n).numbers[0].tolist())
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_column_orthogonality(self, n):
@@ -171,13 +171,13 @@ class TestInducedCharacter:
     def test_identity_is_n_times_dim(self):
         for n in range(2, 8):
             identity = (1,) * n
-            parents = enumerate_diagrams(n - 1)
+            parents = enumerate_diagrams(n - 1, n)
             for alpha, dim in zip(_row_tuples(parents), parents.numbers[0].tolist()):
                 assert induced_sum(alpha, identity) == n * dim
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_branching_consistency(self, n):
-        for alpha in _row_tuples(enumerate_diagrams(n - 1)):
+        for alpha in _row_tuples(enumerate_diagrams(n - 1, n)):
             for c in cycle_types(n):
                 # parts are decreasing, so a fixed point comes last
                 k = c.count(1)

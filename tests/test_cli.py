@@ -542,7 +542,7 @@ class TestOneEdgeBuildPerCell:
     def builds(self, monkeypatch):
         calls, build = [], telemat.incidence_edges
 
-        def counted(n, d=None):
+        def counted(n, d):
             calls.append((n, d))
             return build(n, d)
 

@@ -50,11 +50,10 @@ def brute_force_ssyt_count(rows, d):
     return count
 
 
-def numbers_of(mu, d=None):
+def numbers_of(mu, d):
     """(d_mu, m_mu) of the rows mu from the package's kernel, read at mu's
-    place in the basis of every diagram of its box count; m_mu at d, 0 for
-    d=None."""
-    basis = enumerate_diagrams(sum(mu))
+    place in the basis of every diagram of its box count; m_mu at d."""
+    basis = enumerate_diagrams(sum(mu), max(sum(mu), 1))
     dims, mults = dims_and_multiplicities(basis, d)
     i = _row_tuples(basis).index(mu)
     return dims[i], mults[i]
@@ -64,7 +63,7 @@ HOOK_DIMS = [*range(1, 13), 40, 1000, 10**6]
 
 
 partitions = st.integers(1, 8).flatmap(
-    lambda n: st.sampled_from(_row_tuples(enumerate_diagrams(n)))
+    lambda n: st.sampled_from(_row_tuples(enumerate_diagrams(n, n)))
 )
 
 
@@ -79,12 +78,12 @@ class TestYoungDiagram:
 
     def test_label_roundtrip(self):
         # a label is a JSON array of the positive rows
-        assert enumerate_diagrams(4).labels()[1] == "[3,1]"
-        assert enumerate_diagrams(0).labels() == ("[]",)
+        assert enumerate_diagrams(4, 4).labels()[1] == "[3,1]"
+        assert enumerate_diagrams(0, 1).labels() == ("[]",)
 
     @given(partitions)
     def test_label_roundtrip_any(self, mu):
-        basis = enumerate_diagrams(sum(mu))
+        basis = enumerate_diagrams(sum(mu), sum(mu))
         label = basis.labels()[_row_tuples(basis).index(mu)]
         assert tuple(json.loads(label)) == mu
 
@@ -99,32 +98,32 @@ class TestEnumerate:
             (1, 1, 1, 1),
         ]
         assert _row_tuples(enumerate_diagrams(4, 2)) == [(4,), (3, 1), (2, 2)]
-        assert len(enumerate_diagrams(5)) == 7
+        assert len(enumerate_diagrams(5, 5)) == 7
         assert _row_tuples(enumerate_diagrams(1, 1)) == [(1,)]
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("d", [1, 2, 3, 4, None])
     def test_order(self, n, d):
+        d = n if d is None else d  # None: the full cap d = n
         rows = _row_tuples(enumerate_diagrams(n, d))
         assert rows == sorted(rows, reverse=True), "strongly decreasing lex order"
         assert rows[0] == (n,)
-        if d is not None:
-            assert all(len(m) <= d for m in rows)
+        assert all(len(m) <= d for m in rows)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_heights_weakly_increase_small_n(self, n):
         # true under decreasing lex only up to n = 5: at n = 6 the diagram
         # [4,1,1] (height 3) precedes [3,3] (height 2)
-        heights = [len(m) for m in _row_tuples(enumerate_diagrams(n))]
+        heights = [len(m) for m in _row_tuples(enumerate_diagrams(n, n))]
         assert heights == sorted(heights)
 
     def test_heights_not_monotone_from_six(self):
-        labels = _row_tuples(enumerate_diagrams(6))
+        labels = _row_tuples(enumerate_diagrams(6, 6))
         assert labels.index((4, 1, 1)) < labels.index((3, 3))
 
     def test_every_partition_once(self):
-        seen = set(_row_tuples(enumerate_diagrams(6)))
-        assert len(seen) == len(enumerate_diagrams(6)) == 11
+        seen = set(_row_tuples(enumerate_diagrams(6, 6)))
+        assert len(seen) == len(enumerate_diagrams(6, 6)) == 11
 
     def test_counts_match_partition_recurrence(self):
         # p(n, k), the partitions of n into at most k parts:
@@ -142,11 +141,12 @@ class TestEnumerate:
                 assert all(sum(r) == n and len(r) <= d for r in rows)
 
     def test_partition_counts_uncapped(self):
-        assert partition_counts(20) == [len(enumerate_diagrams(m)) for m in range(21)]
-        assert partition_counts(30)[30] == 5604
-        assert partition_counts(0) == partition_counts(0, 3) == [1]
+        # a cap of n drops nothing, and neither does any cap above it
+        assert partition_counts(20, 20) == [len(enumerate_diagrams(m, 20)) for m in range(21)]
+        assert partition_counts(30, 30)[30] == partition_counts(30, 45)[30] == 5604
+        assert partition_counts(0, 1) == partition_counts(0, 3) == [1]
         with pytest.raises(ValueError):
-            partition_counts(-1)
+            partition_counts(-1, 2)
         with pytest.raises(ValueError):
             partition_counts(3, 0)
 
@@ -154,28 +154,29 @@ class TestEnumerate:
 def parents(mu):
     """Diagrams one box below the rows mu, read from the edge list of its box
     count."""
-    e = incidence_edges(sum(mu))
+    e = incidence_edges(sum(mu), sum(mu))
     alphas, j = _row_tuples(e.row_basis), _row_tuples(e.col_basis).index(mu)
     return {alphas[i] for i in e.parent[e.child == j].tolist()}
 
 
 class TestBoxMoves:
     def test_add_box_examples(self):
-        assert _add_box((2, 1)) == [(3, 1), (2, 2), (2, 1, 1)]
+        assert _add_box((2, 1), 4) == _add_box((2, 1), 3) == [(3, 1), (2, 2), (2, 1, 1)]
         assert _add_box((2, 1), 2) == [(3, 1), (2, 2)]
-        assert _add_box((1,)) == [(2,), (1, 1)]
-        assert _add_box(()) == [(1,)]
+        assert _add_box((1,), 2) == [(2,), (1, 1)]
+        assert _add_box((1,), 1) == [(2,)]
+        assert _add_box((), 1) == [(1,)]
 
     def test_remove_box_examples(self):
         assert parents((3, 1)) == {(2, 1), (3,)}
         assert parents((2, 2)) == {(2, 1)}
         assert parents((1,)) == {()}
         with pytest.raises(ValueError):
-            incidence_edges(0)
+            incidence_edges(0, 2)
 
     def test_remove_count_is_distinct_row_lengths(self):
         for n in range(1, 9):
-            e = incidence_edges(n)
+            e = incidence_edges(n, n)
             counts = [len(set(mu)) for mu in _row_tuples(e.col_basis)]
             assert np.bincount(e.child).tolist() == counts
 
@@ -183,14 +184,14 @@ class TestBoxMoves:
     @settings(max_examples=60)
     def test_branching_symmetry(self, mu):
         for alpha in parents(mu):
-            assert mu in _add_box(alpha)
+            assert mu in _add_box(alpha, sum(mu))
         if sum(mu) <= 7:
-            for nu in _add_box(mu):
+            for nu in _add_box(mu, sum(mu) + 1):
                 assert mu in parents(nu)
 
     def test_box_move_examples(self):
-        rows = _row_tuples(enumerate_diagrams(4))
-        m = teleportation_matrix(incidence_edges(4)).tolist()
+        rows = _row_tuples(enumerate_diagrams(4, 4))
+        m = teleportation_matrix(incidence_edges(4, 4)).tolist()
         i, j, k = (rows.index(r) for r in [(3, 1), (2, 2), (4,)])
         assert m[i][j] == 1
         assert m[k][j] == 0
@@ -199,29 +200,29 @@ class TestBoxMoves:
         # distinct diagrams share a parent iff the rows differ by one moved
         # box: a zero-padded L1 distance of 2
         for n in range(2, 7):
-            rows = enumerate_diagrams(n).rows.astype(int)
+            rows = enumerate_diagrams(n, n).rows.astype(int)
             moved = np.abs(rows[:, None] - rows[None, :]).sum(axis=2) == 2
-            m = teleportation_matrix(incidence_edges(n))
+            m = teleportation_matrix(incidence_edges(n, n))
             np.fill_diagonal(m, 0)
             assert np.array_equal(m, moved)
 
 
 class TestDimensions:
     def test_examples(self):
-        assert numbers_of((2, 1))[0] == 2
-        assert numbers_of((5,))[0] == 1
-        assert numbers_of((1, 1, 1))[0] == 1
-        assert numbers_of(())[0] == 1
+        assert numbers_of((2, 1), 2)[0] == 2
+        assert numbers_of((5,), 2)[0] == 1
+        assert numbers_of((1, 1, 1), 2)[0] == 1
+        assert numbers_of((), 2)[0] == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_against_brute_force_syt(self, n):
-        basis = enumerate_diagrams(n)
+        basis = enumerate_diagrams(n, n)
         for mu, dim in zip(_row_tuples(basis), basis.numbers[0].tolist()):
             assert dim == brute_force_syt_count(mu)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_dimension_square_sum(self, n):
-        dims = enumerate_diagrams(n).numbers[0].tolist()
+        dims = enumerate_diagrams(n, n).numbers[0].tolist()
         assert sum(x * x for x in dims) == math.factorial(n)
 
 
@@ -236,8 +237,8 @@ class TestMultiplicity:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_against_brute_force_ssyt(self, n, d):
-        # the uncapped basis, so the diagrams taller than d must give 0
-        basis = enumerate_diagrams(n)
+        # every diagram of n, so the diagrams taller than d must give 0
+        basis = enumerate_diagrams(n, n)
         mults = dims_and_multiplicities(basis, d)[1].tolist()
         for mu, mult in zip(_row_tuples(basis), mults):
             assert mult == brute_force_ssyt_count(mu, d)
@@ -245,7 +246,7 @@ class TestMultiplicity:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_schur_weyl_dimension_count(self, n, d):
-        dims, mults = dims_and_multiplicities(enumerate_diagrams(n), d)
+        dims, mults = dims_and_multiplicities(enumerate_diagrams(n, n), d)
         assert sum((dims * mults).tolist()) == d**n
 
     def test_exactness_at_large_n(self):
@@ -260,7 +261,7 @@ class TestMultiplicity:
 class TestHookFormulas:
     @pytest.mark.parametrize("n", range(0, 21))
     def test_uncapped(self, n, hook_dim, hook_mult):
-        basis = enumerate_diagrams(n)
+        basis = enumerate_diagrams(n, max(n, 1))  # every diagram of n
         rows = _row_tuples(basis)
         assert basis.numbers[0].tolist() == [hook_dim(r) for r in rows]
         for d in HOOK_DIMS:

@@ -194,7 +194,7 @@ class TestYoungProjector:
     def test_resolution_with_vanishing_projector(self, dense):
         # the height-3 diagram contributes the zero operator at d=2
         total = sum(
-            class_sum_projector(mu, 2) for mu in _row_tuples(enumerate_diagrams(3))
+            class_sum_projector(mu, 2) for mu in _row_tuples(enumerate_diagrams(3, 3))
         )
         assert np.allclose(dense(total), np.eye(8), atol=1e-12)
         tall = class_sum_projector((1, 1, 1), 2)
@@ -202,7 +202,7 @@ class TestYoungProjector:
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_idempotent_hermitian_trace(self, dense, n, d, hook_dim, hook_mult):
-        for mu in _row_tuples(enumerate_diagrams(n)):
+        for mu in _row_tuples(enumerate_diagrams(n, n)):
             p = dense(class_sum_projector(mu, d))
             assert np.allclose(p @ p, p, atol=1e-10)
             assert np.allclose(p, p.T, atol=1e-12)
@@ -470,7 +470,7 @@ class TestStructuredForms:
     )
     def test_class_sum_projectors(self, dense, n, d):
         table = oracle._perm_table(n, d)
-        for mu in _row_tuples(enumerate_diagrams(n)):
+        for mu in _row_tuples(enumerate_diagrams(n, n)):
             want = dense_young_projector(mu, d)
             got = oracle._young_projector(mu, d, table)
             assert np.abs(dense(got) - want).max() <= 1e-12
@@ -635,7 +635,7 @@ class TestRunChecks:
         parents = enumerate_diagrams(n - 1, d)
         assert calls == {
             "_perm_table": 2,
-            "_young_projector": len(enumerate_diagrams(n)) + len(parents),
+            "_young_projector": len(enumerate_diagrams(n, n)) + len(parents),
             "_f_operator": sum(len(oracle._add_box(alpha, d)) for alpha in _row_tuples(parents)),
             "optimal_solution": 1,
             "incidence_edges": 1,
@@ -643,7 +643,7 @@ class TestRunChecks:
             # checks read too
             "dominant_eigenpair": 1,
             # one per basis, however many diagrams: the edge list's parents
-            # and children, and the oracle's uncapped diagrams of N
+            # and children, and the oracle's list of every diagram of N
             "_frobenius_weyl": 3,
         }
 
@@ -687,7 +687,7 @@ class TestCharacterSpectrum:
         # a walk that never lengthens the first row gives a wrong M_F
         real = oracle._add_box
 
-        def walk(alpha, d=None):
+        def walk(alpha, d):
             return [mu for mu in real(alpha, d) if mu[0] == alpha[0]]
 
         monkeypatch.setattr(oracle, "_add_box", walk)

@@ -44,11 +44,11 @@ SMALL_GRID = [(n, d) for n in range(2, 9) for d in range(2, n + 1)]
         "general_povm_fidelity",
     ],
 )
-def test_rejects_uncapped_edge_list(evaluate):
-    # every per-cell function reads d from the edge list, and the fidelities,
-    # multiplicities and d^N need an integer d
-    with pytest.raises(ValueError):
-        evaluate(incidence_edges(4))
+def test_rejects_one_dimensional_edge_list(evaluate):
+    # every per-cell function reads d from the edge list, which lists
+    # diagrams at d = 1 too, and refuses it: the protocol needs d >= 2
+    with pytest.raises(ValueError, match="local dimension must be >= 2"):
+        evaluate(incidence_edges(4, 1))
 
 
 class TestProtocolEigenvalues:

@@ -25,7 +25,7 @@ from dpbt.telemat import incidence_edges, teleportation_matrix
 
 class TestPowerIteration:
     def test_full_matrix_radius(self):
-        res = lanczos_perron(incidence_edges(3), tol=1e-12)
+        res = lanczos_perron(incidence_edges(3, 3), tol=1e-12)
         assert abs(res.radius - 3.0) < 1e-10
         assert res.method == "lanczos"
         assert res.hi - res.lo <= 1e-12 * res.hi
@@ -50,10 +50,10 @@ class TestPowerIteration:
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            lanczos_perron(incidence_edges(3), tol=0.0)
+            lanczos_perron(incidence_edges(3, 3), tol=0.0)
         for tol, max_iter in [(1.0, 10), (math.nan, 10), (1e-12, 0), (LANCZOS_FLOOR / 2, 10)]:
             with pytest.raises(ValueError):
-                lanczos_perron(incidence_edges(3), tol=tol, max_iter=max_iter)
+                lanczos_perron(incidence_edges(3, 3), tol=tol, max_iter=max_iter)
 
     def test_non_convergence_carries_last_iterate(self):
         with pytest.raises(PowerIterationError) as info:
@@ -161,24 +161,24 @@ class TestCertifiedBracket:
 
 class TestClosedForms:
     def test_full_n2(self):
-        res = closed_form_full(enumerate_diagrams(2))
+        res = closed_form_full(enumerate_diagrams(2, 2))
         assert res.radius == 2.0
         assert res.perron.dtype == np.float64 and res.perron.tolist() == [0.5, 0.5]
         assert res.method == "closed_dgeN"
 
     def test_full_n4_dims(self):
-        res = closed_form_full(enumerate_diagrams(4))
+        res = closed_form_full(enumerate_diagrams(4, 4))
         dims = (1, 3, 2, 3, 1)
         assert res.perron.tolist() == [x / 10 for x in dims]
 
     def test_full_n1(self):
-        assert closed_form_full(enumerate_diagrams(1)).radius == 1.0
+        assert closed_form_full(enumerate_diagrams(1, 1)).radius == 1.0
 
     def test_full_rejects_capped_basis(self):
         with pytest.raises(ValueError):
             closed_form_full(enumerate_diagrams(5, 3))
         with pytest.raises(ValueError):
-            closed_form_full(enumerate_diagrams(0))
+            closed_form_full(enumerate_diagrams(0, 1))
 
     def test_d2_examples(self):
         lam = closed_form_d2(3)
@@ -223,8 +223,8 @@ class TestClosedForms:
 class TestAgreementAcrossRoutes:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_power_matches_closed_full(self, n):
-        res = lanczos_perron(incidence_edges(n))
-        closed = closed_form_full(enumerate_diagrams(n))
+        res = lanczos_perron(incidence_edges(n, n))
+        closed = closed_form_full(enumerate_diagrams(n, n))
         assert abs(res.radius - closed.radius) < 1e-9
         for a, b in zip(res.perron, closed.perron):
             assert abs(a - b) < 1e-9
@@ -259,8 +259,8 @@ class TestDominantEigenpair:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_full_cell_at_any_cap(self, n):
-        # d = n, d > n and no cap all list every diagram: one closed form
-        got = [dominant_eigenpair(incidence_edges(n, d)) for d in (n, n + 3, None)]
+        # d = n and d > n both list every diagram: one closed form
+        got = [dominant_eigenpair(incidence_edges(n, d)) for d in (n, n + 3)]
         assert len({(r.radius, tuple(r.perron.tolist()), r.method) for r in got}) == 1
         assert got[0].method == "closed_dgeN"
 
@@ -303,7 +303,7 @@ class TestSpectrumViaCharacters:
 
     def test_total_multiplicity_is_class_count(self):
         for n in range(1, 9):
-            assert sum(closed_form_spectrum(n).values()) == len(enumerate_diagrams(n))
+            assert sum(closed_form_spectrum(n).values()) == len(enumerate_diagrams(n, n))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_closed_form_matches_characters(self, n):
@@ -311,7 +311,7 @@ class TestSpectrumViaCharacters:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_closed_form_matches_eigvalsh(self, n):
-        w = np.linalg.eigvalsh(teleportation_matrix(incidence_edges(n)))
+        w = np.linalg.eigvalsh(teleportation_matrix(incidence_edges(n, n)))
         k = np.rint(w).astype(int)
         assert np.max(np.abs(w - k)) < 1e-9
         values, counts = np.unique(k, return_counts=True)
