@@ -4,9 +4,9 @@
 telemat.incidence_edges(n, d), and dispatches between an exact closed form
 when every diagram height fits (d >= N), the tridiagonal cosine closed form
 at d = 2, and the certified solver `lanczos_perron` for everything in
-between.  The solver multiplies by M_F w = R^T (R w) on e and
-returns an enclosure [lo, hi] of the radius whose relative width is at most
-tol.  The full spectrum of the matrix at d >= N is the closed form
+between.  The solver multiplies by M_F w = R^T (R w) on e and returns an
+enclosure [lo, hi] of the radius whose relative width is at most tol.  The
+full spectrum of the matrix at d >= N is the closed form
 `closed_form_spectrum`, counted from partition numbers; the dense oracle
 proves it from the character table, whose classes, the cycle types of S(N),
 `cycle_types` lists as weakly decreasing tuples of cycle lengths, the same

@@ -3,12 +3,13 @@
 The teleportation matrix over the diagrams of N has diagonal entries counting
 single-box-removal parents and off-diagonal 1 for pairs related by moving one
 box.  Restricting to heights <= d gives the principal submatrix governing
-local dimension d; any d >= N keeps the full matrix.  Every matrix here derives from one representation, the
-parent-child edge list of the 0/1 incidence matrix R: the Gram matrix of its
-columns is the teleportation matrix, and the Gram matrix of its rows obeys a
-recursion that steps N down by one.  The dense views of an edge list (R,
-M_F = R^T R and H = R R^T) are exact int64 arrays, each one scatter over the
-edges: no integer matmul, which skips BLAS.
+local dimension d; any d >= N keeps the full matrix.  Every matrix here
+derives from one representation, the parent-child edge list of the 0/1
+incidence matrix R: the Gram matrix of its columns is the teleportation
+matrix, and the Gram matrix of its rows obeys a recursion that steps N down
+by one.  The dense views of an edge list (R, M_F = R^T R and H = R R^T) are
+exact int64 arrays, each one scatter over the edges: no integer matmul,
+which skips BLAS.
 """
 
 from __future__ import annotations
