@@ -10,17 +10,16 @@ Characters come from the Murnaghan-Nakayama rule (`character`): a class is its
 cycle type, the weakly decreasing tuple of its cycle lengths, like a diagram's
 rows, and spectral.cycle_types lists the classes of S(N).
 run_checks builds each operator of one (N, d) once, in a DenseCell that also
-holds the fast path's one edge list, and runs its 29 checks on that cell.
+holds the fast path's one edge list, and runs its 26 checks on that cell.
 The Young projectors take d_mu as the character at the identity, from the
 character table, so they share no code with the exact d_mu, m_mu kernel; the
 eigenvalues, traces and ranks the checks compare with read those integers
 from the cell, one kernel call per basis.
 
 Every operator is real in this basis, so Hermiticity is symmetry.  Each is
-built from factor permutations and partial transposes, so it commutes with
+built from factor permutations and the port maps E_a, so it commutes with
 U^(x N) (x) conj(U) for diagonal U (with U^(x k) on k factors for the Young
-projectors, the class sums, the partial trace and the partial transpose of
-the port operator) and maps each weight sector
+projectors, the class sums and the partial trace) and maps each weight sector
 (basis states with equal digit counts over the ports, minus the last digit;
 see _sectors) into itself.  So no operator is ever stored as a d^k-square
 array: a SectorOperator is one flat float64 array of its sector blocks, over
@@ -30,9 +29,8 @@ size, and eigensolves go through LAPACK on the stacked blocks
 (numpy.linalg.eigvalsh where only the spectrum is read, numpy.linalg.eigh for
 the inverse square root); LAPACK shares no code with the fast spectral path.
 Every index map that places an entry (the permutations of the class sums and
-of the commutation check, P (x) 1, the port maps, the partial trace and the
-partial transpose) is checked, in exact integers, to keep each entry inside
-one sector.
+of the commutation check, P (x) 1, the port maps and the partial trace) is
+checked, in exact integers, to keep each entry inside one sector.
 
 The Young projectors are character sums of the class sums of S(N), each
 class scattered in chunked bincount calls.  Each F_mu(alpha) is C C^T with
@@ -77,7 +75,6 @@ __all__ = [
     "DenseCell",
     "SectorOperator",
     "transposition",
-    "partial_transpose_last",
     "dense_cell",
     "character",
     "direct_fidelity",
@@ -113,7 +110,8 @@ class CapExceededError(RuntimeError):
 def _entry_count(k: int, d: int) -> int:
     """Sector entries of an operator on k factors: the sum of multinomial(k; c)^2
     over the digit counts c, taken by partition shape.  The same for last = 1
-    and last = -1, which the partial transpose maps onto each other."""
+    and last = -1, whose sectors transposing the last factor maps onto each
+    other."""
     total = 0
     for parts in _row_tuples(enumerate_diagrams(k, d)):
         shape = math.factorial(k) // math.prod(map(math.factorial, parts))
@@ -191,7 +189,7 @@ class _Layout:
     a stack of equal square blocks, each block row-major."""
 
     def __init__(self, k: int, d: int, last: int):
-        self.k, self.d, self.last, self.dim = k, d, last, d**k
+        self.k, self.d, self.dim = k, d, d**k
         self.groups = _sectors(k, d, last)
         self.offsets = np.cumsum([0] + [g.size * g.shape[1] for g in self.groups]).tolist()
         self.size = self.offsets[-1]
@@ -445,23 +443,6 @@ def _young_projector(
         return table[()]
     acc = sum(character(mu, c) * table[c] for c in cycle_types(n))
     return acc * (character(mu, (1,) * n) / math.factorial(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _transpose_index(k: int, d: int, last: int) -> np.ndarray:
-    """The partial transpose on the last factor, as a gather onto the layout
-    of last from the layout of -last: entry ((x,l),(x',l')) reads
-    ((x,l'),(x',l))."""
-    rows, cols = _layout(k, d, last).coordinates()
-    return _readonly(_index(_layout(k, d, -last), rows - rows % d + cols % d, cols - cols % d + rows % d))
-
-
-def partial_transpose_last(op: SectorOperator) -> SectorOperator:
-    """Transpose applied to the last tensor factor (of dimension d) only.  It
-    maps the sectors of U^(x k-1) (x) conj(U) onto those of U^(x k), so the
-    result is stored on the layout of the opposite last."""
-    lay = op.layout
-    return _gather(op, _layout(lay.k, lay.d, -lay.last), _transpose_index(lay.k, lay.d, -lay.last))
 
 
 @functools.lru_cache(maxsize=None)
@@ -778,33 +759,12 @@ def _norm_inf(op) -> float:
     return max(float(data.max()), -float(data.min())) if data.size else 0.0
 
 
-def _composition_residual(n: int, d: int) -> float:
-    """Largest difference between the index maps of V(s) V(t) and V(s o t)
-    over every pair s, t of the generators of S(N+1).
-
-    The generators are the adjacent transpositions and the (N+1)-cycle.
-    V(s) V(t) x = x[idx_t][idx_s], so the index map of the product is
-    idx_t[idx_s]; index maps are integers, so the residual is 0.0 iff
-    V(s) V(t) = V(s o t) for every pair.
-    """
-    gens = np.array([transposition(i, i + 1, n + 1) for i in range(n)] + [(*range(1, n + 1), 0)])
-    count = len(gens)
-    index = _perm_indices(gens, d)
-    # [s, t]: s o t, and the composed map idx_t[idx_s]
-    products = gens[np.arange(count)[:, None, None], gens[None, :, :]]
-    composed = index[np.arange(count)[None, :, None], index[:, None, :]]
-    direct = _perm_indices(products.reshape(count * count, n + 1), d)
-    return _norm_inf(composed.reshape(direct.shape) - direct)
-
-
 def run_checks(n: int, d: int) -> list[CheckResult]:
     """Full verification battery at one (N, d); every formula the fast modules
     rely on is recomputed by sector-block linear algebra and compared."""
     cell = dense_cell(n, d)
     checks: list[CheckResult] = []
     dim = d ** (n + 1)
-
-    checks.append(_check("perm_composition", _composition_residual(n, d), 1e-12))
 
     # Young projectors: resolution, idempotence, Hermiticity, traces, centrality
     projectors = {mu: cell.projectors[mu] for mu in _row_tuples(enumerate_diagrams(n, n))}
@@ -880,12 +840,6 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     rank_eta = int(np.sum(np.abs(eigs_eta) > 1e-8))
     rank_expected = sum(dims[mu] * mults[alpha] for (alpha, mu) in fams)
     checks.append(_check("f_support_rank", abs(rank_eta - rank_expected), 0.5))
-
-    # partial transpose is an involution and preserves traces
-    pt = partial_transpose_last(eta)
-    checks.append(_check("pt_involution", _norm_inf(partial_transpose_last(pt) - eta), 1e-12))
-    pt_trace = abs(pt.trace() - eta.trace())
-    checks.append(_check("pt_trace", pt_trace, 1e-12))
 
     # the fidelity triangle
     f_sqrt_formula = sqrt_measurement_fidelity(cell.edges)

@@ -329,8 +329,8 @@ class TestVerifyCommand:
         code, out, _ = verify_oracle
         assert code == 0
         checks = json.loads(out)["checks"]
-        assert [(r["N"], r["d"]) for r in checks[::29]] == list(DEFAULT_CHECK_CELLS)
-        assert len(checks) == 29 * len(DEFAULT_CHECK_CELLS)
+        assert [(r["N"], r["d"]) for r in checks[::26]] == list(DEFAULT_CHECK_CELLS)
+        assert len(checks) == 26 * len(DEFAULT_CHECK_CELLS)
         assert all(r["passed"] for r in checks)
 
     def test_cap_exceeded_is_computation_failure(self):

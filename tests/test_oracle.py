@@ -1,6 +1,7 @@
 """Dense-operator oracle: constructions and formula checks by direct algebra."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter
@@ -17,7 +18,6 @@ from dpbt.oracle import (
     dense_cell,
     direct_fidelity,
     dual_witness_check,
-    partial_transpose_last,
     primal_constraint_check,
     run_checks,
     transposition,
@@ -83,13 +83,6 @@ def dense_young_projector(mu, d):
     for perm in itertools.permutations(range(n)):
         acc += character(mu, cycle_type(perm)) * digit_permutation_matrix(perm, d)
     return acc * character(mu, (1,) * n) / math.factorial(n)
-
-
-def dense_partial_transpose(mat, d):
-    """Transpose of the last tensor factor by reshaping."""
-    dim = mat.shape[0]
-    rest = dim // d
-    return mat.reshape(rest, d, rest, d).transpose(0, 3, 2, 1).reshape(dim, dim)
 
 
 def dense_port_state(n, d, a):
@@ -169,17 +162,6 @@ class TestPermutationOperator:
     def test_float64(self):
         assert all(k.data.dtype == np.float64 for k in oracle._perm_table(3, 3).values())
 
-    @pytest.mark.parametrize("n,d", oracle.DEFAULT_CHECK_CELLS)
-    def test_composition_residual_is_exact(self, n, d):
-        assert oracle._composition_residual(n, d) == 0.0
-
-    def test_composition_residual_sees_a_wrong_operator(self, monkeypatch):
-        # the index map of V(s^-1) = V(s)^T in place of V(s) composes in the
-        # opposite order
-        real = oracle._perm_indices
-        monkeypatch.setattr(oracle, "_perm_indices", lambda perms, d: np.argsort(real(perms, d), axis=1))
-        assert oracle._composition_residual(3, 2) >= 1
-
 
 class TestYoungProjector:
     def test_symmetric_and_antisymmetric_qubits(self, dense):
@@ -211,26 +193,6 @@ class TestYoungProjector:
     def test_empty_diagram(self, dense):
         p = dense(class_sum_projector((), 3))
         assert p.shape == (1, 1) and p[0, 0] == 1
-
-
-class TestPartialTranspose:
-    def test_involution_and_trace(self, dense):
-        eta = 2**3 * sum(dense_cell(3, 2).sigmas)
-        pt = partial_transpose_last(eta)
-        assert np.array_equal(dense(pt), dense_partial_transpose(dense(eta), 2))
-        back = partial_transpose_last(pt)
-        assert back.layout is eta.layout
-        assert np.allclose(dense(back), dense(eta), atol=1e-15)
-        assert abs(pt.trace() - eta.trace()) < 1e-12
-
-    def test_known_swap_transpose(self, dense):
-        # the class sum of the transpositions of S(2) is the swap
-        swap = oracle._perm_table(2, 2)[(2,)]
-        pt = partial_transpose_last(swap)
-        # the partially transposed swap is the unnormalised entangled projector
-        expect = np.zeros((4, 4))
-        expect[0, 0] = expect[3, 3] = expect[0, 3] = expect[3, 0] = 1
-        assert np.allclose(dense(pt), expect, atol=1e-15)
 
 
 class TestEtaOperator:
@@ -585,9 +547,34 @@ class TestRunChecks:
     def test_all_pass_at_one_port(self, d):
         # the k = 0 layout: no factors left after the port and the last one
         results = run_checks(1, d)
-        assert len(results) == 29
+        assert len(results) == 26
         failures = [r for r in results if not r.passed]
         assert not failures, failures
+
+    def test_check_names(self):
+        assert [r.name for r in run_checks(3, 2)] == [
+            "young_resolution", "young_idempotent", "young_hermitian", "young_trace", "young_commute",
+            "eta_hermitian", "eta_psd", "eta_eigenvalues", "edge_pairs",
+            "f_idempotent", "f_hermitian", "f_trace", "f_eigen", "f_orthogonal", "f_inner_product",
+            "eta_reconstruction", "f_support_rank",
+            "fidelity_sqrt_direct", "fidelity_povm_family", "fidelity_optimal_direct",
+            "primal_min_eig", "primal_trace", "dual_min_slack", "dual_objective", "duality_gap",
+            "character_spectrum",
+        ]
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (3, 3), (4, 2)])
+    def test_layouts_built(self, monkeypatch, n, d):
+        # a fresh cache over _Layout records each (k, d, last) a cell builds:
+        # the class sums of S(N-1) and S(N), and the operators on N+1 factors
+        built = set()
+
+        def record(k, d, last):
+            built.add((k, d, last))
+            return oracle._Layout(k, d, last)
+
+        monkeypatch.setattr(oracle, "_layout", functools.lru_cache(maxsize=None)(record))
+        assert all(r.passed for r in run_checks(n, d))
+        assert built == {(n - 1, d, 1), (n, d, 1), (n + 1, d, -1)}
 
     def test_cap_respected(self):
         with pytest.raises(CapExceededError):
@@ -660,7 +647,7 @@ class TestRunChecks:
 
         monkeypatch.setattr(oracle, "dense_cell", short)
         results = {r.name: r for r in run_checks(3, 2)}
-        assert len(results) == 29
+        assert len(results) == 26
         assert results["edge_pairs"].residual == 1 and not results["edge_pairs"].passed
         assert results["f_idempotent"].passed and results["dual_objective"].passed
 
@@ -677,7 +664,7 @@ class TestRunChecks:
 
         monkeypatch.setattr(oracle, "dense_cell", overlapping)
         results = {r.name: r for r in run_checks(3, 2)}
-        assert len(results) == 29
+        assert len(results) == 26
         assert not results["f_orthogonal"].passed
         assert results["f_idempotent"].passed and results["f_hermitian"].passed
 
