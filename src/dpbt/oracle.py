@@ -10,7 +10,8 @@ Characters come from the Murnaghan-Nakayama rule (`character`): a class is its
 cycle type, the weakly decreasing tuple of its cycle lengths, like a diagram's
 rows, and spectral.cycle_types lists the classes of S(N).
 run_checks builds each operator of one (N, d) once, in a DenseCell that also
-holds the fast path's one edge list, and runs its 26 checks on that cell.
+holds the fast path's one edge list, and runs its 26 checks on that cell.  The
+cell keeps the sum of the port states, and each dual slack rebuilds its sigma_a.
 The Young projectors take d_mu as the character at the identity, from the
 character table, so they share no code with the exact d_mu, m_mu kernel; the
 eigenvalues, traces and ranks the checks compare with read those integers
@@ -29,8 +30,9 @@ size, and eigensolves go through LAPACK on the stacked blocks
 (numpy.linalg.eigvalsh where only the spectrum is read, numpy.linalg.eigh for
 the inverse square root); LAPACK shares no code with the fast spectral path.
 Every index map that places an entry (the permutations of the class sums and
-of the commutation check, P (x) 1, the port maps and the partial trace) is
-checked, in exact integers, to keep each entry inside one sector.
+of the commutation check, P (x) 1 and the port maps) is checked, in exact
+integers, to keep each entry inside one sector; the partial trace over the last
+factor is the adjoint of P (x) 1 and reads its index.
 
 The Young projectors are character sums of the class sums of S(N), each
 class scattered in chunked bincount calls.  Each F_mu(alpha) is C C^T with
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import _row_tuples, dims_and_multiplicities, enumerate_diagrams
+from .diagrams import _row_keys, _row_tuples, dims_and_multiplicities, enumerate_diagrams
 from .protocol import (
     OptimalSolution,
     general_povm_fidelity,
@@ -110,8 +112,8 @@ class CapExceededError(RuntimeError):
 def _entry_count(k: int, d: int) -> int:
     """Sector entries of an operator on k factors: the sum of multinomial(k; c)^2
     over the digit counts c, taken by partition shape.  The same for last = 1
-    and last = -1, whose sectors transposing the last factor maps onto each
-    other."""
+    and last = -1: swapping the last digits of an entry's row and column,
+    ((x,l),(x',l')) -> ((x,l'),(x',l)), maps the entries of one onto the other's."""
     total = 0
     for parts in _row_tuples(enumerate_diagrams(k, d)):
         shape = math.factorial(k) // math.prod(map(math.factorial, parts))
@@ -160,23 +162,12 @@ def _sectors(k: int, d: int, last: int) -> list[np.ndarray]:
     A state's weight is the digit counts of its first k-1 factors plus last
     times the count of its last digit: last = -1 labels the eigenspaces of
     U^(x k-1) (x) conj(U) for diagonal U, last = 1 those of U^(x k).  Each
-    weight is keyed by sorted digits: with last = 1 all k of them; with
-    last = -1 the first k-1 with one copy of the last digit struck out (the
-    sentinel d takes its place and ends the key), or, if it has no copy, the
-    first k-1 followed by the last digit.
+    weight row, shifted to be unsigned, is one exact key (diagrams._row_keys).
     """
-    digits = _digits(k, d)
-    if last == 1 or k <= 1:
-        key = np.sort(digits, axis=0)
-    else:
-        head, tail = np.sort(digits[:-1], axis=0), digits[-1]
-        match = head == tail
-        struck = match.any(axis=0)
-        first = np.argmax(match, axis=0)
-        head[first[struck], np.flatnonzero(struck)] = d
-        key = np.vstack([np.sort(head, axis=0), np.where(struck, d, tail)])
-    code = (d + 1) ** np.arange(k - 1, -1, -1) @ key
-    labels = np.unique(code, return_inverse=True)[1].ravel()
+    onehot = _digits(k, d)[..., None] == np.arange(d)  # (k, d^k, d)
+    weight = onehot[:-1].sum(axis=0) + last * onehot[-1:].sum(axis=0)
+    keys = _row_keys((weight + 1).astype(np.min_scalar_type(k + 1)))
+    labels = np.unique(keys, return_inverse=True)[1].ravel()
     sizes = np.bincount(labels)[labels]
     order = _readonly(np.lexsort((labels, sizes)))
     groups = np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1)
@@ -375,12 +366,9 @@ def _perm_indices(perms: np.ndarray, d: int) -> np.ndarray:
 
 
 def _permutations(k: int) -> np.ndarray:
-    """Every permutation of 0..k-1, one per row: those of 0..m-1 with m put at
-    each place in turn."""
-    perms = np.zeros((1, 0), dtype=np.int8)
-    for m in range(k):
-        perms = np.concatenate([np.insert(perms, j, m, axis=1) for j in range(m + 1)])
-    return perms
+    """Every permutation of 0..k-1, one per row, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    return np.fromiter(flat, dtype=np.int8).reshape(math.factorial(k), k)
 
 
 def _cycle_classes(perms: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -446,15 +434,6 @@ def _young_projector(
 
 
 @functools.lru_cache(maxsize=None)
-def _trace_index(n: int, d: int) -> np.ndarray:
-    """The partial trace over the last of N+1 factors, as a gather: entry
-    (x, x') of N factors sums ((x,l),(x',l)) over l."""
-    rows, cols = _layout(n, d, 1).coordinates()
-    last = np.arange(d)
-    return _readonly(_index(_layout(n + 1, d, -1), rows[:, None] * d + last, cols[:, None] * d + last))
-
-
-@functools.lru_cache(maxsize=None)
 def _port_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
     """Per port a, the (d^(N-1), d) array of the basis states with digit i at
     port a and at the last factor, by the other digits r and i.  The port
@@ -487,6 +466,13 @@ def _lift_index(n: int, d: int) -> np.ndarray:
 
 def _lift(p: SectorOperator, n: int, d: int) -> SectorOperator:
     return _gather(p, _layout(n + 1, d, -1), _lift_index(n, d))
+
+
+def _partial_trace(op: SectorOperator, n: int, d: int) -> SectorOperator:
+    """The trace over the last of N+1 factors, the adjoint of _lift: one bincount
+    adds each entry of op onto the entry _lift_index reads there, -1 onto a dropped slot."""
+    small = _layout(n, d, 1)
+    return SectorOperator(small, np.bincount(_lift_index(n, d) + 1, op.data, small.size + 1)[1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -554,15 +540,12 @@ def _add_box(rows: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
     return grown
 
 
-def _port_states(n: int, d: int) -> list[SectorOperator]:
-    """The port states sigma_a = E_a E_a^T / d^N (see _port_indices)."""
-    layout = _layout(n + 1, d, -1)
-    sigmas = []
-    for idx in _port_indices(n, d):
-        data = np.zeros(layout.size)
-        data[_index(layout, idx[:, :, None], idx[:, None, :])] = 1 / d**n
-        sigmas.append(SectorOperator(layout, data))
-    return sigmas
+def _port_state(n: int, d: int, a: int) -> SectorOperator:
+    """The port state sigma_a = E_a E_a^T / d^N (see _port_indices)."""
+    layout, idx = _layout(n + 1, d, -1), _port_indices(n, d)[a]
+    data = np.zeros(layout.size)
+    data[_index(layout, idx[:, :, None], idx[:, None, :])] = 1 / d**n
+    return SectorOperator(layout, data)
 
 
 def _pair_sandwich(p: SectorOperator, mat: SectorOperator) -> SectorOperator:
@@ -588,10 +571,10 @@ class DenseCell:
     _perm_table(N-1, d); numbers: the exact (d_mu, m_mu) at d of each of
     those diagrams, one kernel call per basis.  family: F_mu(alpha) for each
     pair of the _add_box(alpha, d) walk, parents in basis order and children
-    by descending rows.  sigmas: the port states.  solution: the optimal POVM
+    by descending rows.  ports: the sum of the port states sigma_a, added in
+    port order; the port operator is d^N times it.  solution: the optimal POVM
     coefficients and the Perron vector v.  povm: the optimal POVM element
-    sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.  The port
-    operator is d^N times the sum of the port states.
+    sum p_mu(alpha) F_mu(alpha) over the pairs the walk also has.
     """
 
     n: int
@@ -601,7 +584,7 @@ class DenseCell:
     projectors: dict[tuple[int, ...], SectorOperator]
     numbers: dict[tuple[int, ...], tuple[int, int]]
     family: dict[tuple[tuple[int, ...], tuple[int, ...]], SectorOperator]
-    sigmas: list[SectorOperator]
+    ports: SectorOperator
     solution: OptimalSolution
     povm: SectorOperator
 
@@ -628,8 +611,8 @@ def dense_cell(n: int, d: int) -> DenseCell:
     # summed by ascending (alpha, mu) rows: the edge order reversed
     coeffs = zip(pairs[::-1], solution.p_coeffs[::-1].tolist())
     povm = sum(p * family[key] for key, p in coeffs if key in family)
-    sigmas = _port_states(n, d)
-    return DenseCell(n, d, edges, pairs, projectors, numbers, family, sigmas, solution, povm)
+    ports = sum(_port_state(n, d, a) for a in range(n))
+    return DenseCell(n, d, edges, pairs, projectors, numbers, family, ports, solution, povm)
 
 
 def _require_symmetric(op: SectorOperator) -> None:
@@ -666,7 +649,7 @@ def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
     projector combination.
     """
     if povm_spec == "sqrt_measurement":
-        wall = _pseudo_inverse_sqrt(sum(cell.sigmas))
+        wall = _pseudo_inverse_sqrt(cell.ports)
     elif povm_spec == "optimal":
         wall = cell.povm
     else:
@@ -686,7 +669,7 @@ def primal_constraint_check(cell: DenseCell) -> dict[str, float]:
     """
     sol = cell.solution
     x_a = sum(c * cell.projectors[mu] for mu, c in zip(_row_tuples(sol.basis), sol.c_coeffs.tolist()))
-    w = _eigvalsh(_lift(x_a, cell.n, cell.d) - cell.povm @ sum(cell.sigmas) @ cell.povm)
+    w = _eigvalsh(_lift(x_a, cell.n, cell.d) - cell.povm @ cell.ports @ cell.povm)
     return {"min_eig": float(w[0]), "trace_XA": x_a.trace()}
 
 
@@ -710,9 +693,8 @@ def dual_witness_check(cell: DenseCell) -> dict[str, float]:
         t_sum[alpha] * mult[mu] / (mult[alpha] * t[mu] * d**n) * f
         for (alpha, mu), f in cell.family.items()
     )
-    min_slack = min(float(_eigvalsh(omega - s)[0]) for s in cell.sigmas)
-    w = _eigvalsh(_gather(omega, _layout(n, d, 1), _trace_index(n, d)))
-    objective = d ** (n - 2) * float(np.abs(w).max())
+    min_slack = min(float(_eigvalsh(omega - _port_state(n, d, a))[0]) for a in range(n))
+    objective = d ** (n - 2) * float(np.abs(_eigvalsh(_partial_trace(omega, n, d))).max())
     return {"min_slack": min_slack, "objective": objective}
 
 
@@ -791,7 +773,7 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks.append(_check("young_commute", commute, 1e-10))
 
     # port operator: Hermitian, PSD, exact eigenvalue multiset with multiplicities
-    eta = d**n * sum(cell.sigmas)
+    eta = d**n * cell.ports
     checks.append(_check("eta_hermitian", _norm_inf(eta - eta.T), 1e-10))
     eigs_eta = _eigvalsh(eta)
     checks.append(_check("eta_psd", max(0.0, -float(eigs_eta[0])), 1e-10))

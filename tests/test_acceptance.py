@@ -109,7 +109,7 @@ def test_criterion_5_oracle_strong_duality(gamma_table, hook_dim, hook_mult, den
     for n, d in ORACLE_CELLS:
         dim = d ** (n + 1)
         cell = dense_cell(n, d)
-        eta = dense(d**n * sum(cell.sigmas))
+        eta = dense(d**n * cell.ports)
         w = np.linalg.eigvalsh(eta)
         expected = []
         for (alpha, mu), gamma in gamma_table(n, d).items():

@@ -32,7 +32,7 @@ GOLDEN = math.cos(math.pi / 5) ** 2
 def port_operator(dense):
     """The port operator of the cell (N, d), expanded: d^N times the sum of
     its port states, as run_checks builds it."""
-    return lambda n, d: dense(d**n * sum(dense_cell(n, d).sigmas))
+    return lambda n, d: dense(d**n * dense_cell(n, d).ports)
 
 
 def digit_permutation_matrix(perm, d):
@@ -252,7 +252,7 @@ class TestFProjector:
     def test_reconstruction(self, dense, gamma_table):
         for n, d in [(2, 2), (3, 2), (2, 3)]:
             cell = dense_cell(n, d)
-            eta = dense(d**n * sum(cell.sigmas))
+            eta = dense(d**n * cell.ports)
             recon = np.zeros_like(eta)
             for key, gamma in gamma_table(n, d).items():
                 recon += float(gamma) * dense(cell.family[key])
@@ -278,7 +278,8 @@ class TestDenseCell:
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (2, 3), (3, 3)])
     def test_operators_are_float64_and_symmetric(self, dense, n, d):
         cell = dense_cell(n, d)
-        ops = [*cell.projectors.values(), *cell.family.values(), *cell.sigmas, cell.povm]
+        sigmas = [oracle._port_state(n, d, a) for a in range(n)]
+        ops = [*cell.projectors.values(), *cell.family.values(), *sigmas, cell.ports, cell.povm]
         for op in ops:
             assert op.data.dtype == np.float64
             full = dense(op)
@@ -416,7 +417,7 @@ class TestWeightSectors:
             oracle._perm_table(3, 2)
 
     def test_asymmetric_block_is_an_error(self):
-        eta = 2**3 * sum(dense_cell(3, 2).sigmas)
+        eta = 2**3 * dense_cell(3, 2).ports
         group = next(i for i, g in enumerate(eta.layout.groups) if g.shape[1] > 1)
         eta.blocks()[group][0, 0, 1] += 1e-6
         with pytest.raises(ArithmeticError, match="not Hermitian"):
@@ -457,8 +458,10 @@ class TestStructuredForms:
     @pytest.mark.parametrize("n,d", [(1, 3), (3, 3), (3, 4), (4, 2), (4, 4)])
     def test_port_states_and_povm(self, dense, n, d):
         cell = dense_cell(n, d)
-        for a, s in enumerate(cell.sigmas):
-            assert np.array_equal(dense(s), dense_port_state(n, d, a))
+        sigmas = [dense_port_state(n, d, a) for a in range(n)]
+        for a, sigma in enumerate(sigmas):
+            assert np.array_equal(dense(oracle._port_state(n, d, a)), sigma)
+        assert np.array_equal(dense(cell.ports), sum(sigmas))
         if d**n <= 64:
             assert np.abs(dense(cell.povm) - dense_povm(cell, dense)).max() <= 1e-12
 
@@ -478,6 +481,16 @@ class TestStructuredForms:
             k = oracle._gather(a_op, small, oracle._contraction_index(n, d, a))
             assert np.abs(dense(k) - e.T @ dense(a_op) @ e).max() <= 1e-12
 
+    @pytest.mark.parametrize("n,d", [(1, 3), (3, 3), (3, 4), (4, 2)])
+    def test_partial_trace_is_the_adjoint_of_the_lift(self, dense, n, d):
+        # the trace over the last factor of an operator A with random blocks
+        layout = oracle._layout(n + 1, d, -1)
+        a_op = oracle.SectorOperator(layout, np.random.default_rng(n * d).normal(size=layout.size))
+        want = dense(a_op).reshape(d**n, d, d**n, d).trace(axis1=1, axis2=3)
+        got = oracle._partial_trace(a_op, n, d)
+        assert got.layout is oracle._layout(n, d, 1)
+        assert np.abs(dense(got) - want).max() <= 1e-12
+
     @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
     def test_pair_sandwich(self, dense, n, d):
         cell = dense_cell(n, d)
@@ -489,7 +502,7 @@ class TestStructuredForms:
     @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
     def test_port_products(self, dense, monkeypatch, n, d):
         cell = dense_cell(n, d)
-        eta = d**n * sum(cell.sigmas)
+        eta = d**n * cell.ports
         for f in cell.family.values():
             assert np.abs(dense(eta @ f) - dense(eta) @ dense(f)).max() <= 1e-12
         # the operator the primal check solves
@@ -499,7 +512,7 @@ class TestStructuredForms:
         sol = cell.solution
         x_a = sum(c * dense(cell.projectors[mu]) for mu, c in zip(_row_tuples(sol.basis), sol.c_coeffs.tolist()))
         povm = dense(cell.povm)
-        want = np.kron(x_a, np.eye(d)) - povm @ dense(sum(cell.sigmas)) @ povm
+        want = np.kron(x_a, np.eye(d)) - povm @ dense(cell.ports) @ povm
         assert np.abs(dense(solved[0]) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
@@ -518,17 +531,18 @@ class TestStructuredForms:
             weight = math.fsum(t[nu] for nu in kids) * mult[mu] / (mult[alpha] * t[mu] * d**n)
             omega = omega + weight * dense(f)
         *slacks, reduced = solved
-        for s, sigma in zip(slacks, cell.sigmas, strict=True):
-            assert np.abs(dense(s) - (omega - dense(sigma))).max() <= 1e-12
+        assert len(slacks) == n
+        for a, s in enumerate(slacks):
+            assert np.abs(dense(s) - (omega - dense_port_state(n, d, a))).max() <= 1e-12
         partial = omega.reshape(d**n, d, d**n, d).trace(axis1=1, axis2=3)
         assert np.abs(dense(reduced) - partial).max() <= 1e-12
 
     @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
     def test_direct_fidelity(self, dense, n, d):
         cell = dense_cell(n, d)
-        sigmas = [dense(s) for s in cell.sigmas]
+        sigmas = [dense_port_state(n, d, a) for a in range(n)]
         inverse_sqrt = dense_inverse_sqrt(sum(sigmas))
-        assert np.abs(dense(oracle._pseudo_inverse_sqrt(sum(cell.sigmas))) - inverse_sqrt).max() <= 1e-12
+        assert np.abs(dense(oracle._pseudo_inverse_sqrt(cell.ports)) - inverse_sqrt).max() <= 1e-12
         walls = {"sqrt_measurement": inverse_sqrt, "optimal": dense(cell.povm)}
         for spec, wall in walls.items():
             ws = [wall @ s for s in sigmas]
