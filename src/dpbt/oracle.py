@@ -31,14 +31,13 @@ size, and eigensolves go through LAPACK on the stacked blocks
 the inverse square root); LAPACK shares no code with the fast spectral path.
 Every index map that places an entry (the permutations of the class sums and
 of the commutation check, P (x) 1 and the port maps) is checked, in exact
-integers, to keep each entry inside one sector; the partial trace over the last
-factor is the adjoint of P (x) 1 and reads its index.
+integers, to keep each entry inside one sector.  Operators change factor count
+by two index maps, each a scatter (P -> P (x) 1, P -> E_a P E_a^T) with its
+adjoint gather (the partial trace over the last factor, A -> E_a^T A E_a).
 
 The Young projectors are character sums of the class sums of S(N), each
-class scattered in chunked bincount calls.  Each F_mu(alpha) is C C^T with
-C = (P_mu (x) 1) [E_a P_alpha]_a / sqrt(gamma), one block of C per sector of
-its rows; the direct fidelities and the sandwiches by P (x) P+ are gathers
-over the port maps E_a.
+class scattered in chunked bincount calls.  Each F_mu(alpha) is one product
+(P_mu (x) 1) S_alpha / gamma, S_alpha = sum_a E_a P_alpha E_a^T per parent.
 
 A cell is refused (CapExceededError) when one operator on its N+1 factors
 would store more than MAX_ENTRIES sector entries, or the class sums of S(N)
@@ -282,22 +281,26 @@ def _identity(layout: _Layout) -> SectorOperator:
     return SectorOperator(layout, data)
 
 
-def _index(layout: _Layout, rows, cols, keep=None) -> np.ndarray:
-    """Flat positions in layout of the entries (rows, cols), broadcast, and
-    -1 where keep is False; ArithmeticError if a kept entry leaves its
-    weight sector."""
-    inside = layout.label[rows] == layout.label[cols]
-    if not (inside if keep is None else inside | ~keep).all():
+def _index(layout: _Layout, rows, cols) -> np.ndarray:
+    """Flat positions in layout of the entries (rows, cols), broadcast;
+    ArithmeticError if one leaves its weight sector."""
+    if not (layout.label[rows] == layout.label[cols]).all():
         raise ArithmeticError("an index map leaves its weight sectors")
-    flat = layout.base[rows] + layout.pos[cols]
-    return flat if keep is None else np.where(keep, flat, -1)
+    return layout.base[rows] + layout.pos[cols]
+
+
+def _scatter(src: SectorOperator, layout: _Layout, index: np.ndarray) -> SectorOperator:
+    """The operator on layout with entry i of src at each of the m places in
+    row i of index, a (src size, m) array, and 0 elsewhere.  No two entries of
+    index share a place, so one bincount places every entry exactly."""
+    weights = np.repeat(src.data, index.shape[1])
+    return SectorOperator(layout, np.bincount(index.ravel(), weights, layout.size))
 
 
 def _gather(src: SectorOperator, layout: _Layout, index: np.ndarray) -> SectorOperator:
-    """The operator on layout whose flat entry i is the sum of the entries of
-    src at index[i] (a row of index per entry, or one position); -1 reads 0."""
-    values = np.append(src.data, 0.0)[index]  # -1 reads the appended zero
-    return SectorOperator(layout, values.sum(axis=1) if index.ndim == 2 else values)
+    """The adjoint of _scatter: entry i of the operator on layout is the sum
+    of the entries of src at the places in row i of index."""
+    return SectorOperator(layout, src.data[index].sum(axis=1))
 
 
 def _diagram_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -434,99 +437,63 @@ def _young_projector(
 
 
 @functools.lru_cache(maxsize=None)
-def _port_indices(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Per port a, the (d^(N-1), d) array of the basis states with digit i at
-    port a and at the last factor, by the other digits r and i.  The port
-    state of a is E_a E_a^T / d^N for the 0/1 map E_a: |r> -> sum_i |state(r, i)>;
-    the d states of one r share the weight of r."""
+def _port_index(n: int, d: int, a: int) -> np.ndarray:
+    """The port map E_a: |r> -> sum_i |state(r, i)>, from N-1 factors to N+1,
+    state(r, i) carrying digit i at port a and at the last factor and the
+    digits of r elsewhere; the d states of one r share the weight of r.  Row
+    (r, r') lists the d^2 places (state(r, i), state(r', j)) of the entry
+    (r, r') in E_a P E_a^T.  At the last port a = N-1, E_a is 1 (x) sum_i |ii>."""
     grid = np.arange(d ** (n + 1)).reshape((d,) * (n + 1))
-    return tuple(_readonly(np.diagonal(grid, axis1=a, axis2=n).reshape(-1, d)) for a in range(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _contraction_index(n: int, d: int, a: int) -> np.ndarray:
-    """E_a^T A E_a for A on N+1 factors, as a gather onto N-1 factors: entry
-    (r, r') sums A[state(r, i), state(r', j)] over i, j (see _port_indices).
-    At the last port a = N-1 this contracts the last two factors with
-    sum_i |ii> on both sides."""
-    small = _layout(n - 1, d, 1)
-    rows, cols = small.coordinates()
-    idx = _port_indices(n, d)[a]
-    flat = _index(_layout(n + 1, d, -1), idx[rows][:, :, None], idx[cols][:, None, :])
-    return _readonly(flat.reshape(small.size, d * d))
+    states = np.diagonal(grid, axis1=a, axis2=n).reshape(-1, d)
+    rows, cols = _layout(n - 1, d, 1).coordinates()
+    flat = _index(_layout(n + 1, d, -1), states[rows][:, :, None], states[cols][:, None, :])
+    return _readonly(flat.reshape(len(rows), d * d))
 
 
 @functools.lru_cache(maxsize=None)
 def _lift_index(n: int, d: int) -> np.ndarray:
-    """P (x) 1 on N+1 factors, as a gather from P on N factors: entry
-    ((x,l),(x',l')) reads P[x, x'] where l = l', and 0 elsewhere."""
-    rows, cols = _layout(n + 1, d, -1).coordinates()
-    return _readonly(_index(_layout(n, d, 1), rows // d, cols // d, keep=rows % d == cols % d))
+    """P -> P (x) 1 from N factors to N+1: row (x, x') lists the d places
+    ((x,l), (x',l)) of the entry (x, x') of P."""
+    rows, cols = _layout(n, d, 1).coordinates()
+    last = np.arange(d)
+    return _readonly(_index(_layout(n + 1, d, -1), rows[:, None] * d + last, cols[:, None] * d + last))
 
 
 def _lift(p: SectorOperator, n: int, d: int) -> SectorOperator:
-    return _gather(p, _layout(n + 1, d, -1), _lift_index(n, d))
+    return _scatter(p, _layout(n + 1, d, -1), _lift_index(n, d))
 
 
 def _partial_trace(op: SectorOperator, n: int, d: int) -> SectorOperator:
-    """The trace over the last of N+1 factors, the adjoint of _lift: one bincount
-    adds each entry of op onto the entry _lift_index reads there, -1 onto a dropped slot."""
-    small = _layout(n, d, 1)
-    return SectorOperator(small, np.bincount(_lift_index(n, d) + 1, op.data, small.size + 1)[1:])
+    """The trace over the last of N+1 factors, the adjoint of _lift."""
+    return _gather(op, _layout(n, d, 1), _lift_index(n, d))
 
 
-@functools.lru_cache(maxsize=None)
-def _expand_index(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """[E_1 P ... E_N P] for P on N-1 factors, split by the sector of its rows
-    on N+1 factors: per group of that layout, the (count, s, N t) gather of
-    each block's rows from P, columns (a, y) over the t states y of N-1
-    factors with the block's weight, zero padded to the group's widest.
-    (E_a P)[x, y] is P[r, y] where x = state(r, i) of port a, and 0 off port a."""
-    big, small = _layout(n + 1, d, -1), _layout(n - 1, d, 1)
-    ports = _port_indices(n, d)
-    # the states y of each sector of the big layout, by their place in P's
-    # blocks; the port states of y lie in that sector
-    members = np.full((big.label.max() + 1, small.groups[-1].shape[1]), -1)
-    for g in small.groups:
-        members[big.label[ports[0][g[:, 0], 0]], : g.shape[1]] = g
-    # the r of each big state on port a, -1 off port a
-    inverse = np.full((n, big.dim), -1)
-    for a, idx in enumerate(ports):
-        inverse[a, idx] = np.arange(len(idx))[:, None]
-    out = []
-    for g in big.groups:
-        ys = members[big.label[g[:, 0]]]
-        ys = ys[:, : max(1, int((ys >= 0).sum(axis=1).max()))]
-        rs = inverse[:, g]  # (n, count, s)
-        keep = (rs[..., None] >= 0) & (ys[None, :, None, :] >= 0)
-        flat = _index(small, rs[..., None], ys[None, :, None, :], keep=keep)
-        out.append(_readonly(flat.transpose(1, 2, 0, 3).reshape(len(g), g.shape[1], -1)))
-    return tuple(out)
+def _spread(p: SectorOperator, n: int, d: int, a: int) -> SectorOperator:
+    """E_a p E_a^T on N+1 factors for p on N-1 (see _port_index); its adjoint
+    A -> E_a^T A E_a is the gather through the same index."""
+    return _scatter(p, _layout(n + 1, d, -1), _port_index(n, d, a))
 
 
 def _f_operator(
-    alpha: tuple[int, ...], mu: tuple[int, ...], projectors: dict, numbers: dict, d: int
+    alpha: tuple[int, ...], mu: tuple[int, ...], spread: SectorOperator,
+    projectors: dict, numbers: dict, d: int,
 ) -> SectorOperator:
     """Port-operator eigenprojector F_mu(alpha) of parent alpha and child mu,
-    reading P_alpha and P_mu from projectors and (d, m) of each from numbers.
+    from spread = S_alpha = sum_a E_a P_alpha E_a^T, reading P_mu from
+    projectors and (d, m) of each diagram from numbers.
 
     (1/gamma) P_mu [sum_a V(a,N) (P_alpha x Ptilde+) V(a,N)] P_mu, acting on
     N+1 factors; idempotent with trace d_mu * m_alpha and eigenvalue gamma
-    under the port operator.
+    under the port operator.  V(a,N) (P_alpha x sum_i |ii>) = E_a V(pi) P_alpha,
+    pi moving digit a of the N-1 factors last, and P_alpha commutes with V(pi);
+    so the bracket is S_alpha.  P_alpha is central, so permuting the N ports
+    permutes the terms of S_alpha: S_alpha commutes with every V(pi) (x) 1,
+    pi in S(N), hence with P_mu (x) 1, and P_mu S_alpha P_mu = P_mu S_alpha.
     """
     n = sum(mu)
     (dim_a, mult_a), (dim_m, mult_m) = numbers[alpha], numbers[mu]
     gamma = n * mult_m * dim_a / (mult_a * dim_m)
-    # V(a,N) (P_alpha x sum_i |ii>) = E_a V(pi) P_alpha, pi moving digit a of
-    # the N-1 factors last, and P_alpha commutes with V(pi); so the sum is
-    # sum_a E_a P_alpha E_a^T and F = C C^T, C = (P_mu x 1) [E_a P_alpha]_a / sqrt(gamma)
-    lifted = _lift(projectors[mu], n, d)
-    padded = np.append(projectors[alpha].data, 0.0)  # -1 reads the appended zero
-    out = np.empty(lifted.layout.size)
-    for p, idx, o in zip(lifted.blocks(), _expand_index(n, d), lifted.layout.blocks(out)):
-        c = p @ padded[idx] / math.sqrt(gamma)
-        np.matmul(c, c.transpose(0, 2, 1), out=o)
-    return SectorOperator(lifted.layout, out)
+    return _lift(projectors[mu], n, d) @ spread / gamma
 
 
 def _add_box(rows: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
@@ -541,11 +508,8 @@ def _add_box(rows: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
 
 
 def _port_state(n: int, d: int, a: int) -> SectorOperator:
-    """The port state sigma_a = E_a E_a^T / d^N (see _port_indices)."""
-    layout, idx = _layout(n + 1, d, -1), _port_indices(n, d)[a]
-    data = np.zeros(layout.size)
-    data[_index(layout, idx[:, :, None], idx[:, None, :])] = 1 / d**n
-    return SectorOperator(layout, data)
+    """The port state sigma_a = E_a E_a^T / d^N (see _port_index)."""
+    return _spread(_identity(_layout(n - 1, d, 1)), n, d, a) / d**n
 
 
 def _pair_sandwich(p: SectorOperator, mat: SectorOperator) -> SectorOperator:
@@ -554,7 +518,7 @@ def _pair_sandwich(p: SectorOperator, mat: SectorOperator) -> SectorOperator:
     Ptilde+ = sum_ij |ii><jj|: Q = p T p / d^2, T the contraction of mat with
     sum_i |ii> on both sides."""
     n, d = mat.layout.k - 1, mat.layout.d
-    return p @ _gather(mat, p.layout, _contraction_index(n, d, n - 1)) @ p / d**2
+    return p @ _gather(mat, p.layout, _port_index(n, d, n - 1)) @ p / d**2
 
 
 @dataclass(frozen=True)
@@ -600,11 +564,12 @@ def dense_cell(n: int, d: int) -> DenseCell:
     projectors.update({alpha: _young_projector(alpha, d, sub_table) for alpha in alphas})
     numbers = dict(zip(mus, zip(*dims_and_multiplicities(full, d))))
     numbers.update(zip(alphas, zip(*parents.numbers)))
-    family = {
-        (alpha, mu): _f_operator(alpha, mu, projectors, numbers, d)
-        for alpha in alphas
-        for mu in _add_box(alpha, d)
-    }
+    family = {}
+    for alpha in alphas:
+        # S_alpha, shared by the children of alpha
+        spread = sum(_spread(projectors[alpha], n, d, a) for a in range(n))
+        for mu in _add_box(alpha, d):
+            family[alpha, mu] = _f_operator(alpha, mu, spread, projectors, numbers, d)
     solution = optimal_solution(edges)
     children = _row_tuples(edges.col_basis)
     pairs = [(alphas[i], children[j]) for i, j in zip(edges.parent.tolist(), edges.child.tolist())]
@@ -655,9 +620,9 @@ def direct_fidelity(cell: DenseCell, povm_spec: str) -> float:
     else:
         raise ValueError(f"unknown povm_spec {povm_spec!r}")
     n, d = cell.n, cell.d
-    # tr(W s_a W s_a) = tr(K_a K_a) / d^2N with K_a = E_a^T W E_a (see _port_indices)
+    # tr(W s_a W s_a) = tr(K_a K_a) / d^2N with K_a = E_a^T W E_a (see _port_index)
     small = _layout(n - 1, d, 1)
-    kays = (_gather(wall, small, _contraction_index(n, d, a)) for a in range(n))
+    kays = (_gather(wall, small, _port_index(n, d, a)) for a in range(n))
     return math.fsum(float(np.sum(k.data * k.T.data)) for k in kays) / d ** (2 * n + 2)
 
 

@@ -467,29 +467,44 @@ class TestStructuredForms:
 
     @pytest.mark.parametrize("n,d", [(1, 3), (3, 3), (3, 4), (4, 2)])
     def test_port_contractions(self, dense, n, d):
-        # E_a^T A E_a for an operator A with random blocks, E_a built digit by
-        # digit: |r> -> sum_i |r with i put at port a, then i>
+        # E_a^T A E_a and E_a P E_a^T for operators A and P with random blocks,
+        # E_a built digit by digit: |r> -> sum_i |r with i put at port a, then i>
         layout = oracle._layout(n + 1, d, -1)
-        a_op = oracle.SectorOperator(layout, np.random.default_rng(n * d).normal(size=layout.size))
+        rng = np.random.default_rng(n * d)
+        a_op = oracle.SectorOperator(layout, rng.normal(size=layout.size))
         small = oracle._layout(n - 1, d, 1)
+        p_op = oracle.SectorOperator(small, rng.normal(size=small.size))
         for a in range(n):
             e = np.zeros((d ** (n + 1), d ** (n - 1)))
             for r, digits in enumerate(itertools.product(range(d), repeat=n - 1)):
                 for i in range(d):
                     state = [*digits[:a], i, *digits[a:], i]
                     e[sum(x * d ** (n - j) for j, x in enumerate(state)), r] = 1
-            k = oracle._gather(a_op, small, oracle._contraction_index(n, d, a))
+            index = oracle._port_index(n, d, a)
+            assert np.unique(index).size == index.size  # the scatter places each entry once
+            k = oracle._gather(a_op, small, index)
             assert np.abs(dense(k) - e.T @ dense(a_op) @ e).max() <= 1e-12
+            spread = oracle._spread(p_op, n, d, a)
+            assert spread.layout is layout
+            assert np.array_equal(dense(spread), e @ dense(p_op) @ e.T)
 
     @pytest.mark.parametrize("n,d", [(1, 3), (3, 3), (3, 4), (4, 2)])
     def test_partial_trace_is_the_adjoint_of_the_lift(self, dense, n, d):
-        # the trace over the last factor of an operator A with random blocks
-        layout = oracle._layout(n + 1, d, -1)
-        a_op = oracle.SectorOperator(layout, np.random.default_rng(n * d).normal(size=layout.size))
+        # the trace over the last factor of an operator A, and P (x) 1 for an
+        # operator P, both with random blocks
+        layout, small = oracle._layout(n + 1, d, -1), oracle._layout(n, d, 1)
+        rng = np.random.default_rng(n * d)
+        a_op = oracle.SectorOperator(layout, rng.normal(size=layout.size))
+        p_op = oracle.SectorOperator(small, rng.normal(size=small.size))
+        index = oracle._lift_index(n, d)
+        assert np.unique(index).size == index.size  # the scatter places each entry once
         want = dense(a_op).reshape(d**n, d, d**n, d).trace(axis1=1, axis2=3)
         got = oracle._partial_trace(a_op, n, d)
-        assert got.layout is oracle._layout(n, d, 1)
+        assert got.layout is small
         assert np.abs(dense(got) - want).max() <= 1e-12
+        lifted = oracle._lift(p_op, n, d)
+        assert lifted.layout is layout
+        assert np.array_equal(dense(lifted), np.kron(dense(p_op), np.eye(d)))
 
     @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2)])
     def test_pair_sandwich(self, dense, n, d):
@@ -621,7 +636,7 @@ class TestRunChecks:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("_perm_table", "_young_projector", "_f_operator", "optimal_solution"):
+        for name in ("_perm_table", "_young_projector", "_spread", "_f_operator", "optimal_solution"):
             count(oracle, name)
         # the exact d_mu, m_mu kernel, behind every basis.numbers and
         # dims_and_multiplicities call
@@ -637,6 +652,9 @@ class TestRunChecks:
         assert calls == {
             "_perm_table": 2,
             "_young_projector": len(enumerate_diagrams(n, n)) + len(parents),
+            # N per parent for its S_alpha, shared by its children; N for the
+            # cell's port-state sum and N for the dual slacks
+            "_spread": n * (len(parents) + 2),
             "_f_operator": sum(len(oracle._add_box(alpha, d)) for alpha in _row_tuples(parents)),
             "optimal_solution": 1,
             "incidence_edges": 1,
