@@ -8,7 +8,7 @@ latter), a matrix above MAX_MATRIX_ENTRIES, a solver option out of
 range, or a .csv output path for a JSON-only verb), an -o path that cannot
 be opened (checked before computing; one error line, no usage) or stdout
 closed by its reader (no traceback), 2 computation failure (no certified radius within --max-iter,
-cap exceeded, failed verification).
+cap exceeded, failed verification, a result beyond double range).
 
 JSON output is byte for byte json.dumps(payload, indent=2).
 """

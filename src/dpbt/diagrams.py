@@ -13,10 +13,10 @@ formula for the S(N) dimension and the Weyl formula for the Schur-Weyl
 multiplicity.  It works column by column on the diagrams of each height, at
 O(k^2) array operations per height.  The values overflow 64-bit integers near
 N = 30, so the results are numpy object arrays of arbitrary-width Python
-integers.  There is no single-diagram entry point: a diagram's d_mu and m_mu
-are read at its place in a basis, from DiagramBasis.numbers (at the basis's
-own cap) or dims_and_multiplicities (at any d).  Floats appear only in the
-spectral and protocol layers.
+integers.  DiagramBasis.numbers is the one entry point: a diagram's d_mu and
+m_mu are read at its place in a basis, at the basis's own cap, which no
+diagram of the basis is taller than.  Floats appear only in the spectral and
+protocol layers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "DiagramBasis",
     "enumerate_diagrams",
     "partition_counts",
-    "dims_and_multiplicities",
 ]
 
 
@@ -99,8 +98,8 @@ class DiagramBasis:
 
     @cached_property
     def numbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only dims_and_multiplicities(self, self.d)."""
-        out = dims_and_multiplicities(self, self.d)
+        """Read-only _frobenius_weyl(self.rows, self.d), in basis order."""
+        out = _frobenius_weyl(self.rows, self.d)
         for x in out:
             x.flags.writeable = False
         return out
@@ -166,8 +165,8 @@ def _product(factors: np.ndarray, top: int) -> np.ndarray:
 
 
 def _frobenius_weyl(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact d_mu and m_mu (0 when mu is taller than d) of the diagrams given
-    as zero-padded rows, as object arrays of Python ints in row order.
+    """Exact d_mu and m_mu of zero-padded rows none taller than d, as object
+    arrays of Python ints in row order; DiagramBasis.numbers is its one caller.
 
     The diagrams are taken by height k, over their k positive rows only.  Over
     the pairs i < j < k, V = prod (mu_i - mu_j + j - i) is the Vandermonde
@@ -186,7 +185,7 @@ def _frobenius_weyl(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     j, i = np.nonzero(np.arange(width)[:, None] > np.arange(width))
     gap = j - i
     dims = np.empty(len(rows), dtype=object)
-    mults = np.zeros(len(rows), dtype=object)
+    mults = np.empty(len(rows), dtype=object)
     heights = np.count_nonzero(rows, axis=1)
     by_height = np.argsort(heights, kind="stable")
     ends = np.cumsum(np.bincount(heights)).tolist()
@@ -200,16 +199,6 @@ def _frobenius_weyl(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         v = _product(upper - mu[:, j[:pairs]] + gap[:pairs], top)
         c = _product(upper + gap[:pairs], top)
         dims[at] = v * _comb(mu.cumsum(axis=1)[:, 1:], mu[:, 1:]).prod(axis=1) // c
-        if k <= d:
-            # Python ints, since d itself may exceed int64
-            mults[at] = v * _comb(mu + (d - 1 - np.arange(k, dtype=object)), mu).prod(axis=1) // c
+        # Python ints, since d itself may exceed int64
+        mults[at] = v * _comb(mu + (d - 1 - np.arange(k, dtype=object)), mu).prod(axis=1) // c
     return dims, mults
-
-
-def dims_and_multiplicities(basis: DiagramBasis, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact d_mu and m_mu (at local dimension d) of every diagram of the
-    basis, as object arrays of Python ints in basis order."""
-    if d < 1:
-        raise ValueError("local dimension must be >= 1")
-    return _frobenius_weyl(basis.rows, d)
-

@@ -12,10 +12,10 @@ rows, and spectral.cycle_types lists the classes of S(N).
 run_checks builds each operator of one (N, d) once, in a DenseCell that also
 holds the fast path's one edge list, and runs its 26 checks on that cell.  The
 cell keeps the sum of the port states, and each dual slack rebuilds its sigma_a.
-The Young projectors take d_mu as the character at the identity, from the
-character table, so they share no code with the exact d_mu, m_mu kernel; the
-eigenvalues, traces and ranks the checks compare with read those integers
-from the cell, one kernel call per basis.
+The cell holds the diagrams of the edge list's two bases only (height <= d).
+Their Young projectors take d_mu as the character at the identity, from the
+character table, so they share no code with the exact d_mu, m_mu kernel,
+whose integers the checks read from each basis's numbers.
 
 Every operator is real in this basis, so Hermiticity is symmetry.  Each is
 built from factor permutations and the port maps E_a, so it commutes with
@@ -42,7 +42,7 @@ class scattered in chunked bincount calls.  Each F_mu(alpha) is one product
 A cell is refused (CapExceededError) when one operator on its N+1 factors
 would store more than MAX_ENTRIES sector entries, or the class sums of S(N)
 would scatter more than MAX_SCATTER = N! d^N index-map entries.  Both bounds
-admit the DEFAULT_CHECK_CELLS, (4,4), (9,2), (5,4), (6,3) and (7,3); they
+admit the DEFAULT_CHECK_CELLS, (4,4), (9,2), (5,4), (6,3), (7,3) and (5,5); they
 refuse (10,2), (6,4) and (8,3).
 """
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import _row_keys, _row_tuples, dims_and_multiplicities, enumerate_diagrams
+from .diagrams import _row_keys, _row_tuples, enumerate_diagrams
 from .protocol import (
     OptimalSolution,
     general_povm_fidelity,
@@ -422,7 +422,8 @@ def _young_projector(
 ) -> SectorOperator:
     """Isotypic projector for the diagram with rows mu on (C^d)^N,
     (dim_mu/N!) sum_s chi_mu(s) V(s), summing the characters of mu over
-    table, the class sums of S_N, in the order of cycle_types.
+    table, the class sums of S_N, in table order (integer valued before the
+    final scale, so the order changes no bit).
 
     Characters of a class equal those of its inverses, so the class value is
     used directly, and dim_mu is the character at the identity.  Idempotent
@@ -430,9 +431,7 @@ def _young_projector(
     is taller than d.
     """
     n = sum(mu)
-    if n == 0:
-        return table[()]
-    acc = sum(character(mu, c) * table[c] for c in cycle_types(n))
+    acc = sum(character(mu, c) * k for c, k in table.items())
     return acc * (character(mu, (1,) * n) / math.factorial(n))
 
 
@@ -530,10 +529,10 @@ class DenseCell:
     fast path's edge list, incidence_edges(N, d), which every protocol call
     of the checks takes; pairs: its edges as (alpha, mu) pairs of row
     tuples, in edge order.  projectors: the Young projector of every diagram
-    of N (the vanishing ones too) and of every diagram of N-1 with height
-    <= d, each a character sum over one table, _perm_table(N, d) or
-    _perm_table(N-1, d); numbers: the exact (d_mu, m_mu) at d of each of
-    those diagrams, one kernel call per basis.  family: F_mu(alpha) for each
+    of the edge list's two bases, of N and N-1 with height <= d, a character
+    sum over _perm_table(N, d) or _perm_table(N-1, d); those of N sum to 1
+    only if every taller projector vanishes.  numbers: the exact (d_mu, m_mu)
+    at d of each, from the bases' numbers.  family: F_mu(alpha) for each
     pair of the _add_box(alpha, d) walk, parents in basis order and children
     by descending rows.  ports: the sum of the port states sigma_a, added in
     port order; the port operator is d^N times it.  solution: the optimal POVM
@@ -557,13 +556,12 @@ def dense_cell(n: int, d: int) -> DenseCell:
     """The DenseCell of (N, d); CapExceededError above MAX_SCATTER or MAX_ENTRIES."""
     _require_cell(n, d)
     edges = incidence_edges(n, d)
-    full, parents = enumerate_diagrams(n, n), edges.row_basis
-    mus, alphas = _row_tuples(full), _row_tuples(parents)
+    mus, alphas = _row_tuples(edges.col_basis), _row_tuples(edges.row_basis)
     table, sub_table = _perm_table(n, d), _perm_table(n - 1, d)
     projectors = {mu: _young_projector(mu, d, table) for mu in mus}
     projectors.update({alpha: _young_projector(alpha, d, sub_table) for alpha in alphas})
-    numbers = dict(zip(mus, zip(*dims_and_multiplicities(full, d))))
-    numbers.update(zip(alphas, zip(*parents.numbers)))
+    numbers = dict(zip(mus, zip(*edges.col_basis.numbers)))
+    numbers.update(zip(alphas, zip(*edges.row_basis.numbers)))
     family = {}
     for alpha in alphas:
         # S_alpha, shared by the children of alpha
@@ -571,8 +569,7 @@ def dense_cell(n: int, d: int) -> DenseCell:
         for mu in _add_box(alpha, d):
             family[alpha, mu] = _f_operator(alpha, mu, spread, projectors, numbers, d)
     solution = optimal_solution(edges)
-    children = _row_tuples(edges.col_basis)
-    pairs = [(alphas[i], children[j]) for i, j in zip(edges.parent.tolist(), edges.child.tolist())]
+    pairs = [(alphas[i], mus[j]) for i, j in zip(edges.parent.tolist(), edges.child.tolist())]
     # summed by ascending (alpha, mu) rows: the edge order reversed
     coeffs = zip(pairs[::-1], solution.p_coeffs[::-1].tolist())
     povm = sum(p * family[key] for key, p in coeffs if key in family)
@@ -713,8 +710,10 @@ def run_checks(n: int, d: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     dim = d ** (n + 1)
 
-    # Young projectors: resolution, idempotence, Hermiticity, traces, centrality
-    projectors = {mu: cell.projectors[mu] for mu in _row_tuples(enumerate_diagrams(n, n))}
+    # Young projectors of N, height <= d: resolution, idempotence, Hermiticity,
+    # traces, centrality.  Over every diagram of N they sum to 1 for any character
+    # table; over these, only if each taller one vanishes on (C^d)^(x N)
+    projectors = {mu: cell.projectors[mu] for mu in _row_tuples(cell.edges.col_basis)}
     layout = _layout(n, d, 1)
     resolution = sum(projectors.values()) - _identity(layout)
     checks.append(_check("young_resolution", _norm_inf(resolution), 1e-10))

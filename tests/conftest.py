@@ -102,6 +102,41 @@ def _hook_mult(rows, d):
     return contents // _hook_product(rows)
 
 
+def _eigenvalues_above(m, x):
+    """(count, eigen): how many eigenvalues of the symmetric integer matrix m
+    lie above the float x, and whether x is one of them, in exact rationals.
+
+    By Sylvester's law of inertia the count is the number of negative pivots
+    of the LDL^T of x I - m, taken in Fractions.  A zero pivot whose column
+    below it is zero splits off a zero eigenvalue of x I - m, so x is an
+    eigenvalue of m; any other zero pivot is an error.
+    """
+    a = [[Fraction(-v) for v in row] for row in m.tolist()]
+    for i, row in enumerate(a):
+        row[i] += Fraction(x)
+    count, eigen = 0, False
+    for k in range(len(a)):
+        pivot = a[k][k]
+        below = [i for i in range(k + 1, len(a)) if a[i][k]]
+        if pivot == 0:
+            if below:
+                raise ArithmeticError(f"zero pivot {k} with a nonzero column")
+            eigen = True
+        count += pivot < 0
+        for i in below:
+            scale = a[i][k] / pivot
+            for j in range(k + 1, len(a)):
+                a[i][j] -= scale * a[k][j]
+    return count, eigen
+
+
+@pytest.fixture(scope="session")
+def eigenvalues_above():
+    """The exact eigenvalue count of an integer matrix above a float, a
+    referee that needs no eigensolver and no rounding analysis."""
+    return _eigenvalues_above
+
+
 def _dense(op):
     """The d^k-square array of a sector-stored oracle operator, its blocks
     scattered back into place; the tests' only way from blocks to a matrix."""

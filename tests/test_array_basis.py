@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dpbt.diagrams import _row_tuples, dims_and_multiplicities, enumerate_diagrams
+from dpbt.diagrams import _row_tuples, enumerate_diagrams
 from dpbt.protocol import _DOUBLE_LIMIT, _ratio, _sqrt_ratio, optimal_solution
 from dpbt.telemat import incidence_edges
 
@@ -77,7 +77,7 @@ def test_matches_reference(n, d, hook_dim, hook_mult):
     assert e.parent.tolist() == parent and e.child.tolist() == child
     for basis in (e.row_basis, e.col_basis):
         ref = ref_basis(basis.n, d)
-        dims, mults = (x.tolist() for x in dims_and_multiplicities(basis, d))
+        dims, mults = (x.tolist() for x in basis.numbers)
         assert dims == [hook_dim(r) for r in ref]
         assert mults == [hook_mult(r, d) for r in ref]
 
@@ -92,10 +92,14 @@ def test_enumeration_matches_reference(n, d):
 @pytest.mark.parametrize("rows", [(5,), (3, 2, 2, 1), (4, 4, 1, 1, 1), (25, 25), (1,) * 9])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 9, 12])
 def test_shared_kernel_matches_reference(rows, d, hook_dim, hook_mult):
-    # read at the diagram's place in the basis capped at its height
-    basis = enumerate_diagrams(sum(rows), len(rows))
+    # read at the diagram's place in the basis capped at d, which leaves out
+    # a diagram taller than d
+    basis = enumerate_diagrams(sum(rows), d)
+    if len(rows) > d:
+        assert rows not in _row_tuples(basis)
+        return
     i = _row_tuples(basis).index(rows)
-    dims, mults = dims_and_multiplicities(basis, d)
+    dims, mults = basis.numbers
     assert (dims[i], mults[i]) == (hook_dim(rows), hook_mult(rows, d))
 
 
@@ -130,14 +134,15 @@ class TestDiagramBasis:
 
 @pytest.fixture
 def check_kernel(hook_dim, hook_mult):
-    """check(basis, d, numbers=None): numbers (default
-    dims_and_multiplicities(basis, d)) against the hook formulas."""
+    """check(basis): basis.numbers, read-only, against the hook formulas at
+    the basis's cap."""
 
-    def check(basis, d, numbers=None):
-        dims, mults = dims_and_multiplicities(basis, d) if numbers is None else numbers
+    def check(basis):
+        dims, mults = basis.numbers
         assert dims.dtype == mults.dtype == object
+        assert not dims.flags.writeable and not mults.flags.writeable
         assert dims.tolist() == [hook_dim(mu) for mu in _row_tuples(basis)]
-        assert mults.tolist() == [hook_mult(mu, d) for mu in _row_tuples(basis)]
+        assert mults.tolist() == [hook_mult(mu, basis.d) for mu in _row_tuples(basis)]
         assert all(type(x) is int for x in [*dims, *mults])
 
     return check
@@ -146,44 +151,46 @@ def check_kernel(hook_dim, hook_mult):
 class TestExactKernel:
     @pytest.mark.parametrize("n", range(0, 15))
     def test_every_diagram_against_hook_formulas(self, n, check_kernel):
-        full = enumerate_diagrams(n, max(n, 1))
+        full = _row_tuples(enumerate_diagrams(n, max(n, 1)))
         for d in sorted({1, 2, 3, 5, max(n, 1), n + 3}):
-            check_kernel(full, d)
-            # a capped basis caches its numbers at its own cap, read-only
+            # a capped basis caches its numbers at its own cap, read-only,
+            # and holds every diagram of n with height <= d
             capped = enumerate_diagrams(n, d)
-            check_kernel(capped, d, capped.numbers)
-            assert not any(x.flags.writeable for x in capped.numbers)
+            assert _row_tuples(capped) == [mu for mu in full if len(mu) <= d]
+            check_kernel(capped)
 
     def test_tall_uncapped_basis(self, check_kernel):
         n = 22
         basis = enumerate_diagrams(n, n)  # every diagram of 22
         assert basis.rows.shape == (1002, 22)
-        check_kernel(basis, n)
-        dims, mults = dims_and_multiplicities(basis, n)
+        check_kernel(basis)
+        dims, mults = basis.numbers
         assert sum(x * x for x in dims.tolist()) == math.factorial(n)
         assert sum((dims * mults).tolist()) == n**n
 
     def test_huge_local_dimension_is_quick(self, check_kernel):
         d = 10**6
         start = time.perf_counter()
-        check_kernel(enumerate_diagrams(3, d), d)
+        check_kernel(enumerate_diagrams(3, d))
         sol = optimal_solution(incidence_edges(3, d))
         assert time.perf_counter() - start < 2.0  # 0.01 s; a table sized by d takes minutes
         assert sol.eigenpair.method == "closed_dgeN" and np.isfinite(sol.p_coeffs).all()
 
     def test_local_dimension_beyond_int64(self, check_kernel):
         d = 10**20
-        check_kernel(enumerate_diagrams(6, d), d)
+        check_kernel(enumerate_diagrams(6, d))
         basis = enumerate_diagrams(3, d)
         assert basis.numbers[1][_row_tuples(basis).index((2, 1))] == (d + 1) * d * (d - 1) // 3
 
     def test_single_diagrams_share_the_kernel(self, hook_dim, hook_mult):
-        # a diagram's numbers are its entries in the basis that holds it
-        for rows in [(), (7,), (3, 3, 1), (1,) * 6]:
-            basis = enumerate_diagrams(sum(rows), max(sum(rows), 1))
+        # a diagram's numbers are its entries in the basis that holds it; the
+        # basis capped at 4 leaves out the diagram of height 6
+        assert (1,) * 6 not in _row_tuples(enumerate_diagrams(6, 4))
+        for rows, d in [((), 4), ((7,), 4), ((3, 3, 1), 4), ((1,) * 6, 6)]:
+            basis = enumerate_diagrams(sum(rows), d)
             i = _row_tuples(basis).index(rows)
-            dims, mults = dims_and_multiplicities(basis, 4)
-            assert (dims[i], mults[i]) == (hook_dim(rows), hook_mult(rows, 4))
+            dims, mults = basis.numbers
+            assert (dims[i], mults[i]) == (hook_dim(rows), hook_mult(rows, d))
 
 
 def ref_sqrt_ratio(num, den):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dpbt.diagrams import (
     _row_tuples,
-    dims_and_multiplicities,
     enumerate_diagrams,
     partition_counts,
 )
@@ -52,9 +51,9 @@ def brute_force_ssyt_count(rows, d):
 
 def numbers_of(mu, d):
     """(d_mu, m_mu) of the rows mu from the package's kernel, read at mu's
-    place in the basis of every diagram of its box count; m_mu at d."""
-    basis = enumerate_diagrams(sum(mu), max(sum(mu), 1))
-    dims, mults = dims_and_multiplicities(basis, d)
+    place in the basis of its box count capped at d; m_mu at d."""
+    basis = enumerate_diagrams(sum(mu), d)
+    dims, mults = basis.numbers
     i = _row_tuples(basis).index(mu)
     return dims[i], mults[i]
 
@@ -211,7 +210,7 @@ class TestDimensions:
     def test_examples(self):
         assert numbers_of((2, 1), 2)[0] == 2
         assert numbers_of((5,), 2)[0] == 1
-        assert numbers_of((1, 1, 1), 2)[0] == 1
+        assert numbers_of((1, 1, 1), 3)[0] == 1
         assert numbers_of((), 2)[0] == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -229,7 +228,9 @@ class TestDimensions:
 class TestMultiplicity:
     def test_examples(self):
         assert numbers_of((2,), 2)[1] == 3
-        assert numbers_of((1, 1, 1), 2)[1] == 0
+        # no diagram taller than d occurs in (C^d)^(x N): the cap leaves it out
+        assert (1, 1, 1) not in _row_tuples(enumerate_diagrams(3, 2))
+        assert numbers_of((1, 1, 1), 3)[1] == 1
         for d in (1, 2, 5):
             assert numbers_of((1,), d)[1] == d
         assert numbers_of((), 3)[1] == 1
@@ -237,16 +238,18 @@ class TestMultiplicity:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_against_brute_force_ssyt(self, n, d):
-        # every diagram of n, so the diagrams taller than d must give 0
-        basis = enumerate_diagrams(n, n)
-        mults = dims_and_multiplicities(basis, d)[1].tolist()
+        # the capped basis lists exactly the diagrams of n with a tableau
+        counts = {mu: brute_force_ssyt_count(mu, d) for mu in _row_tuples(enumerate_diagrams(n, n))}
+        basis = enumerate_diagrams(n, d)
+        mults = basis.numbers[1].tolist()
+        assert _row_tuples(basis) == [mu for mu, count in counts.items() if count]
         for mu, mult in zip(_row_tuples(basis), mults):
-            assert mult == brute_force_ssyt_count(mu, d)
+            assert mult == counts[mu]
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_schur_weyl_dimension_count(self, n, d):
-        dims, mults = dims_and_multiplicities(enumerate_diagrams(n, n), d)
+        dims, mults = enumerate_diagrams(n, d).numbers
         assert sum((dims * mults).tolist()) == d**n
 
     def test_exactness_at_large_n(self):
@@ -265,8 +268,12 @@ class TestHookFormulas:
         rows = _row_tuples(basis)
         assert basis.numbers[0].tolist() == [hook_dim(r) for r in rows]
         for d in HOOK_DIMS:
-            mults = dims_and_multiplicities(basis, d)[1].tolist()
-            assert mults == [hook_mult(r, d) for r in rows], d
+            capped = enumerate_diagrams(n, d)
+            # the cap keeps the diagrams of height <= d, in the same order
+            assert _row_tuples(capped) == [r for r in rows if len(r) <= d], d
+            dims, mults = (x.tolist() for x in capped.numbers)
+            assert dims == [hook_dim(r) for r in _row_tuples(capped)], d
+            assert mults == [hook_mult(r, d) for r in _row_tuples(capped)], d
 
     @pytest.mark.parametrize("n,d", [(100, 3), (60, 4), (400, 2), (40, 9)])
     def test_capped_bases(self, n, d, hook_dim, hook_mult):

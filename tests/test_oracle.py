@@ -638,8 +638,7 @@ class TestRunChecks:
 
         for name in ("_perm_table", "_young_projector", "_spread", "_f_operator", "optimal_solution"):
             count(oracle, name)
-        # the exact d_mu, m_mu kernel, behind every basis.numbers and
-        # dims_and_multiplicities call
+        # the exact d_mu, m_mu kernel, behind every basis.numbers
         count(diagrams, "_frobenius_weyl")
         # the fast path's edge builds and Perron solves, at every binding the
         # oracle can reach them through
@@ -651,7 +650,8 @@ class TestRunChecks:
         parents = enumerate_diagrams(n - 1, d)
         assert calls == {
             "_perm_table": 2,
-            "_young_projector": len(enumerate_diagrams(n, n)) + len(parents),
+            # the diagrams of the edge list's two bases, none taller than d
+            "_young_projector": len(enumerate_diagrams(n, d)) + len(parents),
             # N per parent for its S_alpha, shared by its children; N for the
             # cell's port-state sum and N for the dual slacks
             "_spread": n * (len(parents) + 2),
@@ -662,8 +662,8 @@ class TestRunChecks:
             # checks read too
             "dominant_eigenpair": 1,
             # one per basis, however many diagrams: the edge list's parents
-            # and children, and the oracle's list of every diagram of N
-            "_frobenius_weyl": 3,
+            # and children
+            "_frobenius_weyl": 2,
         }
 
     def test_edge_list_disagreement_is_a_failed_check(self, monkeypatch):
@@ -699,6 +699,25 @@ class TestRunChecks:
         assert len(results) == 26
         assert not results["f_orthogonal"].passed
         assert results["f_idempotent"].passed and results["f_hermitian"].passed
+
+    def test_missing_projector_fails_young_resolution(self, monkeypatch):
+        # the zero operator is a symmetric projector that commutes with every
+        # permutation, so of the checks on one projector at a time only
+        # young_trace can tell that it is missing; their sum must tell too
+        real = oracle.dense_cell
+
+        def missing(n, d):
+            cell = real(n, d)
+            mu = _row_tuples(cell.edges.col_basis)[-1]
+            zero = 0.0 * cell.projectors[mu]
+            return dataclasses.replace(cell, projectors={**cell.projectors, mu: zero})
+
+        monkeypatch.setattr(oracle, "dense_cell", missing)
+        results = {r.name: r for r in run_checks(4, 2)}
+        assert len(results) == 26
+        assert not results["young_resolution"].passed
+        assert results["edge_pairs"].passed
+        assert results["young_idempotent"].passed and results["young_hermitian"].passed
 
 
 class TestCharacterSpectrum:

@@ -316,3 +316,27 @@ class TestSpectrumViaCharacters:
         assert np.max(np.abs(w - k)) < 1e-9
         values, counts = np.unique(k, return_counts=True)
         assert dict(zip(values.tolist(), counts.tolist())) == closed_form_spectrum(n)
+
+
+class TestExactInertia:
+    """The closed forms against conftest's exact count of the eigenvalues
+    above a float, which shares no arithmetic with any solver or BLAS."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_qubit_radius_within_two_ulp(self, n, eigenvalues_above):
+        m = teleportation_matrix(incidence_edges(n, 2))
+        top = closed_form_d2(n)[0]
+        step = 2 * math.ulp(top)
+        assert eigenvalues_above(m, top - step) == (1, False)
+        assert eigenvalues_above(m, top + step) == (0, False)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_radius_is_n(self, n, eigenvalues_above):
+        for d in (max(n, 2), n + 3):
+            e = incidence_edges(n, d)
+            top = closed_form_full(e.col_basis).radius
+            m = teleportation_matrix(e)
+            assert top == n
+            assert eigenvalues_above(m, top - 0.5) == (1, False)
+            assert eigenvalues_above(m, top + 0.5) == (0, False)
+            assert eigenvalues_above(m, top) == (0, True)
